@@ -16,7 +16,8 @@ use genie_baselines::{cpu_lsh::CpuLsh, gpu_lsh};
 use genie_core::backend::SearchBackend;
 use genie_core::exec::{elapsed_us, Engine, EngineConfig};
 use genie_core::index::LoadBalanceConfig;
-use genie_core::multiload::{build_parts, multi_load_search};
+use genie_core::multiload::multi_load_search;
+use genie_core::shard::ShardPlan;
 use genie_lsh::knn::{approximation_ratio, classification_report, exact_knn, l2_distance, Metric};
 use genie_lsh::rbh::{mean_l1_kernel_width, RandomBinningHash};
 use genie_lsh::tau_ann::{hoeffding_m, min_m_for_similarity};
@@ -494,8 +495,8 @@ pub fn table2_3(scale: Scale) {
     );
     for parts_count in 1..=4usize {
         let n = part_n * parts_count;
-        let parts = build_parts(&sift.objects[..n], part_n, None);
-        let (_, report) = multi_load_search(&engine, &parts, &sift.queries, K);
+        let parts = ShardPlan::build(&sift.objects[..n], parts_count, None);
+        let (_, report) = multi_load_search(&engine, parts.shards(), &sift.queries, K);
         row(
             &[
                 n.to_string(),

@@ -15,9 +15,9 @@
 //!   parallelism for small waves) plus the same deterministic top-k
 //!   finalisation (the "as fast as the hardware allows" serving path);
 //! * [`MultiDeviceBackend`] — multiple simulated devices, each paging
-//!   device-sized index parts through memory (absorbing the multiple
-//!   loading / multi-device fan-out of [`crate::multiload`] behind the
-//!   common interface).
+//!   device-sized index [`Shard`](crate::shard::Shard)s through memory
+//!   (the multiple loading / multi-device fan-out of
+//!   [`crate::multiload`] behind the common interface).
 //!
 //! All three return the engine's [`SearchOutput`] shape: per-query
 //! [`TopHit`](crate::topk::TopHit) lists with deterministic

@@ -1,14 +1,14 @@
 //! The multi-device backend: several simulated devices, each paging
-//! device-sized index parts through memory.
+//! device-sized index shards through memory.
 //!
-//! This wraps the multiple-loading machinery of [`crate::multiload`]
-//! (paper §III-D) behind the [`SearchBackend`] interface: `upload`
-//! re-partitions the data set into parts that fit the smallest device
+//! This wraps the multiple loading of [`crate::multiload`] (paper
+//! §III-D) behind the [`SearchBackend`] interface: `upload` re-splits
+//! the data set into [`Shard`]s ("parts") that fit the smallest device
 //! and assigns them round-robin; `search_batch` fans the batch out to
 //! one host thread per device, swaps each device's parts through its
-//! memory, and merges the per-part top-k into the global answer. Part
-//! H2D swap time is reported in
-//! [`StageProfile::index_swap_us`](crate::exec::StageProfile).
+//! memory, and merges the per-part top-k into the global answer
+//! ([`crate::shard::merge_shard_topk`]). Part H2D swap time is reported
+//! in [`StageProfile::index_swap_us`](crate::exec::StageProfile).
 
 use std::any::Any;
 use std::sync::Arc;
@@ -18,7 +18,8 @@ use crate::cpq::CpqLayout;
 use crate::exec::{elapsed_us, Engine, SearchOutput, StageProfile};
 use crate::index::InvertedIndex;
 use crate::model::{count_bound, Query};
-use crate::multiload::{build_parts, multi_device_search, IndexPart};
+use crate::multiload::multi_device_search;
+use crate::shard::{Shard, ShardPlan};
 
 use super::{BackendCaps, BackendIndex, BackendKind, SearchBackend};
 
@@ -29,7 +30,7 @@ pub struct MultiDeviceBackend {
 }
 
 struct MultiPayload {
-    parts: Vec<IndexPart>,
+    parts: Vec<Shard>,
 }
 
 impl MultiDeviceBackend {
@@ -80,7 +81,11 @@ impl SearchBackend for MultiDeviceBackend {
     /// the swap cost lands in `StageProfile::index_swap_us`.
     fn upload(&self, index: Arc<InvertedIndex>) -> Result<BackendIndex, String> {
         let objects = index.reconstruct_objects();
-        let parts = build_parts(&objects, self.part_size, index.load_balance());
+        // the fewest near-even shards none of which exceeds part_size
+        let num_parts = objects.len().div_ceil(self.part_size).max(1);
+        let parts = ShardPlan::build(&objects, num_parts, index.load_balance())
+            .shards()
+            .to_vec();
         let budget = self.smallest_device_memory();
         for (i, part) in parts.iter().enumerate() {
             let bytes = part.index.device_bytes();

@@ -1,7 +1,8 @@
 //! Live mutations: a mutable **delta shard** plus a **tombstone set**
-//! layered over immutable base shards, LSM-style, so a collection can
-//! absorb inserts and deletes without the full reindex
-//! [`crate::shard::ShardPlan`] alone would require.
+//! layered over immutable base [`Shard`]s, LSM-style, so a collection
+//! can absorb inserts and deletes without a full reindex. Every served
+//! collection carries a [`DeltaPlan`] from the moment it is registered
+//! — a never-mutated one simply has an empty delta and no tombstones.
 //!
 //! # Model
 //!
@@ -22,6 +23,17 @@
 //! `0..next_id`, and are **never reused** — they survive compaction, so
 //! ids handed to callers (and the id-indexed item stores of the
 //! stateful domains) stay valid forever.
+//!
+//! Membership is *derived*, not stored: an id is live iff it is not
+//! tombstoned and some base shard's `global_ids` or the delta holds it
+//! (both strictly increasing, so the lookup is a binary search). The
+//! invariant that keeps [`len`](DeltaPlan::len) a subtraction: every
+//! tombstone names exactly one entry still present in base ∪ delta —
+//! [`delete`](DeltaPlan::delete) only tombstones live ids, and
+//! [`apply_compaction`](DeltaPlan::apply_compaction) removes folded
+//! tombstones and their entries together. So cloning a plan (what a
+//! mutation batch stages on) costs O(shards + debt), not
+//! O(collection).
 //!
 //! # Rebuild equivalence
 //!
@@ -60,8 +72,8 @@ use crate::index::{IndexBuilder, LoadBalanceConfig};
 use crate::model::{Object, ObjectId};
 use crate::shard::{Shard, ShardPlan};
 
-/// Mutable serving state of one live collection: immutable base shards,
-/// an append-only insert delta and a tombstone set. See the
+/// Mutation state of one collection: immutable base shards, an
+/// append-only insert delta and a tombstone set. See the
 /// [module docs](self) for the model and the compaction protocol.
 #[derive(Clone)]
 pub struct DeltaPlan {
@@ -69,31 +81,28 @@ pub struct DeltaPlan {
     /// Append-only since the last compaction; stable ids strictly
     /// increasing, so the delta shard's local→global map is too.
     delta: Vec<(ObjectId, Object)>,
-    /// Ids deleted since the last compaction (may still appear in base
-    /// or delta postings until then).
+    /// Ids deleted since the last compaction; each still appears in
+    /// exactly one base shard or delta entry until then.
     tombstones: BTreeSet<ObjectId>,
-    /// All currently-live ids — the authoritative membership set.
-    live: BTreeSet<ObjectId>,
     next_id: ObjectId,
     load_balance: Option<LoadBalanceConfig>,
 }
 
 impl DeltaPlan {
-    /// Start a live plan over existing base shards (e.g. the shards of
-    /// a [`ShardPlan`], or a single [`Shard::identity`] wrapping an
+    /// Start a plan over existing base shards (e.g. the shards of a
+    /// [`ShardPlan`], or a single [`Shard::identity`] wrapping an
     /// unsharded collection's index). All base objects start live; ids
     /// continue after the largest base id.
     pub fn from_base(base: Vec<Shard>, load_balance: Option<LoadBalanceConfig>) -> Self {
-        let live: BTreeSet<ObjectId> = base
+        let next_id = base
             .iter()
-            .flat_map(|s| s.global_ids.iter().copied())
-            .collect();
-        let next_id = live.iter().next_back().map_or(0, |&m| m + 1);
+            .flat_map(|s| s.global_ids.iter())
+            .max()
+            .map_or(0, |&m| m + 1);
         Self {
             base,
             delta: Vec::new(),
             tombstones: BTreeSet::new(),
-            live,
             next_id,
             load_balance,
         }
@@ -115,46 +124,39 @@ impl DeltaPlan {
         next_id: ObjectId,
         load_balance: Option<LoadBalanceConfig>,
     ) -> Result<Self, RestoreError> {
-        let mut live = BTreeSet::new();
-        let mut max_seen: Option<ObjectId> = None;
-        for shard in &base {
-            if !shard.global_ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(RestoreError::UnsortedShardIds);
-            }
-            for &id in shard.global_ids.iter() {
-                if !live.insert(id) {
-                    return Err(RestoreError::DuplicateId(id));
-                }
-                max_seen = Some(max_seen.map_or(id, |m: ObjectId| m.max(id)));
-            }
+        if !base
+            .iter()
+            .all(|s| s.global_ids.windows(2).all(|w| w[0] < w[1]))
+        {
+            return Err(RestoreError::UnsortedShardIds);
         }
-        let mut prev: Option<ObjectId> = None;
-        for &(id, _) in &delta {
-            if prev.is_some_and(|p| p >= id) {
-                return Err(RestoreError::UnsortedDeltaIds);
-            }
-            prev = Some(id);
-            if !live.insert(id) {
-                return Err(RestoreError::DuplicateId(id));
-            }
-            max_seen = Some(max_seen.map_or(id, |m: ObjectId| m.max(id)));
+        if !delta.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(RestoreError::UnsortedDeltaIds);
         }
-        let tombstones: BTreeSet<ObjectId> = tombstones.into_iter().collect();
-        for &id in &tombstones {
-            live.remove(&id);
-            max_seen = Some(max_seen.map_or(id, |m: ObjectId| m.max(id)));
+        // every persisted entry id, sorted: duplicates become adjacent
+        let mut ids: Vec<ObjectId> = base
+            .iter()
+            .flat_map(|s| s.global_ids.iter().copied())
+            .chain(delta.iter().map(|(id, _)| *id))
+            .collect();
+        ids.sort_unstable();
+        if let Some(dup) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(RestoreError::DuplicateId(dup[0]));
         }
-        if max_seen.is_some_and(|m| next_id <= m) {
-            return Err(RestoreError::NextIdTooSmall {
-                next_id,
-                max_seen: max_seen.unwrap_or(0),
-            });
+        let max_seen = ids.last().into_iter().chain(&tombstones).max().copied();
+        if let Some(max_seen) = max_seen.filter(|&m| next_id <= m) {
+            return Err(RestoreError::NextIdTooSmall { next_id, max_seen });
         }
+        // a tombstone without an entry masks nothing; dropping it keeps
+        // the one-entry-per-tombstone invariant `len` relies on
+        let tombstones = tombstones
+            .into_iter()
+            .filter(|id| ids.binary_search(id).is_ok())
+            .collect();
         Ok(Self {
             base,
             delta,
             tombstones,
-            live,
             next_id,
             load_balance,
         })
@@ -168,33 +170,31 @@ impl DeltaPlan {
         let id = self.next_id;
         self.next_id += 1;
         self.delta.push((id, object));
-        self.live.insert(id);
         id
     }
 
     /// Delete a live object by stable id. Returns `false` (and changes
     /// nothing) if `id` was never assigned or is already dead.
     pub fn delete(&mut self, id: ObjectId) -> bool {
-        if self.live.remove(&id) {
-            self.tombstones.insert(id);
-            true
-        } else {
-            false
-        }
+        self.contains(id) && self.tombstones.insert(id)
     }
 
-    /// Is `id` currently live?
+    /// Is `id` currently live? Not tombstoned, and held by a base shard
+    /// or the delta (binary searches — both id lists are strictly
+    /// increasing).
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.live.contains(&id)
+        !self.tombstones.contains(&id)
+            && (self.base.iter().any(|s| s.contains_global(id))
+                || self.delta.binary_search_by_key(&id, |(id, _)| *id).is_ok())
     }
 
     /// Live objects (base + delta minus tombstones).
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.base.iter().map(Shard::len).sum::<usize>() + self.delta.len() - self.tombstones.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len() == 0
     }
 
     /// The next id [`insert`](Self::insert) would assign (== total ids
@@ -231,14 +231,24 @@ impl DeltaPlan {
         self.tombstones.len()
     }
 
-    /// The current tombstone set, for merge-time filtering.
-    pub fn tombstones(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.tombstones.iter().copied()
+    /// The current tombstone set, for merge-time filtering
+    /// ([`crate::shard::merge_shard_topk_filtered`]).
+    pub fn tombstones(&self) -> &BTreeSet<ObjectId> {
+        &self.tombstones
     }
 
-    /// All live stable ids, ascending.
+    /// All live stable ids, ascending (a derived view: base ∪ delta ids
+    /// minus tombstones).
     pub fn live_ids(&self) -> Vec<ObjectId> {
-        self.live.iter().copied().collect()
+        let mut ids: Vec<ObjectId> = self
+            .base
+            .iter()
+            .flat_map(|s| s.global_ids.iter().copied())
+            .chain(self.delta.iter().map(|(id, _)| *id))
+            .filter(|id| !self.tombstones.contains(id))
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Build the delta as one more servable [`Shard`] (local ids are
@@ -327,7 +337,7 @@ impl std::error::Error for RestoreError {}
 impl std::fmt::Debug for DeltaPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaPlan")
-            .field("live", &self.live.len())
+            .field("live", &self.len())
             .field(
                 "base_sizes",
                 &self.base.iter().map(Shard::len).collect::<Vec<_>>(),
@@ -404,7 +414,7 @@ pub struct CompactedBase {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::model::{match_count, Query};
@@ -459,8 +469,7 @@ mod tests {
                 s.to_global(&reference_top_k(&counts, k_eff))
             })
             .collect();
-        let tombstones: HashSet<ObjectId> = plan.tombstones().collect();
-        merge_shard_topk_filtered(per_shard, k, &tombstones)
+        merge_shard_topk_filtered(per_shard, k, plan.tombstones())
     }
 
     fn assert_equivalent(plan: &DeltaPlan, query: &Query, label: &str) {
@@ -581,7 +590,7 @@ mod tests {
         let restored = DeltaPlan::restore(
             plan.base().to_vec(),
             plan.delta_entries().to_vec(),
-            plan.tombstones().collect(),
+            plan.tombstones().iter().copied().collect(),
             plan.next_id(),
             plan.load_balance(),
         )
@@ -604,7 +613,7 @@ mod tests {
         let mut restored = DeltaPlan::restore(
             plan.base().to_vec(),
             plan.delta_entries().to_vec(),
-            plan.tombstones().collect(),
+            plan.tombstones().iter().copied().collect(),
             plan.next_id(),
             None,
         )
@@ -620,6 +629,13 @@ mod tests {
             .to_vec();
         // duplicate id across base and delta
         let err = DeltaPlan::restore(base.clone(), vec![(1, obj(&[9]))], vec![], 3, None);
+        assert_eq!(err.unwrap_err(), RestoreError::DuplicateId(1));
+        // duplicate id across two base shards (each sorted on its own)
+        let twin = Shard {
+            index: base[0].index.clone(),
+            global_ids: Arc::new(vec![1, 2]),
+        };
+        let err = DeltaPlan::restore(vec![base[0].clone(), twin], vec![], vec![], 3, None);
         assert_eq!(err.unwrap_err(), RestoreError::DuplicateId(1));
         // unsorted delta
         let err = DeltaPlan::restore(
@@ -670,5 +686,65 @@ mod tests {
         plan.apply_compaction(plan.snapshot(2).compact());
         assert_eq!(plan.num_tombstones(), 0);
         assert_equivalent(&plan, &query, "second compaction");
+    }
+
+    /// A tombstone that names no persisted entry masks nothing: restore
+    /// drops it (it still pushes `next_id` past itself), so `len` stays
+    /// the entry count minus the tombstones that name one.
+    #[test]
+    fn restore_drops_tombstones_without_an_entry() {
+        let base = ShardPlan::build(&[obj(&[1]), obj(&[2])], 1, None)
+            .shards()
+            .to_vec();
+        let plan = DeltaPlan::restore(base, vec![], vec![1, 7], 8, None).unwrap();
+        assert_eq!(plan.num_tombstones(), 1);
+        assert_eq!(plan.live_ids(), vec![0]);
+        assert_eq!(plan.len(), 1);
+    }
+
+    proptest! {
+        /// Derived membership equals the stored set it replaced: under
+        /// random insert / delete / snapshot / compact-apply
+        /// interleavings (mutations racing an outstanding snapshot
+        /// included) `contains`, `len`, `live_ids` and `next_id` agree
+        /// with a plain `BTreeSet` model kept beside the plan.
+        #[test]
+        fn derived_membership_matches_a_set_model(
+            base_n in 0u32..24,
+            shards in 1usize..4,
+            ops in proptest::collection::vec((0u8..5, 0u32..64), 0..60),
+        ) {
+            let objects: Vec<Object> = (0..base_n).map(|i| obj(&[i % 5])).collect();
+            let mut plan = base_plan(&objects, shards);
+            let mut model: BTreeSet<ObjectId> = (0..base_n).collect();
+            let mut next_id = base_n;
+            let mut pending: Option<CompactionSnapshot> = None;
+            for (op, arg) in ops {
+                match op {
+                    0 | 1 => {
+                        prop_assert_eq!(plan.insert(obj(&[arg % 5])), next_id);
+                        model.insert(next_id);
+                        next_id += 1;
+                    }
+                    2 => {
+                        let id = arg % (next_id + 2);
+                        prop_assert_eq!(plan.delete(id), model.remove(&id), "delete {}", id);
+                    }
+                    3 => pending = Some(plan.snapshot(1 + arg as usize % 3)),
+                    _ => {
+                        if let Some(snapshot) = pending.take() {
+                            plan.apply_compaction(snapshot.compact());
+                        }
+                    }
+                }
+                prop_assert_eq!(plan.len(), model.len());
+                prop_assert_eq!(plan.is_empty(), model.is_empty());
+                prop_assert_eq!(plan.next_id(), next_id);
+                prop_assert_eq!(plan.live_ids(), model.iter().copied().collect::<Vec<_>>());
+                for id in 0..next_id + 2 {
+                    prop_assert_eq!(plan.contains(id), model.contains(&id), "contains {}", id);
+                }
+            }
+        }
     }
 }

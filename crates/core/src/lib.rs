@@ -12,17 +12,19 @@
 //!   table that make top-k selection a single table scan;
 //! * the batched **engine** ([`exec`]) that runs multi-query top-k
 //!   match-count search on a [`gpu_sim::Device`];
+//! * **sharding** ([`shard`]) — the one partition-and-merge: split a
+//!   data set across self-contained index shards (local→global id
+//!   maps) and merge per-shard top-k into the global answer with the
+//!   Theorem 3.1 certificate; the serving layer's fan-out, the delta
+//!   shard and multiple loading all use it;
 //! * **multiple loading** ([`multiload`]) for data sets larger than
-//!   device memory;
-//! * **intra-collection sharding** ([`shard`]) — split one collection
-//!   across self-contained index shards (local→global id maps) and
-//!   merge per-shard top-k into the global answer with the Theorem 3.1
-//!   certificate, for the serving layer's shard fan-out;
+//!   device memory — device-sized shards paged through one device;
 //! * **shard placement** ([`placement`]) — capacity-aware
 //!   shard→backend assignment for the serving fleet, count/AT-identical
 //!   to broadcast by construction;
 //! * **live mutations** ([`delta`]) — an LSM-style mutable delta shard
-//!   plus tombstone set over the immutable base shards, with a
+//!   plus tombstone set over the immutable base shards (every served
+//!   collection carries one, empty until its first write), with a
 //!   snapshot/compact/apply background-compaction protocol, so
 //!   collections absorb inserts and deletes with search results
 //!   provably identical to a from-scratch rebuild.
@@ -38,8 +40,8 @@
 //! * [`backend::CpuBackend`] — pure-host rayon execution with no
 //!   simulation overhead (exact counts, host wall-clock only);
 //! * [`backend::MultiDeviceBackend`] — several simulated devices paging
-//!   device-sized index parts through memory (the [`multiload`]
-//!   machinery behind the common interface).
+//!   device-sized index shards through memory ([`multiload`] behind
+//!   the common interface).
 //!
 //! All backends agree with the brute-force
 //! [`model::match_count`] on counts and report AuditThresholds with the
@@ -99,9 +101,7 @@ pub mod prelude {
     pub use crate::model::{
         match_count, KeywordId, Object, ObjectId, Query, QueryBuildError, QueryItem,
     };
-    pub use crate::multiload::{
-        build_parts, multi_device_search, multi_load_search, IndexPart, MultiLoadReport,
-    };
+    pub use crate::multiload::{multi_device_search, multi_load_search, MultiLoadReport};
     pub use crate::placement::{PlacementError, PlacementPlan};
     pub use crate::shard::{
         merge_shard_topk, merge_shard_topk_filtered, Shard, ShardError, ShardPlan,

@@ -1,50 +1,22 @@
 //! Multiple loading (paper §III-D, Figure 6; Tables II & III).
 //!
 //! When the index exceeds device memory, the data set is split into
-//! parts, each part indexed separately on the host. A query batch is run
-//! against every part in turn — swap the part's List Array in, run the
-//! match/select pipeline, collect per-part top-k — and the host merges
-//! the per-part top-k lists into the global answer (correct because each
-//! object's match count is computed entirely within its own part).
+//! device-sized [`Shard`]s ([`crate::shard::ShardPlan::build`] — a
+//! contiguous part *is* a shard whose id map is `offset..offset + len`),
+//! each indexed separately on the host. A query batch is run against
+//! every shard in turn — swap the shard's List Array in, run the
+//! match/select pipeline, collect per-shard top-k — and the host merges
+//! the per-shard lists into the global answer with
+//! [`merge_shard_topk`] (correct because each object's match count is
+//! computed entirely within its own shard).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::exec::{elapsed_us, Engine, StageProfile};
-use crate::index::{IndexBuilder, InvertedIndex, LoadBalanceConfig};
-use crate::model::{Object, Query};
+use crate::model::Query;
+use crate::shard::{merge_shard_topk, Shard};
 use crate::topk::TopHit;
-
-/// Split `objects` into parts of at most `part_size`, each with its own
-/// inverted index. Object ids are global: part `p` re-labels its local
-/// ids by the cumulative offset, recorded in the returned parts.
-pub fn build_parts(
-    objects: &[Object],
-    part_size: usize,
-    load_balance: Option<LoadBalanceConfig>,
-) -> Vec<IndexPart> {
-    assert!(part_size > 0, "part size must be positive");
-    let mut parts = Vec::new();
-    let mut offset = 0u32;
-    for chunk in objects.chunks(part_size) {
-        let mut b = IndexBuilder::new();
-        b.add_objects(chunk.iter());
-        parts.push(IndexPart {
-            index: Arc::new(b.build(load_balance)),
-            id_offset: offset,
-        });
-        offset += chunk.len() as u32;
-    }
-    parts
-}
-
-/// One part of a multi-load data set.
-#[derive(Clone)]
-pub struct IndexPart {
-    pub index: Arc<InvertedIndex>,
-    /// Global id of this part's local object 0.
-    pub id_offset: u32,
-}
 
 /// Timing breakdown of a multi-load search (Tables II/III): the extra
 /// steps — per-part index swapping and final result merging — are
@@ -71,7 +43,7 @@ impl MultiLoadReport {
 /// global top-k per query.
 pub fn multi_load_search(
     engine: &Engine,
-    parts: &[IndexPart],
+    parts: &[Shard],
     queries: &[Query],
     k: usize,
 ) -> (Vec<Vec<TopHit>>, MultiLoadReport) {
@@ -79,7 +51,8 @@ pub fn multi_load_search(
         parts: parts.len(),
         ..Default::default()
     };
-    let mut merged: Vec<Vec<TopHit>> = vec![Vec::new(); queries.len()];
+    // per query: one global-id hit list per part
+    let mut gathered: Vec<Vec<Vec<TopHit>>> = vec![Vec::with_capacity(parts.len()); queries.len()];
 
     for part in parts {
         // swap this part's List Array into device memory
@@ -90,19 +63,13 @@ pub fn multi_load_search(
 
         let out = engine.search(&dindex, queries, k);
         report.stages.accumulate(&out.profile);
-        for (qi, hits) in out.results.into_iter().enumerate() {
-            merged[qi].extend(hits.into_iter().map(|h| TopHit {
-                id: h.id + part.id_offset,
-                count: h.count,
-            }));
+        for (lists, hits) in gathered.iter_mut().zip(&out.results) {
+            lists.push(part.to_global(hits));
         }
     }
 
     let merge_started = Instant::now();
-    for hits in &mut merged {
-        hits.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
-    }
+    let merged = merge_per_query(gathered, k);
     report.merge_host_us = elapsed_us(merge_started);
     (merged, report)
 }
@@ -113,21 +80,16 @@ pub fn multi_load_search(
 /// unchanged. Returns per-query top-k plus each device's report.
 pub fn multi_device_search(
     engines: &[Engine],
-    parts: &[IndexPart],
+    parts: &[Shard],
     queries: &[Query],
     k: usize,
 ) -> (Vec<Vec<TopHit>>, Vec<MultiLoadReport>) {
     assert!(!engines.is_empty(), "need at least one device");
-    let assignments: Vec<Vec<IndexPart>> = {
-        let mut per_device: Vec<Vec<IndexPart>> = vec![Vec::new(); engines.len()];
-        for (i, part) in parts.iter().enumerate() {
-            per_device[i % engines.len()].push(part.clone());
-        }
-        per_device
-    };
+    let mut assignments: Vec<Vec<Shard>> = vec![Vec::new(); engines.len()];
+    for (i, part) in parts.iter().enumerate() {
+        assignments[i % engines.len()].push(part.clone());
+    }
 
-    let mut merged: Vec<Vec<TopHit>> = vec![Vec::new(); queries.len()];
-    let mut reports = Vec::with_capacity(engines.len());
     let results: Vec<(Vec<Vec<TopHit>>, MultiLoadReport)> = std::thread::scope(|scope| {
         let handles: Vec<_> = engines
             .iter()
@@ -143,20 +105,30 @@ pub fn multi_device_search(
     });
 
     let merge_started = Instant::now();
+    // per query: one (already global, already merged) list per device
+    let mut gathered: Vec<Vec<Vec<TopHit>>> =
+        vec![Vec::with_capacity(engines.len()); queries.len()];
+    let mut reports = Vec::with_capacity(engines.len());
     for (partial, report) in results {
         reports.push(report);
-        for (qi, hits) in partial.into_iter().enumerate() {
-            merged[qi].extend(hits);
+        for (lists, hits) in gathered.iter_mut().zip(partial) {
+            lists.push(hits);
         }
     }
-    for hits in &mut merged {
-        hits.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
-    }
+    let merged = merge_per_query(gathered, k);
     if let Some(r) = reports.last_mut() {
         r.merge_host_us += elapsed_us(merge_started);
     }
     (merged, reports)
+}
+
+/// [`merge_shard_topk`] per query (the AuditThreshold it certifies is
+/// recomputed by callers that report one).
+fn merge_per_query(gathered: Vec<Vec<Vec<TopHit>>>, k: usize) -> Vec<Vec<TopHit>> {
+    gathered
+        .into_iter()
+        .map(|lists| merge_shard_topk(lists, k).0)
+        .collect()
 }
 
 #[cfg(test)]
@@ -164,7 +136,16 @@ mod tests {
     use super::*;
     use gpu_sim::Device;
 
-    use crate::model::QueryItem;
+    use crate::model::{Object, QueryItem};
+    use crate::shard::ShardPlan;
+
+    /// Device-sized parts: the fewest near-even shards none of which
+    /// exceeds `part_size` objects.
+    fn parts_of(objects: &[Object], part_size: usize) -> Vec<Shard> {
+        ShardPlan::build(objects, objects.len().div_ceil(part_size), None)
+            .shards()
+            .to_vec()
+    }
 
     fn objects(n: u32) -> Vec<Object> {
         // object i holds keywords {i % 7, 100 + i % 3}
@@ -176,12 +157,18 @@ mod tests {
     #[test]
     fn parts_cover_all_objects_with_offsets() {
         let objs = objects(25);
-        let parts = build_parts(&objs, 10, None);
+        let parts = parts_of(&objs, 10);
         assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].id_offset, 0);
-        assert_eq!(parts[1].id_offset, 10);
-        assert_eq!(parts[2].id_offset, 20);
-        assert_eq!(parts[2].index.num_objects(), 5);
+        // contiguous: each part's id map is offset..offset + len
+        let mut offset = 0;
+        for part in &parts {
+            assert!(part.len() <= 10, "no part exceeds the part size");
+            assert_eq!(part.index.num_objects() as usize, part.len());
+            let want: Vec<u32> = (offset..offset + part.len() as u32).collect();
+            assert_eq!(part.global_ids.as_slice(), want.as_slice());
+            offset += part.len() as u32;
+        }
+        assert_eq!(offset, 25);
     }
 
     #[test]
@@ -195,10 +182,10 @@ mod tests {
         let k = 12;
 
         // single load
-        let single_parts = build_parts(&objs, objs.len(), None);
+        let single_parts = parts_of(&objs, objs.len());
         let (single, _) = multi_load_search(&engine, &single_parts, &queries, k);
         // four parts
-        let parts = build_parts(&objs, 17, None);
+        let parts = parts_of(&objs, 17);
         let (multi, report) = multi_load_search(&engine, &parts, &queries, k);
 
         assert_eq!(report.parts, 4);
@@ -219,7 +206,7 @@ mod tests {
             Query::new(vec![QueryItem::range(3, 6)]),
         ];
         let k = 9;
-        let parts = build_parts(&objs, 13, None);
+        let parts = parts_of(&objs, 13);
 
         let one = Engine::new(Arc::new(Device::with_defaults()));
         let (single, _) = multi_load_search(&one, &parts, &queries, k);
@@ -243,7 +230,7 @@ mod tests {
     fn merge_respects_global_ids() {
         let objs = objects(30);
         let engine = Engine::new(Arc::new(Device::with_defaults()));
-        let parts = build_parts(&objs, 7, None);
+        let parts = parts_of(&objs, 7);
         let (results, _) = multi_load_search(&engine, &parts, &[Query::from_keywords(&[5])], 30);
         // objects with keyword 5 are ids 5, 12, 19, 26
         let mut ids: Vec<u32> = results[0].iter().map(|h| h.id).collect();

@@ -1,14 +1,18 @@
-//! Intra-collection sharding: split ONE data set across self-contained
-//! index shards and merge per-shard top-k into the global answer.
+//! The one way to partition a data set and merge its top-k: split it
+//! across self-contained index shards and recombine per-shard answers
+//! into the global one.
 //!
-//! Where [`crate::multiload`] pages *parts* of an index through one
-//! backend's memory, a [`ShardPlan`] splits a collection **across**
-//! independent serving pipelines: each [`Shard`] is a complete
-//! [`InvertedIndex`] over a subset of the objects, carrying its own
-//! local→global id map, so any search backend can serve a shard without
-//! knowing the collection is sharded at all. The serving layer fans a
-//! query wave out to every shard and recombines the per-shard answers
-//! with [`merge_shard_topk`].
+//! Each [`Shard`] is a complete [`InvertedIndex`] over a subset of the
+//! objects, carrying its own local→global id map, so any search backend
+//! can serve a shard without knowing it is one of several. Every layer
+//! that splits a data set uses this type: the serving layer registers
+//! every collection as `S ≥ 1` shards (an unsharded one is a single
+//! [`Shard::identity`]) and fans each wave out to all of them, the
+//! live-mutation layer ([`crate::delta`]) mounts pending inserts as one
+//! more shard, and the paper's multiple loading ([`crate::multiload`],
+//! §III-D) pages device-sized shards through one device's memory. All
+//! of them recombine per-shard answers with [`merge_shard_topk`] (or
+//! its tombstone-filtering form).
 //!
 //! # Merge invariants
 //!
@@ -35,7 +39,7 @@
 //!   ([`ShardPlan`] assigns objects to shards in scan order, so every
 //!   local→global map is strictly increasing).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::index::{IndexBuilder, InvertedIndex, LoadBalanceConfig};
@@ -135,8 +139,8 @@ impl Shard {
 
     /// Wrap a whole-collection index as a single shard whose local ids
     /// *are* the global ids (`global_ids[i] == i`). This is how an
-    /// unsharded collection enters the live-mutation path: the existing
-    /// index becomes the first base shard without a rebuild.
+    /// unsharded collection is served: the existing index is the one
+    /// base shard, without a rebuild.
     pub fn identity(index: Arc<InvertedIndex>) -> Self {
         let n = index.num_objects();
         Shard {
@@ -308,13 +312,10 @@ impl std::fmt::Debug for ShardPlan {
 /// [module docs](self) for why the merged counts equal an unsharded
 /// search's.
 pub fn merge_shard_topk(per_shard: Vec<Vec<TopHit>>, k: usize) -> (Vec<TopHit>, u32) {
-    let candidates: Vec<TopHit> = per_shard.into_iter().flatten().collect();
-    let hits = partial_top_k(candidates, k);
-    let at = audit_threshold(&hits, k);
-    (hits, at)
+    merge_shard_topk_filtered(per_shard, k, &BTreeSet::new())
 }
 
-/// [`merge_shard_topk`] for a *live* (mutable) collection: drop
+/// [`merge_shard_topk`] for a collection with deletes pending: drop
 /// tombstoned (deleted) ids from the flattened per-shard candidates
 /// **before** truncating to `k`, then apply Theorem 3.1 to the filtered
 /// merged answer.
@@ -322,23 +323,23 @@ pub fn merge_shard_topk(per_shard: Vec<Vec<TopHit>>, k: usize) -> (Vec<TopHit>, 
 /// Filtering before truncation is what makes the live answer identical
 /// to a from-scratch rebuild without the deleted objects: as long as
 /// every shard contributed at least its own top-`k` *surviving* objects
-/// (the serving layer inflates the per-shard fetch to
-/// `k + tombstones.len()`, so at most `tombstones.len()` of a shard's
-/// hits can be dead), every object of the true live top-k reaches the
-/// merge, and `AT = MC_k + 1` is computed on live counts only.
+/// (the serving layer inflates the per-shard fetch by the tombstones
+/// the shard holds, so at most that many of its hits can be dead),
+/// every object of the true live top-k reaches the merge, and
+/// `AT = MC_k + 1` is computed on live counts only.
 pub fn merge_shard_topk_filtered(
     per_shard: Vec<Vec<TopHit>>,
     k: usize,
-    tombstones: &HashSet<ObjectId>,
+    tombstones: &BTreeSet<ObjectId>,
 ) -> (Vec<TopHit>, u32) {
-    if tombstones.is_empty() {
-        return merge_shard_topk(per_shard, k);
+    // grow the first list in place: a single-shard merge then moves
+    // no hits and allocates nothing
+    let mut lists = per_shard.into_iter();
+    let mut candidates = lists.next().unwrap_or_default();
+    candidates.extend(lists.flatten());
+    if !tombstones.is_empty() {
+        candidates.retain(|h| !tombstones.contains(&h.id));
     }
-    let candidates: Vec<TopHit> = per_shard
-        .into_iter()
-        .flatten()
-        .filter(|h| !tombstones.contains(&h.id))
-        .collect();
     let hits = partial_top_k(candidates, k);
     let at = audit_threshold(&hits, k);
     (hits, at)
@@ -549,7 +550,7 @@ mod tests {
     #[test]
     fn filtered_merge_equals_rebuild_without_tombstoned_objects() {
         let objs = objects(40);
-        let tombstones: HashSet<ObjectId> = [0, 3, 7, 14, 21, 35].into_iter().collect();
+        let tombstones: BTreeSet<ObjectId> = [0, 3, 7, 14, 21, 35].into_iter().collect();
         let assignment: Vec<usize> = (0..objs.len()).map(|i| (i * 5) % 3).collect();
         let plan = ShardPlan::from_assignment(&objs, 3, &assignment, None).unwrap();
         let query = Query::from_keywords(&[3, 101]);

@@ -131,8 +131,13 @@
 //!
 //! * `service/...` — the serving counters, mirroring
 //!   [`ServiceStats`](genie_service::ServiceStats) field for field
-//!   (e.g. `service/waves`, `service/cache_hits`). Since the placement
-//!   extension this family also carries `service/placed_shard_runs`,
+//!   (e.g. `service/waves`, `service/cache_hits`).
+//!   `service/shard_runs` counts per-shard scheduler runs of **every**
+//!   collection: each group run adds one per shard it fans out to, so
+//!   an unsharded collection adds 1 (servers before the one-shape
+//!   collapse counted 0 for those and only sharded collections
+//!   contributed). Since the placement extension this family also
+//!   carries `service/placed_shard_runs`,
 //!   `service/hot_shard_events`, `service/rebalances`,
 //!   `service/stale_rebalances`, and the fleet-mean learned cost model
 //!   (`service/learned_base_us`, `service/learned_us_per_posting`,

@@ -6,7 +6,7 @@ use genie_core::backend::CpuBackend;
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query, QueryItem};
 use genie_net::server::{NetServer, ServerConfig, ServerHandle};
-use genie_service::{GenieService, QueryScheduler, ServiceConfig};
+use genie_service::{CollectionId, GenieService, QueryScheduler, ServiceConfig};
 
 /// Deterministic keyword multisets (xorshift — no dependency, no
 /// global RNG state shared between tests).
@@ -36,23 +36,25 @@ pub fn index_of(objects: &[Vec<u32>]) -> Arc<InvertedIndex> {
     Arc::new(b.build(None))
 }
 
-/// One CPU-backed service over `objects` (as the default collection)
-/// fronted by a loopback server.
+/// One CPU-backed service with `objects` registered as its one
+/// collection (whose id is returned), fronted by a loopback server.
 pub fn start_server(
     objects: &[Vec<u32>],
     config: ServerConfig,
-) -> (Arc<GenieService>, ServerHandle) {
+) -> (Arc<GenieService>, CollectionId, ServerHandle) {
     let service = Arc::new(
-        GenieService::start(
+        GenieService::start_empty(
             QueryScheduler::single(Arc::new(CpuBackend::new())),
-            &index_of(objects),
             ServiceConfig::default(),
         )
         .expect("service starts"),
     );
+    let collection = service
+        .add_collection("default", &index_of(objects))
+        .expect("index fits the backend");
     let handle = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0", config)
         .expect("server binds loopback");
-    (service, handle)
+    (service, collection, handle)
 }
 
 /// A deterministic query family over `universe` (mixes exacts and

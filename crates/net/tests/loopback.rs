@@ -11,7 +11,6 @@ use genie_client::{Client, ClientConfig, ClientError};
 use genie_core::model::Query;
 use genie_net::frame::{Request, Response, WireError};
 use genie_net::server::ServerConfig;
-use genie_service::DEFAULT_COLLECTION;
 
 const UNIVERSE: u32 = 96;
 
@@ -21,7 +20,7 @@ const UNIVERSE: u32 = 96;
 #[test]
 fn concurrent_pipelined_clients_match_in_process() {
     let data = objects(300, UNIVERSE, 8, 0x5eed);
-    let (service, handle) = start_server(&data, ServerConfig::default());
+    let (service, cid, handle) = start_server(&data, ServerConfig::default());
     let addr = handle.addr();
     let threads: Vec<_> = (0..4)
         .map(|t| {
@@ -35,7 +34,7 @@ fn concurrent_pipelined_clients_match_in_process() {
                     .map(|q| {
                         client
                             .send(&Request::Search {
-                                collection: DEFAULT_COLLECTION,
+                                collection: cid,
                                 k: 10,
                                 query: q.clone(),
                             })
@@ -45,7 +44,7 @@ fn concurrent_pipelined_clients_match_in_process() {
                 for (q, pending) in queries.iter().zip(pendings) {
                     let reply = pending.wait().expect("reply");
                     let truth = service
-                        .submit_to(DEFAULT_COLLECTION, q.clone(), 10)
+                        .submit_to(cid, q.clone(), 10)
                         .wait()
                         .expect("in-process search");
                     match reply.response {
@@ -100,13 +99,13 @@ fn concurrent_pipelined_clients_match_in_process() {
 #[test]
 fn shutdown_drains_accepted_requests() {
     let data = objects(200, UNIVERSE, 8, 0xd1a1);
-    let (_service, mut handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, mut handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
     let pendings: Vec<_> = (0..16)
         .map(|i| {
             client
                 .send(&Request::Search {
-                    collection: DEFAULT_COLLECTION,
+                    collection: cid,
                     k: 8,
                     query: query(UNIVERSE, i),
                 })
@@ -135,12 +134,12 @@ fn shutdown_drains_accepted_requests() {
 #[test]
 fn adaptive_search_over_the_wire() {
     let data = objects(120, UNIVERSE, 8, 0xada);
-    let (_service, handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
     // a schedule whose last round asks for more than the collection
     // holds: some round must saturate, and hits stay capped at k
     let reply = client
-        .search_adaptive(DEFAULT_COLLECTION, 10, vec![1, 4, 1000], query(UNIVERSE, 3))
+        .search_adaptive(cid, 10, vec![1, 4, 1000], query(UNIVERSE, 3))
         .expect("adaptive search");
     assert!((1..=3).contains(&reply.rounds));
     assert!(reply.hits.len() <= 10);
@@ -158,13 +157,11 @@ fn adaptive_search_over_the_wire() {
 #[test]
 fn typed_errors_are_request_scoped() {
     let data = objects(100, UNIVERSE, 8, 0xe44);
-    let (_service, handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
     let err = client.search(999, 5, query(UNIVERSE, 1)).unwrap_err();
     assert_eq!(err, ClientError::Remote(WireError::UnknownCollection(999)));
-    let err = client
-        .search(DEFAULT_COLLECTION, 5, Query::new(vec![]))
-        .unwrap_err();
+    let err = client.search(cid, 5, Query::new(vec![])).unwrap_err();
     assert!(
         matches!(
             err,
@@ -172,17 +169,13 @@ fn typed_errors_are_request_scoped() {
         ),
         "empty query surfaces the typed build error, got {err:?}"
     );
-    let err = client
-        .search(DEFAULT_COLLECTION, 0, query(UNIVERSE, 1))
-        .unwrap_err();
+    let err = client.search(cid, 0, query(UNIVERSE, 1)).unwrap_err();
     assert!(matches!(err, ClientError::Remote(WireError::Service(_))));
-    let err = client
-        .delete(DEFAULT_COLLECTION, vec![9_999_999])
-        .unwrap_err();
+    let err = client.delete(cid, vec![9_999_999]).unwrap_err();
     assert_eq!(err, ClientError::Remote(WireError::UnknownId(9_999_999)));
     // after all that abuse the connection still serves
     let ok = client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 2))
+        .search(cid, 5, query(UNIVERSE, 2))
         .expect("connection survives request-scoped errors");
     assert!(ok.hits.len() <= 5);
     assert_eq!(handle.net_stats().io_drops, 0);
@@ -196,7 +189,7 @@ fn handshake_rejects_are_typed() {
         auth_token: Some("sesame".into()),
         ..ServerConfig::default()
     };
-    let (_service, handle) = start_server(&data, config);
+    let (_service, _cid, handle) = start_server(&data, config);
     let err = match Client::connect(handle.addr()) {
         Err(e) => e,
         Ok(_) => panic!("a tokenless handshake must be rejected"),
@@ -220,12 +213,10 @@ fn handshake_rejects_are_typed() {
 #[test]
 fn connection_churn_leaves_no_residue() {
     let data = objects(80, UNIVERSE, 6, 0xc4c4);
-    let (_service, handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, handle) = start_server(&data, ServerConfig::default());
     for i in 0..25 {
         let client = Client::connect(handle.addr()).expect("connect");
-        let reply = client
-            .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, i))
-            .expect("search");
+        let reply = client.search(cid, 5, query(UNIVERSE, i)).expect("search");
         assert!(reply.hits.len() <= 5);
         drop(client);
     }
@@ -253,7 +244,7 @@ fn slow_reader_is_dropped_not_served_forever() {
         write_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
     };
-    let (_service, handle) = start_server(&data, config);
+    let (_service, cid, handle) = start_server(&data, config);
     // raw socket: handshake, then request floods of Stats replies
     // without ever reading them
     let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
@@ -289,7 +280,7 @@ fn slow_reader_is_dropped_not_served_forever() {
     // the server still serves new clients afterwards
     let client = Client::connect(handle.addr()).expect("connect after drop");
     client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 9))
+        .search(cid, 5, query(UNIVERSE, 9))
         .expect("post-drop search");
 }
 
@@ -297,11 +288,9 @@ fn slow_reader_is_dropped_not_served_forever() {
 #[test]
 fn stats_frame_merges_service_and_net_counters() {
     let data = objects(50, UNIVERSE, 6, 0x57a7);
-    let (_service, handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
-    client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 0))
-        .expect("search");
+    client.search(cid, 5, query(UNIVERSE, 0)).expect("search");
     let fields = client.stats().expect("stats");
     let get = |name: &str| {
         fields
@@ -325,11 +314,9 @@ fn stats_frame_merges_service_and_net_counters() {
 #[test]
 fn stats_frame_carries_fleet_health_and_learned_costs() {
     let data = objects(50, UNIVERSE, 6, 0x0f1e);
-    let (_service, handle) = start_server(&data, ServerConfig::default());
+    let (_service, cid, handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
-    client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 1))
-        .expect("search");
+    client.search(cid, 5, query(UNIVERSE, 1)).expect("search");
     let fields = client.stats().expect("stats");
     let get = |name: &str| {
         fields

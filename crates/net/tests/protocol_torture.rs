@@ -15,7 +15,7 @@ use genie_net::frame::{
     encode_request, read_frame, Request, Response, WireError, PROTOCOL_VERSION,
 };
 use genie_net::server::{ServerConfig, ServerHandle};
-use genie_service::{GenieService, DEFAULT_COLLECTION};
+use genie_service::{CollectionId, GenieService};
 use proptest::prelude::*;
 
 const UNIVERSE: u32 = 64;
@@ -23,6 +23,7 @@ const TORTURE_FRAME_CAP: u32 = 64 * 1024;
 
 struct Fixture {
     _service: Arc<GenieService>,
+    collection: CollectionId,
     handle: Mutex<ServerHandle>,
     addr: std::net::SocketAddr,
 }
@@ -40,10 +41,11 @@ fn fixture() -> &'static Fixture {
             max_frame_len: TORTURE_FRAME_CAP,
             ..ServerConfig::default()
         };
-        let (service, handle) = start_server(&data, config);
+        let (service, collection, handle) = start_server(&data, config);
         let addr = handle.addr();
         Fixture {
             _service: service,
+            collection,
             handle: Mutex::new(handle),
             addr,
         }
@@ -55,7 +57,7 @@ fn assert_server_healthy(tag: &str) {
     let client = Client::connect(fixture().addr)
         .unwrap_or_else(|e| panic!("server unreachable after {tag}: {e}"));
     let reply = client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 1))
+        .search(fixture().collection, 5, query(UNIVERSE, 1))
         .unwrap_or_else(|e| panic!("server unhealthy after {tag}: {e}"));
     assert!(reply.hits.len() <= 5);
 }
@@ -92,12 +94,12 @@ fn drain_until_close(stream: &mut TcpStream) {
 fn sample_request(i: usize) -> Request {
     match i % 4 {
         0 => Request::Search {
-            collection: DEFAULT_COLLECTION,
+            collection: fixture().collection,
             k: 5,
             query: query(UNIVERSE, i as u64),
         },
         1 => Request::Mutate {
-            collection: DEFAULT_COLLECTION,
+            collection: fixture().collection,
             deletes: vec![],
             inserts: vec![vec![1, 2], vec![3]],
         },
@@ -192,7 +194,7 @@ proptest! {
         prop_assert!(after > before, "the oversize counter must bump");
         // the neighbor never noticed
         let reply = neighbor
-            .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 2))
+            .search(fixture().collection, 5, query(UNIVERSE, 2))
             .expect("neighbor survives sibling abuse");
         prop_assert!(reply.hits.len() <= 5);
     }

@@ -20,7 +20,7 @@ use genie_net::server::{NetServer, ServerConfig};
 use genie_sa::document::DocumentIndex;
 use genie_sa::relational::{Attribute, Condition, RelationalIndex, RelationalSchema, Value};
 use genie_sa::sequence::SequenceIndex;
-use genie_service::{GenieDb, DEFAULT_COLLECTION};
+use genie_service::GenieDb;
 use proptest::prelude::*;
 
 fn roundtrip_request(request: &Request) -> Request {
@@ -145,7 +145,7 @@ fn domain_encoded_queries_roundtrip() {
 
     for query in encoded {
         let request = Request::Search {
-            collection: DEFAULT_COLLECTION,
+            collection: 0,
             k: 10,
             query: query.clone(),
         };
@@ -196,22 +196,20 @@ fn client_search_matches_in_process_collection_search() {
     }
 }
 
-/// The raw keyword path agrees too: default collection, handmade
+/// The raw keyword path agrees too: the one collection, handmade
 /// queries, wire vs `submit_to`.
 #[test]
 fn client_search_matches_in_process_submit() {
     let data = objects(150, 80, 7, 0x1d);
-    let (service, handle) = start_server(&data, ServerConfig::default());
+    let (service, cid, handle) = start_server(&data, ServerConfig::default());
     let client = Client::connect(handle.addr()).expect("connect");
     for i in 0..10u64 {
         let query = common::query(80, i);
         let truth = service
-            .submit_to(DEFAULT_COLLECTION, query.clone(), 8)
+            .submit_to(cid, query.clone(), 8)
             .wait()
             .expect("in-process");
-        let wire = client
-            .search(DEFAULT_COLLECTION, 8, query)
-            .expect("wire search");
+        let wire = client.search(cid, 8, query).expect("wire search");
         assert_eq!(wire.hits, truth.hits);
         assert_eq!(wire.audit_threshold, truth.audit_threshold);
     }

@@ -15,7 +15,6 @@ use genie_net::frame::{
     decode_response, encode_request, read_frame, Request, Response, PROTOCOL_VERSION,
 };
 use genie_net::server::ServerConfig;
-use genie_service::DEFAULT_COLLECTION;
 
 const UNIVERSE: u32 = 64;
 const FRAME_CAP: u32 = 64 * 1024;
@@ -60,14 +59,14 @@ fn handshake(stream: &mut TcpStream) {
 #[test]
 fn slow_frame_delivery_does_not_desync_the_stream() {
     let data = objects(80, UNIVERSE, 6, 0x5701);
-    let (_service, mut handle) = start_server(&data, config());
+    let (_service, cid, mut handle) = start_server(&data, config());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     handshake(&mut stream);
 
     let request = encode_request(
         11,
         &Request::Search {
-            collection: DEFAULT_COLLECTION,
+            collection: cid,
             k: 5,
             query: query(UNIVERSE, 3),
         },
@@ -114,7 +113,7 @@ fn slow_frame_delivery_does_not_desync_the_stream() {
 #[test]
 fn stalled_mid_prefix_peer_does_not_block_shutdown() {
     let data = objects(80, UNIVERSE, 6, 0x5702);
-    let (_service, mut handle) = start_server(&data, config());
+    let (_service, _cid, mut handle) = start_server(&data, config());
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     handshake(&mut stream);
 
@@ -142,7 +141,7 @@ fn stalled_mid_prefix_peer_does_not_block_shutdown() {
 #[test]
 fn trickled_handshake_is_bounded_by_the_timeout() {
     let data = objects(80, UNIVERSE, 6, 0x5703);
-    let (_service, mut handle) = start_server(&data, config());
+    let (_service, cid, mut handle) = start_server(&data, config());
 
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream.write_all(&[0x09]).expect("lone prefix byte");
@@ -162,7 +161,7 @@ fn trickled_handshake_is_bounded_by_the_timeout() {
     // The server is unscathed: a well-behaved client still gets served.
     let client = Client::connect(handle.addr()).expect("healthy client connects");
     let reply = client
-        .search(DEFAULT_COLLECTION, 5, query(UNIVERSE, 1))
+        .search(cid, 5, query(UNIVERSE, 1))
         .expect("healthy client served");
     assert!(reply.hits.len() <= 5);
 

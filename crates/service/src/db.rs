@@ -187,8 +187,7 @@ impl GenieDb {
             return Err(DbError::NoBackends);
         }
         let sched = QueryScheduler::new(backends.clone(), scheduler);
-        let service = GenieService::start_empty(sched, service)
-            .map_err(|e| DbError::Service(ServiceError::Internal(e)))?;
+        let service = GenieService::start_empty(sched, service).map_err(DbError::Service)?;
         Ok(Self {
             service: Arc::new(service),
             backends,

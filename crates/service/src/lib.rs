@@ -19,7 +19,7 @@
 //!   behind a generation swap. Failures are typed ([`DbError`],
 //!   [`MutateError`]) end to end.
 //! * [`GenieService`] — the **always-on front-end**: an admission queue
-//!   any thread can [`submit`](GenieService::submit) into for a
+//!   any thread can [`submit_to`](GenieService::submit_to) for a
 //!   [`ResponseTicket`], with background dispatcher threads that cut
 //!   micro-batch waves on a **size trigger** (queued requests can fill
 //!   `max_batch_queries` under the c-PQ budget, detected with the same
@@ -99,7 +99,7 @@ pub use genie_store::{DiskVfs, DurableStore, MemVfs, RecoveredCollection, Recove
 pub use service::{
     percentile_us, BackendHealth, CollectionId, GenieService, MutateError, MutationStatus,
     ResponseTicket, ServiceConfig, ServiceError, ServiceStats, ShardRunStats, TicketResult,
-    Trigger, DEFAULT_COLLECTION,
+    Trigger,
 };
 
 use std::collections::VecDeque;

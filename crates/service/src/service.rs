@@ -14,25 +14,26 @@
 //!   ([`swap_collection`](GenieService::swap_collection)): re-indexing
 //!   one data set invalidates only *its* cache entries, never its
 //!   neighbours'.
-//! * **Sharding** — a collection may be split across `S` self-contained
-//!   index shards
-//!   ([`add_collection_sharded`](GenieService::add_collection_sharded),
-//!   or an explicit [`ShardPlan`] via
-//!   [`add_collection_plan`](GenieService::add_collection_plan)): each
-//!   shard is prepared on every backend, a wave's requests fan out to
-//!   one scheduler run per shard (concurrently), and a merge stage
-//!   recombines the per-shard `(count, id)` top-k into the global
-//!   answer with the Theorem 3.1 certificate computed on the *merged*
-//!   list (`AT = MC_k + 1`) — see
-//!   [`genie_core::shard`] for the merge invariants. Swapping a sharded
+//! * **One shape** — every collection is served the same way from the
+//!   moment it is registered: `S ≥ 1` self-contained base shards, each
+//!   prepared on every backend (an unsharded collection is one
+//!   identity shard;
+//!   [`add_collection_sharded`](GenieService::add_collection_sharded)
+//!   splits contiguously, [`add_collection_plan`](GenieService::add_collection_plan)
+//!   takes an explicit [`ShardPlan`]), plus the pending inserts mounted
+//!   as one more shard and a tombstone set — both empty until the
+//!   first write. A wave's requests fan out to one scheduler run per
+//!   shard (concurrently), and a merge stage recombines the per-shard
+//!   `(count, id)` top-k into the global answer with the Theorem 3.1
+//!   certificate computed on the *merged* list (`AT = MC_k + 1`) — see
+//!   [`genie_core::shard`] for the merge invariants and
+//!   [`genie_core::delta`] for the mutation model. Swapping a
 //!   collection re-shards the new index at the same shard count, and
 //!   cache invalidation stays per-collection.
 //! * **Admission** — any thread calls
-//!   [`submit_to`](GenieService::submit_to) (or
-//!   [`submit`](GenieService::submit) for the default collection); the
-//!   request lands in a queue and the caller gets a [`ResponseTicket`]
-//!   it can block on ([`ResponseTicket::wait`]) or poll
-//!   ([`ResponseTicket::try_take`]).
+//!   [`submit_to`](GenieService::submit_to); the request lands in a
+//!   queue and the caller gets a [`ResponseTicket`] it can block on
+//!   ([`ResponseTicket::wait`]) or poll ([`ResponseTicket::try_take`]).
 //! * **Wave cutting** — background dispatcher threads cut the queue
 //!   into a wave when either trigger fires:
 //!   - **size trigger**: the queued requests are enough to fill a
@@ -49,8 +50,7 @@
 //!     [`ServiceConfig::max_queue_delay`] — a lone request is never
 //!     stranded longer than the configured delay.
 //! * **Execution** — the wave is split by collection and each group
-//!   runs through [`QueryScheduler::run_prepared`] against its
-//!   collection's prepared index.
+//!   fans out over its collection's prepared shards.
 //! * **Result cache** — answers are memoised by
 //!   `(collection, query, k)`; a repeated query short-circuits
 //!   admission entirely and returns bit-identical hits. Swapping a
@@ -75,7 +75,7 @@
 //! request through one final wave before the dispatchers exit, so no
 //! ticket is ever left dangling.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -100,10 +100,6 @@ use crate::{
 /// Identifier of one registered collection (assigned by
 /// [`GenieService::add_collection`] in registration order).
 pub type CollectionId = u64;
-
-/// The collection [`GenieService::start`] registers its index under and
-/// [`GenieService::submit`] targets.
-pub const DEFAULT_COLLECTION: CollectionId = 0;
 
 /// Knobs of the serving loop (batching policy itself lives in the
 /// wrapped scheduler's [`SchedulerConfig`](crate::SchedulerConfig)).
@@ -188,7 +184,7 @@ pub enum Trigger {
 /// [`GenieService::stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Requests admitted through `submit`/`submit_to`.
+    /// Requests admitted through `submit_to`/`submit_request`.
     pub submitted: u64,
     /// Requests answered successfully (scheduler-served + cache hits).
     pub served: u64,
@@ -208,9 +204,10 @@ pub struct ServiceStats {
     pub failed_waves: u64,
     /// Micro-batches executed across all waves.
     pub batches: u64,
-    /// Scheduler runs executed for shards of sharded collections (an
-    /// unsharded group contributes 0; a group over an S-shard
-    /// collection contributes S).
+    /// Per-shard scheduler runs executed: every collection group run
+    /// contributes one per shard it fans out to — 1 for an unsharded
+    /// collection, S for an S-shard one, plus 1 while a delta shard is
+    /// mounted.
     pub shard_runs: u64,
     /// Requests that went through the scheduler (excludes cache hits) —
     /// `batched_requests / batches` is the achieved batch occupancy.
@@ -320,9 +317,8 @@ pub struct BackendHealth {
     pub cost_observations: u64,
 }
 
-/// Lifetime per-shard run accounting of one sharded collection, in
-/// shard order (a live collection's last slot is the delta shard while
-/// one is mounted) — what
+/// Lifetime per-shard run accounting of one collection, in shard order
+/// (the last slot is the delta shard while one is mounted) — what
 /// [`GenieService::shard_stats`] reports and the hot-shard detector
 /// watches.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -534,120 +530,47 @@ impl ResultCache {
     }
 }
 
-/// One shard of a sharded collection, prepared on every backend: the
-/// plan's [`Shard`] (index + local→global id map) plus its per-backend
-/// prepared handles.
+/// One shard prepared on every backend: the [`Shard`] (index +
+/// local→global id map) plus its per-backend prepared handles.
 struct PreparedShard {
     prepared: PreparedIndex,
     shard: Shard,
 }
 
-/// How one collection is served: one prepared index, a fan-out over
-/// prepared shards whose answers are merged per request, or a **live**
-/// fan-out (immutable base shards + a mutable delta shard + tombstone
-/// filtering) for collections that have absorbed mutations.
-enum CollectionServing {
-    Single(PreparedIndex),
-    Sharded(Vec<PreparedShard>),
-    /// A mutated collection: base shards as of the last build or
-    /// compaction, the pending inserts prepared as one more shard, and
-    /// the deleted ids filtered out of every merged answer *before*
-    /// truncation to `k` (see [`genie_core::delta`] for why that equals
-    /// a from-scratch rebuild). Base handles are `Arc`-shared with
-    /// [`LiveState::base`] so a mutation batch re-prepares only the
-    /// delta, never the base.
-    Live {
-        base: Vec<Arc<PreparedShard>>,
-        delta: Option<Arc<PreparedShard>>,
-        tombstones: Arc<HashSet<ObjectId>>,
-    },
-}
-
-impl CollectionServing {
-    /// The prepared index the size trigger plans against: the single
-    /// index, or the largest shard — per-shard c-PQ footprints grow
-    /// with shard size, so the largest shard's batches close earliest
-    /// and waiting longer cannot improve *its* first batch.
-    fn planning_index(&self) -> &PreparedIndex {
-        match self {
-            Self::Single(prepared) => prepared,
-            Self::Sharded(shards) => {
-                &shards
-                    .iter()
-                    .max_by_key(|s| s.prepared.index().num_objects())
-                    .expect("a sharded collection has at least one shard")
-                    .prepared
-            }
-            Self::Live { base, delta, .. } => {
-                &base
-                    .iter()
-                    .chain(delta.iter())
-                    .max_by_key(|s| s.prepared.index().num_objects())
-                    .expect("a live collection has at least one base shard")
-                    .prepared
-            }
-        }
-    }
-
-    fn num_shards(&self) -> usize {
-        match self {
-            Self::Single(_) => 1,
-            Self::Sharded(shards) => shards.len(),
-            Self::Live { base, delta, .. } => base.len() + usize::from(delta.is_some()),
-        }
-    }
-}
-
-/// Object count of a collection that has never been mutated (a live
-/// collection's count lives in its [`DeltaPlan`] instead).
-fn frozen_len(serving: &CollectionServing) -> usize {
-    match serving {
-        CollectionServing::Single(prepared) => prepared.index().num_objects() as usize,
-        CollectionServing::Sharded(shards) => shards.iter().map(|s| s.shard.len()).sum(),
-        CollectionServing::Live { .. } => unreachable!("live collections carry a LiveState"),
-    }
-}
-
-/// Mutable state of a collection that has entered the live-mutation
-/// path: the authoritative [`DeltaPlan`] (membership, delta log,
-/// tombstones, stable-id assignment) plus the prepared base shards the
-/// serving snapshots are assembled from.
-struct LiveState {
-    plan: DeltaPlan,
-    /// Prepared counterparts of `plan.base()`, index-aligned. Mutation
-    /// batches clone these `Arc`s into the new serving snapshot instead
-    /// of re-preparing the (large) base.
-    base: Vec<Arc<PreparedShard>>,
-    /// A background compaction has been queued and not yet resolved;
-    /// suppresses duplicate enqueues while the compactor works.
-    compaction_queued: bool,
-}
-
-/// One registered collection: its serving state (prepared index, shard
-/// fan-out, or live base+delta), the shard count swaps and compactions
-/// must preserve, and the live-mutation state once mutations arrive.
+/// One registered collection. Every collection has the same shape from
+/// the moment it is registered: `S ≥ 1` immutable base shards (an
+/// unsharded collection is one [`Shard::identity`]), the pending
+/// inserts prepared as one more shard, and the plan's tombstones
+/// filtered out of every merged answer *before* truncation to `k` (see
+/// [`genie_core::delta`] for why that equals a from-scratch rebuild).
+/// A never-mutated collection simply has no delta and no tombstones.
 struct CollectionEntry {
     name: String,
     /// Shard count this collection was registered with;
     /// [`GenieService::swap_collection`] re-shards new indexes (and
     /// compaction re-shards the live set) at this count.
     configured_shards: usize,
-    serving: CollectionServing,
-    /// `Some` once the collection absorbed its first mutation batch;
-    /// cleared by [`GenieService::swap_collection`] (a full reindex
-    /// supersedes the delta).
-    live: Option<LiveState>,
+    /// Membership, delta log, tombstones and stable-id assignment.
+    plan: DeltaPlan,
+    /// Prepared counterparts of `plan.base()`, index-aligned. A
+    /// mutation batch re-prepares only the delta, never the base.
+    base: Vec<PreparedShard>,
+    /// `plan.delta_shard()` prepared (`None` while the delta is empty).
+    delta: Option<PreparedShard>,
+    /// A background compaction has been queued and not yet resolved;
+    /// suppresses duplicate enqueues while the compactor works.
+    compaction_queued: bool,
     /// Bumped whenever base state is replaced wholesale (compaction
     /// applied, index swapped). A compaction built against an older
     /// epoch is discarded instead of applied.
     epoch: u64,
     /// Shard→backend assignment of the **base** shards (`None` =
-    /// broadcast; a live collection's delta shard always broadcasts).
-    /// Honored only while it covers exactly the current base shards and
-    /// the whole fleet — a compaction that changes the shard count
-    /// drops it back to broadcast. Answers are count/AT-identical under
-    /// any assignment (see [`genie_core::placement`]), so swapping a
-    /// plan never invalidates the result cache.
+    /// broadcast; the delta shard always broadcasts). Honored only
+    /// while it covers exactly the current base shards and the whole
+    /// fleet — a compaction that changes the shard count drops it back
+    /// to broadcast. Answers are count/AT-identical under any
+    /// assignment (see [`genie_core::placement`]), so swapping a plan
+    /// never invalidates the result cache.
     placement: Option<Arc<PlacementPlan>>,
     /// Sequence number of the last journal event persisted for this
     /// collection (1 = the `Create` event; restored collections resume
@@ -656,6 +579,25 @@ struct CollectionEntry {
     /// idempotent. Advanced even with no store attached, so attaching
     /// one later still yields a gap the recovery path reports typed.
     persist_seq: u64,
+}
+
+impl CollectionEntry {
+    /// The shards a wave fans out to: base, then the delta if mounted.
+    fn shards(&self) -> impl Iterator<Item = &PreparedShard> {
+        self.base.iter().chain(&self.delta)
+    }
+
+    /// The prepared index the size trigger plans against: the largest
+    /// shard — per-shard c-PQ footprints grow with shard size, so the
+    /// largest shard's batches close earliest and waiting longer cannot
+    /// improve *its* first batch.
+    fn planning_index(&self) -> &PreparedIndex {
+        &self
+            .shards()
+            .max_by_key(|s| s.prepared.index().num_objects())
+            .expect("a collection has at least one base shard")
+            .prepared
+    }
 }
 
 /// Live-mutation debt of one collection — what
@@ -754,7 +696,7 @@ struct HealthState {
 }
 
 /// One group run's per-shard observation, shard order (delta shard
-/// last for live collections).
+/// last).
 struct ShardSample {
     queries: u64,
     postings: u64,
@@ -775,23 +717,8 @@ struct ShardWindow {
     rebalance_queued: bool,
 }
 
-/// The base shards of `serving` as the journal and snapshots record
-/// them (an unsharded collection persists as one [`Shard::identity`] —
-/// `Arc`-shared, so no index data is copied).
-fn shards_of(serving: &CollectionServing) -> Vec<Shard> {
-    match serving {
-        CollectionServing::Single(prepared) => {
-            vec![Shard::identity(Arc::clone(prepared.index()))]
-        }
-        CollectionServing::Sharded(shards) => shards.iter().map(|s| s.shard.clone()).collect(),
-        CollectionServing::Live { base, .. } => base.iter().map(|s| s.shard.clone()).collect(),
-    }
-}
-
-/// The load-balance config replay must rebuild delta shards with —
-/// taken from the first base shard, matching [`ensure_live`]'s choice.
-///
-/// [`ensure_live`]: ServiceInner::ensure_live
+/// The load-balance config a collection's delta shard (and replay's)
+/// is built with — taken from the first base shard.
 fn load_balance_of(shards: &[Shard]) -> Option<LoadBalanceConfig> {
     shards.first().and_then(|s| s.index.load_balance())
 }
@@ -801,16 +728,6 @@ fn placement_spec(plan: &PlacementPlan) -> PlacementSpec {
     PlacementSpec {
         num_backends: plan.num_backends(),
         assignments: plan.assignments().to_vec(),
-    }
-}
-
-/// Base shards a placement plan must cover for `serving` (the delta
-/// shard of a live collection is excluded — it always broadcasts).
-fn base_shards(serving: &CollectionServing) -> usize {
-    match serving {
-        CollectionServing::Single(_) => 1,
-        CollectionServing::Sharded(shards) => shards.len(),
-        CollectionServing::Live { base, .. } => base.len(),
     }
 }
 
@@ -866,9 +783,9 @@ impl ServiceInner {
                 continue; // unknown collection: resolved to errors at serve time
             };
             let entry = entry.read().expect("collection lock");
-            // sharded collections plan against their largest shard:
-            // that shard's per-query c-PQ footprint is the binding one
-            let prepared = entry.serving.planning_index();
+            // plan against the largest shard: its per-query c-PQ
+            // footprint is the binding one
+            let prepared = entry.planning_index();
             let budget = self.scheduler.effective_budget(prepared);
             if budget.is_none() && cost_budget.is_none() {
                 continue; // unbounded: only the cap can close a batch
@@ -895,9 +812,8 @@ impl ServiceInner {
     }
 
     /// Serve one cut wave: answer cache hits, split the misses by
-    /// collection, run each group through the scheduler against its
-    /// collection's index, memoise, route everything back through the
-    /// tickets.
+    /// collection, fan each group out over its collection's shards,
+    /// memoise, route everything back through the tickets.
     fn serve_wave(&self, wave: Vec<Pending>, trigger: Trigger) {
         let mut misses: Vec<Pending> = Vec::new();
         let mut hits: Vec<(Pending, (Vec<TopHit>, u32))> = Vec::new();
@@ -963,9 +879,7 @@ impl ServiceInner {
                     wave_actual_us += report.actual_cost_us;
                     wave_placed_runs += report.placed_runs;
                     wave_stages.accumulate(&report.stages);
-                    if !report.per_shard.is_empty() {
-                        self.observe_shard_run(cid, &report.per_shard);
-                    }
+                    self.observe_shard_run(cid, &report.per_shard);
                     served_misses += group.len() as u64;
                     let mut cache = self.cache.lock().expect("cache lock");
                     // a swap_collection mid-run bumped the generation:
@@ -985,7 +899,7 @@ impl ServiceInner {
                 Err(e) => {
                     failed_misses += group.len() as u64;
                     any_failed = true;
-                    outcomes.push((group, Err(ServiceError::Internal(e))));
+                    outcomes.push((group, Err(e)));
                 }
             }
         }
@@ -1041,87 +955,53 @@ impl ServiceInner {
         }
     }
 
-    /// Serve one collection group: a single scheduler run for an
-    /// unsharded collection, or a concurrent fan-out of one scheduler
-    /// run per shard whose per-request top-k lists are translated to
-    /// global ids and recombined by
-    /// [`merge_shard_topk_filtered`] — the merged list ordered
-    /// (count desc, id asc), tombstone-filtered *before* truncation to
-    /// each request's own `k`, and certified with `AT = MC_k + 1` on
-    /// the merged answer. For a live collection the delta shard joins
-    /// the fan-out and every per-shard fetch is inflated to
-    /// `k + |tombstones|`, which is what makes the filtered merge equal
-    /// a from-scratch rebuild (see [`genie_core::delta`]). Any shard
-    /// failing fails the whole group (a partial answer would violate
-    /// the count contract).
+    /// Serve one collection group: fan out over the collection's base
+    /// shards plus its delta shard, honoring the placement plan only
+    /// while it still describes the current base shards and the whole
+    /// fleet (a plan raced by swap/compaction silently broadcasts).
     fn run_group(
         &self,
         entry: &CollectionEntry,
         requests: &[QueryRequest],
-    ) -> Result<(Vec<QueryResponse>, GroupReport), String> {
-        let no_tombstones = HashSet::new();
-        // honor the placement plan only while it still describes the
-        // current base shards and the whole fleet; a mismatched plan
-        // (raced by swap/compaction) silently broadcasts
+    ) -> Result<(Vec<QueryResponse>, GroupReport), ServiceError> {
         let placement: Option<&PlacementPlan> = entry.placement.as_deref().filter(|p| {
-            p.num_shards() == base_shards(&entry.serving)
+            p.num_shards() == entry.base.len()
                 && p.num_backends() == self.scheduler.backends().len()
         });
-        match &entry.serving {
-            CollectionServing::Single(prepared) => {
-                let (responses, report) = self.run_scheduler(prepared, requests, None)?;
-                Ok((
-                    responses,
-                    GroupReport {
-                        batches: report.batches as u64,
-                        shard_runs: 0,
-                        wall_us: report.wall_us,
-                        predicted_cost_us: report.predicted_cost_us,
-                        actual_cost_us: report.actual_cost_us,
-                        stages: report.stages,
-                        per_shard: Vec::new(),
-                        placed_runs: 0,
-                    },
-                ))
-            }
-            CollectionServing::Sharded(shards) => {
-                let shards: Vec<&PreparedShard> = shards.iter().collect();
-                self.run_fanout(&shards, placement, requests, &no_tombstones)
-            }
-            CollectionServing::Live {
-                base,
-                delta,
-                tombstones,
-            } => {
-                let shards: Vec<&PreparedShard> = base
-                    .iter()
-                    .map(Arc::as_ref)
-                    .chain(delta.iter().map(Arc::as_ref))
-                    .collect();
-                self.run_fanout(&shards, placement, requests, tombstones)
-            }
-        }
+        let shards: Vec<&PreparedShard> = entry.shards().collect();
+        self.run_fanout(&shards, placement, requests, entry.plan.tombstones())
     }
 
-    /// The concurrent per-shard fan-out shared by sharded and live
-    /// collections. With tombstones present, each shard's fetch is
-    /// inflated to `k + dead(shard)` where `dead(shard)` counts only
-    /// the tombstones whose ids live in *that* shard — at most that
-    /// many of the shard's hits can be dead, so each shard still
-    /// contributes its full surviving top-`k` and the filtered merge is
-    /// exact. (Inflating by the *total* tombstone count is also exact
-    /// but over-fetches from every shard holding none of the dead ids.)
+    /// The concurrent per-shard fan-out every collection is served by:
+    /// one scheduler run per shard, each request's per-shard top-k
+    /// lists translated to global ids and recombined by
+    /// [`merge_shard_topk_filtered`] — ordered (count desc, id asc),
+    /// tombstone-filtered *before* truncation to the request's own `k`,
+    /// and certified with `AT = MC_k + 1` on the merged answer. Any
+    /// shard failing fails the whole group (a partial answer would
+    /// violate the count contract). One shard runs on the calling
+    /// dispatcher thread and only the remaining `S − 1` are spawned, so
+    /// a single-shard collection spawns nothing.
+    ///
+    /// With tombstones present, each shard's fetch is inflated to
+    /// `k + dead(shard)` where `dead(shard)` counts only the tombstones
+    /// whose ids live in *that* shard — at most that many of the
+    /// shard's hits can be dead, so each shard still contributes its
+    /// full surviving top-`k` and the filtered merge is exact (see
+    /// [`genie_core::delta`]). (Inflating by the *total* tombstone
+    /// count is also exact but over-fetches from every shard holding
+    /// none of the dead ids.)
     ///
     /// With a [`PlacementPlan`], each base shard's scheduler run is
-    /// masked to its assigned backends; shards past the plan (a live
-    /// collection's delta shard) broadcast.
+    /// masked to its assigned backends; shards past the plan (the delta
+    /// shard) broadcast.
     fn run_fanout(
         &self,
         shards: &[&PreparedShard],
         placement: Option<&PlacementPlan>,
         requests: &[QueryRequest],
-        tombstones: &HashSet<ObjectId>,
-    ) -> Result<(Vec<QueryResponse>, GroupReport), String> {
+        tombstones: &BTreeSet<ObjectId>,
+    ) -> Result<(Vec<QueryResponse>, GroupReport), ServiceError> {
         let started = Instant::now();
         // per-shard fetch inflation (None = the shard holds no dead ids
         // and can borrow the shared request slice unchanged)
@@ -1148,21 +1028,21 @@ impl ServiceInner {
         let masks: Vec<Option<Vec<bool>>> = (0..shards.len())
             .map(|i| placement.and_then(|p| (i < p.num_shards()).then(|| p.mask_of(i))))
             .collect();
-        let per_shard: Vec<Result<(Vec<QueryResponse>, ScheduleReport), String>> =
+        let run_shard = |i: usize| {
+            let reqs: &[QueryRequest] = inflated[i].as_deref().unwrap_or(requests);
+            self.run_scheduler(&shards[i].prepared, reqs, masks[i].as_deref())
+        };
+        let per_shard: Vec<Result<(Vec<QueryResponse>, ScheduleReport), ServiceError>> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let shard = *shard;
-                        let reqs: &[QueryRequest] = inflated[i].as_deref().unwrap_or(requests);
-                        let mask = masks[i].as_deref();
-                        scope.spawn(move || self.run_scheduler(&shard.prepared, reqs, mask))
-                    })
+                let spawned: Vec<_> = (1..shards.len())
+                    .map(|i| scope.spawn(move || run_shard(i)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard driver thread panicked"))
+                std::iter::once(run_shard(0))
+                    .chain(
+                        spawned
+                            .into_iter()
+                            .map(|h| h.join().expect("shard driver thread panicked")),
+                    )
                     .collect()
             });
 
@@ -1229,7 +1109,7 @@ impl ServiceInner {
         prepared: &PreparedIndex,
         requests: &[QueryRequest],
         assigned: Option<&[bool]>,
-    ) -> Result<(Vec<QueryResponse>, ScheduleReport), String> {
+    ) -> Result<(Vec<QueryResponse>, ScheduleReport), ServiceError> {
         let (active, probing) = self.admit_backends();
         let run = match assigned {
             Some(assigned) => {
@@ -1252,7 +1132,7 @@ impl ServiceInner {
             // probes and retire the backend forever), verdictless
             Err(_) => self.abort_probes(&probing),
         }
-        run
+        run.map_err(ServiceError::Internal)
     }
 
     /// Clear the in-flight flag of probes whose run never reported
@@ -1431,7 +1311,7 @@ impl ServiceInner {
         };
         let (num_base, epoch) = {
             let slot = entry.read().expect("collection lock");
-            (base_shards(&slot.serving), slot.epoch)
+            (slot.base.len(), slot.epoch)
         };
         if num_base < 2 {
             return finish(false); // a single shard has nowhere to move
@@ -1521,120 +1401,88 @@ impl ServiceInner {
         finish(true)
     }
 
-    /// Materialise `slot`'s live-mutation state on its first mutation:
-    /// the current serving becomes the immutable base (an unsharded
-    /// collection enters as one [`Shard::identity`] — no rebuild) and a
-    /// [`DeltaPlan`] takes over membership and id assignment.
-    fn ensure_live(slot: &mut CollectionEntry) {
-        if slot.live.is_some() {
-            return;
-        }
-        let placeholder = CollectionServing::Sharded(Vec::new());
-        let base: Vec<Arc<PreparedShard>> = match std::mem::replace(&mut slot.serving, placeholder)
-        {
-            CollectionServing::Single(prepared) => {
-                let shard = Shard::identity(Arc::clone(prepared.index()));
-                vec![Arc::new(PreparedShard { prepared, shard })]
-            }
-            CollectionServing::Sharded(shards) => shards.into_iter().map(Arc::new).collect(),
-            CollectionServing::Live { .. } => unreachable!("live serving implies live state"),
-        };
-        let load_balance = base.first().and_then(|s| s.prepared.index().load_balance());
-        let plan =
-            DeltaPlan::from_base(base.iter().map(|s| s.shard.clone()).collect(), load_balance);
-        slot.serving = CollectionServing::Live {
-            base: base.clone(),
-            delta: None,
-            tombstones: Arc::new(HashSet::new()),
-        };
-        slot.live = Some(LiveState {
-            plan,
-            base,
-            compaction_queued: false,
-        });
+    /// Prepare one shard on every backend.
+    fn prepare_shard(&self, shard: Shard) -> Result<PreparedShard, ServiceError> {
+        let prepared = self
+            .scheduler
+            .prepare(&shard.index)
+            .map_err(ServiceError::Internal)?;
+        Ok(PreparedShard { prepared, shard })
+    }
+
+    fn prepare_base(&self, shards: &[Shard]) -> Result<Vec<PreparedShard>, ServiceError> {
+        shards
+            .iter()
+            .map(|shard| self.prepare_shard(shard.clone()))
+            .collect()
+    }
+
+    /// Build and prepare `plan`'s pending inserts as one more shard
+    /// (`None` while the delta is empty).
+    fn prepare_delta(&self, plan: &DeltaPlan) -> Result<Option<PreparedShard>, ServiceError> {
+        plan.delta_shard()
+            .map(|shard| self.prepare_shard(shard))
+            .transpose()
     }
 
     /// One full compaction cycle for `collection`: snapshot under the
     /// read lock, fold delta + tombstones into fresh base shards and
     /// prepare them on every backend *lock-free* (searches and
-    /// mutations keep flowing against the old serving the whole time),
+    /// mutations keep flowing against the old shards the whole time),
     /// then swap under the write lock. The swap is invisible to
     /// searches — rebuild equivalence means the answers before and
     /// after are identical, so the result cache is deliberately NOT
     /// invalidated. Returns `Ok(true)` if applied, `Ok(false)` when
     /// there was nothing to fold or the collection's base changed
     /// underneath (swap or concurrent compaction — the run is
-    /// discarded as stale).
+    /// discarded as stale). An `Err` (a backend refused an upload)
+    /// leaves the collection exactly as it was.
     fn compact_now(&self, collection: CollectionId) -> Result<bool, ServiceError> {
         let Some(entry) = self.entry(collection) else {
             return Ok(false);
         };
         let (snapshot, epoch) = {
             let slot = entry.read().expect("collection lock");
-            let Some(state) = &slot.live else {
-                return Ok(false); // frozen collection: nothing to fold
-            };
-            if state.plan.delta_len() == 0 && state.plan.num_tombstones() == 0 {
+            if slot.plan.delta_len() == 0 && slot.plan.num_tombstones() == 0 {
                 return Ok(false); // no debt: the base is already exact
             }
-            (state.plan.snapshot(slot.configured_shards), slot.epoch)
+            (slot.plan.snapshot(slot.configured_shards), slot.epoch)
         };
         // the expensive part, off-lock: pure rebuild + backend uploads
         let compacted = snapshot.compact();
-        let mut base = Vec::with_capacity(compacted.shards.len());
-        let mut prepare_err = None;
-        for shard in &compacted.shards {
-            match self.scheduler.prepare(&shard.index) {
-                Ok(prepared) => base.push(Arc::new(PreparedShard {
-                    prepared,
-                    shard: shard.clone(),
-                })),
-                Err(e) => {
-                    prepare_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let base = self.prepare_base(&compacted.shards);
 
         let mut slot = entry.write().expect("collection lock");
-        if let Some(state) = slot.live.as_mut() {
-            state.compaction_queued = false;
-        } else {
-            // reindexed to a frozen collection while we rebuilt
-            self.stats.lock().expect("stats lock").stale_compactions += 1;
-            return Ok(false);
-        }
-        if let Some(e) = prepare_err {
-            self.stats.lock().expect("stats lock").stale_compactions += 1;
-            return Err(ServiceError::Internal(format!(
-                "compaction of collection {collection} aborted: {e}"
-            )));
-        }
-        if slot.epoch != epoch {
-            self.stats.lock().expect("stats lock").stale_compactions += 1;
-            return Ok(false);
-        }
-        slot.epoch += 1;
-        let (delta, tombstones) = {
-            let state = slot.live.as_mut().expect("checked above");
-            state.plan.apply_compaction(compacted);
-            state.base = base.clone();
+        slot.compaction_queued = false;
+        // stage everything fallible before committing anything: a
+        // failed upload must not leave the plan compacted (or the epoch
+        // advanced) under shards that were never installed
+        let staged = base.and_then(|base| {
+            if slot.epoch != epoch {
+                return Ok(None);
+            }
             // mutations that raced the rebuild survive: the delta
-            // suffix past the snapshot and the post-snapshot tombstones
-            // go straight into the new serving snapshot
-            let delta = match state.plan.delta_shard() {
-                Some(shard) => Some(Arc::new(PreparedShard {
-                    prepared: self
-                        .scheduler
-                        .prepare(&shard.index)
-                        .map_err(ServiceError::Internal)?,
-                    shard,
-                })),
-                None => None,
-            };
-            let tombstones: Arc<HashSet<ObjectId>> = Arc::new(state.plan.tombstones().collect());
-            (delta, tombstones)
+            // suffix past the snapshot is re-prepared as the new delta
+            // shard and the post-snapshot tombstones stay in the plan
+            let mut plan = slot.plan.clone();
+            plan.apply_compaction(compacted);
+            let delta = self.prepare_delta(&plan)?;
+            Ok(Some((plan, base, delta)))
+        });
+        let (plan, base, delta) = match staged {
+            Ok(Some(staged)) => staged,
+            Ok(None) => {
+                self.stats.lock().expect("stats lock").stale_compactions += 1;
+                return Ok(false);
+            }
+            Err(e) => {
+                self.stats.lock().expect("stats lock").stale_compactions += 1;
+                return Err(ServiceError::Internal(format!(
+                    "compaction of collection {collection} aborted: {e}"
+                )));
+            }
         };
+        slot.epoch += 1;
         // a placement plan only remains honored while it covers exactly
         // the current base shards; compaction at a different count drops
         // it back to broadcast (the rebalancer will re-derive one)
@@ -1645,11 +1493,9 @@ impl ServiceInner {
         {
             slot.placement = None;
         }
-        slot.serving = CollectionServing::Live {
-            base,
-            delta,
-            tombstones,
-        };
+        slot.plan = plan;
+        slot.base = base;
+        slot.delta = delta;
         drop(slot);
         self.stats.lock().expect("stats lock").compactions += 1;
         // Compaction is NOT journaled: replaying the pre-compaction
@@ -1703,31 +1549,14 @@ impl ServiceInner {
             .into_iter()
             .map(|(id, entry)| {
                 let slot = entry.read().expect("collection lock");
-                let spec = slot.placement.as_deref().map(placement_spec);
-                match &slot.live {
-                    Some(state) => CollectionState::capture(
-                        id,
-                        slot.persist_seq,
-                        &slot.name,
-                        slot.configured_shards,
-                        &state.plan,
-                        spec,
-                    ),
-                    None => {
-                        // frozen collection: base-only plan, no debt
-                        let base = shards_of(&slot.serving);
-                        let lb = load_balance_of(&base);
-                        let plan = DeltaPlan::from_base(base, lb);
-                        CollectionState::capture(
-                            id,
-                            slot.persist_seq,
-                            &slot.name,
-                            slot.configured_shards,
-                            &plan,
-                            spec,
-                        )
-                    }
-                }
+                CollectionState::capture(
+                    id,
+                    slot.persist_seq,
+                    &slot.name,
+                    slot.configured_shards,
+                    &slot.plan,
+                    slot.placement.as_deref().map(placement_spec),
+                )
             })
             .collect()
     }
@@ -1788,7 +1617,7 @@ impl ServiceInner {
 }
 
 /// Aggregated accounting for one collection group's execution inside a
-/// wave (one scheduler run, or a shard fan-out's merged totals).
+/// wave (the shard fan-out's merged totals).
 struct GroupReport {
     batches: u64,
     shard_runs: u64,
@@ -1796,8 +1625,8 @@ struct GroupReport {
     predicted_cost_us: f64,
     actual_cost_us: f64,
     stages: StageProfile,
-    /// Per-shard observations of a fan-out run (empty for unsharded
-    /// groups), feeding the hot-shard detector.
+    /// Per-shard observations of the fan-out, feeding the hot-shard
+    /// detector.
     per_shard: Vec<ShardSample>,
     /// Shard runs this group routed to a strict subset of the fleet.
     placed_runs: u64,
@@ -1808,6 +1637,17 @@ struct GroupReport {
 /// by the memory budget — it is as full as it can get.
 fn batches_closed_by_budget(batches: &[Batch]) -> bool {
     batches.windows(2).any(|w| w[0].k == w[1].k)
+}
+
+/// The base shards `index` is served as at `shards` shards: the index
+/// itself as one [`Shard::identity`] (no rebuild) for `shards <= 1`, a
+/// contiguous near-even re-shard otherwise.
+fn split_index(index: &Arc<InvertedIndex>, shards: usize) -> Result<Vec<Shard>, ServiceError> {
+    if shards <= 1 {
+        return Ok(vec![Shard::identity(Arc::clone(index))]);
+    }
+    let plan = ShardPlan::from_index(index, shards).map_err(ServiceError::InvalidShards)?;
+    Ok(plan.shards().to_vec())
 }
 
 /// Nearest-rank percentile over an ascending-sorted latency sample —
@@ -1857,19 +1697,27 @@ impl GenieService {
     /// yet; [`add_collection`](Self::add_collection) brings data sets
     /// online one by one. Fails with a clear message on misconfigured
     /// knobs.
-    pub fn start_empty(scheduler: QueryScheduler, config: ServiceConfig) -> Result<Self, String> {
+    pub fn start_empty(
+        scheduler: QueryScheduler,
+        config: ServiceConfig,
+    ) -> Result<Self, ServiceError> {
+        let spawn_failed = |what: &str, e: std::io::Error| {
+            ServiceError::Internal(format!("cannot spawn {what}: {e}"))
+        };
         if scheduler.config().max_batch_queries == 0 {
             // unreachable through QueryScheduler::new, which validates
             // the same invariant — kept so *this* constructor also
             // fails closed if scheduler construction ever changes
-            return Err(
+            return Err(ServiceError::Internal(
                 "GenieService needs max_batch_queries >= 1 (a micro-batch cannot hold zero \
                  queries)"
                     .into(),
-            );
+            ));
         }
         if config.dispatchers == 0 {
-            return Err("GenieService needs at least one dispatcher thread".into());
+            return Err(ServiceError::Internal(
+                "GenieService needs at least one dispatcher thread".into(),
+            ));
         }
         // a zero max_queue_delay is legal: it means "cut a wave as soon
         // as the queue is non-empty" (no cross-time batching; the
@@ -1922,7 +1770,7 @@ impl GenieService {
                 std::thread::Builder::new()
                     .name(format!("genie-dispatch-{i}"))
                     .spawn(move || inner.dispatcher_loop())
-                    .map_err(|e| format!("cannot spawn dispatcher: {e}"))
+                    .map_err(|e| spawn_failed("dispatcher", e))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let (compact_tx, compact_rx) = channel::<CollectionId>();
@@ -1938,7 +1786,7 @@ impl GenieService {
                         let _ = inner.compact_now(cid);
                     }
                 })
-                .map_err(|e| format!("cannot spawn compactor: {e}"))?
+                .map_err(|e| spawn_failed("compactor", e))?
         };
         let (rebalance_tx, rebalance_rx) = channel::<CollectionId>();
         let rebalancer = {
@@ -1953,7 +1801,7 @@ impl GenieService {
                         let _ = inner.rebalance_now(cid);
                     }
                 })
-                .map_err(|e| format!("cannot spawn rebalancer: {e}"))?
+                .map_err(|e| spawn_failed("rebalancer", e))?
         };
         *inner.rebalance_tx.lock().expect("rebalance queue lock") = Some(rebalance_tx);
         Ok(Self {
@@ -1967,35 +1815,8 @@ impl GenieService {
         })
     }
 
-    /// Start with `index` registered as the
-    /// [`DEFAULT_COLLECTION`] — the single-collection serving setup.
-    pub fn start(
-        scheduler: QueryScheduler,
-        index: &Arc<InvertedIndex>,
-        config: ServiceConfig,
-    ) -> Result<Self, String> {
-        let service = Self::start_empty(scheduler, config)?;
-        let id = service
-            .add_collection("default", index)
-            .map_err(|e| e.to_string())?;
-        debug_assert_eq!(id, DEFAULT_COLLECTION);
-        Ok(service)
-    }
-
-    /// Convenience: single-backend service with default configs.
-    pub fn single(
-        backend: Arc<dyn genie_core::backend::SearchBackend>,
-        index: &Arc<InvertedIndex>,
-    ) -> Result<Self, String> {
-        Self::start(
-            QueryScheduler::single(backend),
-            index,
-            ServiceConfig::default(),
-        )
-    }
-
     /// Prepare `index` on every backend and register it as a new
-    /// (unsharded) collection. Returns the id requests target via
+    /// single-shard collection. Returns the id requests target via
     /// [`submit_to`](Self::submit_to).
     pub fn add_collection(
         &self,
@@ -2011,15 +1832,14 @@ impl GenieService {
     /// every backend; at serve time a wave fans out to one scheduler
     /// run per shard and the per-shard top-k lists are merged into the
     /// global answer with `AT = MC_k + 1` on the merged list. `shards
-    /// <= 1` registers a plain unsharded collection.
+    /// <= 1` serves `index` itself as the one shard (no rebuild).
     pub fn add_collection_sharded(
         &self,
         name: &str,
         index: &Arc<InvertedIndex>,
         shards: usize,
     ) -> Result<CollectionId, ServiceError> {
-        let serving = self.prepare_serving(index, shards)?;
-        self.register(name, shards.max(1), serving)
+        self.register(name, shards.max(1), split_index(index, shards)?)
     }
 
     /// Register a collection from an explicit [`ShardPlan`] (arbitrary
@@ -2032,84 +1852,47 @@ impl GenieService {
         name: &str,
         plan: &ShardPlan,
     ) -> Result<CollectionId, ServiceError> {
-        let serving = self.prepare_plan(plan)?;
-        self.register(name, plan.num_shards(), serving)
+        self.register(name, plan.num_shards(), plan.shards().to_vec())
     }
 
     fn register(
         &self,
         name: &str,
-        shards: usize,
-        serving: CollectionServing,
+        configured_shards: usize,
+        shards: Vec<Shard>,
     ) -> Result<CollectionId, ServiceError> {
+        let base = self.inner.prepare_base(&shards)?;
+        let load_balance = load_balance_of(&shards);
         let id = self.next_collection.fetch_add(1, Ordering::Relaxed);
         // write-ahead: a journal failure means no registration at all
         // (the burned id is harmless — ids need not be dense)
         if self.inner.store().is_some() {
-            let base = shards_of(&serving);
             self.inner.journal(&JournalEvent::Create {
                 collection: id,
                 seq: 1,
                 name: name.to_owned(),
-                configured_shards: shards,
-                load_balance: load_balance_of(&base),
-                base,
+                configured_shards,
+                load_balance,
+                base: shards.clone(),
             })?;
         }
+        let entry = CollectionEntry {
+            name: name.to_owned(),
+            configured_shards,
+            plan: DeltaPlan::from_base(shards, load_balance),
+            base,
+            delta: None,
+            compaction_queued: false,
+            epoch: 0,
+            placement: None,
+            persist_seq: 1,
+        };
         self.inner
             .collections
             .write()
             .expect("collections lock")
-            .insert(
-                id,
-                Arc::new(RwLock::new(CollectionEntry {
-                    name: name.to_owned(),
-                    configured_shards: shards,
-                    serving,
-                    live: None,
-                    epoch: 0,
-                    placement: None,
-                    persist_seq: 1,
-                })),
-            );
+            .insert(id, Arc::new(RwLock::new(entry)));
         Ok(id)
-    }
-
-    /// Prepare the serving state for one index at `shards` shards (1 =
-    /// the plain single-index path).
-    fn prepare_serving(
-        &self,
-        index: &Arc<InvertedIndex>,
-        shards: usize,
-    ) -> Result<CollectionServing, ServiceError> {
-        if shards <= 1 {
-            return Ok(CollectionServing::Single(
-                self.inner
-                    .scheduler
-                    .prepare(index)
-                    .map_err(ServiceError::Internal)?,
-            ));
-        }
-        let plan = ShardPlan::from_index(index, shards).map_err(ServiceError::InvalidShards)?;
-        self.prepare_plan(&plan)
-    }
-
-    fn prepare_plan(&self, plan: &ShardPlan) -> Result<CollectionServing, ServiceError> {
-        let mut shards = Vec::with_capacity(plan.num_shards());
-        for shard in plan.shards() {
-            shards.push(PreparedShard {
-                prepared: self
-                    .inner
-                    .scheduler
-                    .prepare(&shard.index)
-                    .map_err(ServiceError::Internal)?,
-                shard: shard.clone(),
-            });
-        }
-        if shards.is_empty() {
-            return Err(ServiceError::InvalidShards(ShardError::ZeroShards));
-        }
-        Ok(CollectionServing::Sharded(shards))
     }
 
     /// Re-prepare a (new) index on every backend and swap it into
@@ -2127,32 +1910,31 @@ impl GenieService {
             .inner
             .entry(collection)
             .ok_or(ServiceError::UnknownCollection(collection))?;
-        let shards = entry.read().expect("collection lock").configured_shards;
-        let serving = self.prepare_serving(index, shards)?;
-        let upload_sim_us = match &serving {
-            CollectionServing::Single(p) => p.upload_sim_us,
-            CollectionServing::Sharded(s) => s.iter().map(|p| p.prepared.upload_sim_us).sum(),
-            CollectionServing::Live { .. } => unreachable!("prepare_serving never builds Live"),
-        };
+        let configured = entry.read().expect("collection lock").configured_shards;
+        let shards = split_index(index, configured)?;
+        let base = self.inner.prepare_base(&shards)?;
+        let load_balance = load_balance_of(&shards);
+        let upload_sim_us = base.iter().map(|s| s.prepared.upload_sim_us).sum();
         {
             let mut slot = entry.write().expect("collection lock");
             // write-ahead: journal the swap before committing it — a
-            // persistence failure leaves the old serving fully intact
+            // persistence failure leaves the old shards fully intact
             let seq = slot.persist_seq + 1;
             if self.inner.store().is_some() {
-                let base = shards_of(&serving);
                 self.inner.journal(&JournalEvent::Swap {
                     collection,
                     seq,
-                    load_balance: load_balance_of(&base),
-                    base,
+                    load_balance,
+                    base: shards.clone(),
                 })?;
             }
             slot.persist_seq = seq;
-            slot.serving = serving;
             // a full reindex supersedes any pending delta/tombstones,
             // and invalidates any compaction racing against the old base
-            slot.live = None;
+            slot.plan = DeltaPlan::from_base(shards, load_balance);
+            slot.base = base;
+            slot.delta = None;
+            slot.compaction_queued = false;
             slot.epoch += 1;
             // the plan described the old base shards; rebalancing will
             // derive a fresh one from post-swap traffic
@@ -2167,12 +1949,6 @@ impl GenieService {
         // no longer hold
         self.inner.planned_len.store(0, Ordering::Relaxed);
         Ok(upload_sim_us)
-    }
-
-    /// [`swap_collection`](Self::swap_collection) on the
-    /// [`DEFAULT_COLLECTION`].
-    pub fn swap_index(&self, index: &Arc<InvertedIndex>) -> Result<f64, ServiceError> {
-        self.swap_collection(DEFAULT_COLLECTION, index)
     }
 
     /// Registered collections as `(id, name)` pairs, id-ascending.
@@ -2190,24 +1966,19 @@ impl GenieService {
     }
 
     /// Number of index shards `collection` is currently served from
-    /// (1 for unsharded collections; a live collection counts its base
-    /// shards plus the delta shard; `None` for unknown ids).
+    /// (its base shards plus the delta shard while one is mounted;
+    /// `None` for unknown ids).
     pub fn collection_shards(&self, collection: CollectionId) -> Option<usize> {
         self.inner
             .entry(collection)
-            .map(|e| e.read().expect("collection lock").serving.num_shards())
+            .map(|e| e.read().expect("collection lock").shards().count())
     }
 
-    /// Currently-live objects in `collection` (`None` for unknown ids).
-    /// For a mutated collection this is base + delta minus tombstones —
-    /// the corpus a from-scratch rebuild would index.
+    /// Currently-live objects in `collection` (`None` for unknown ids):
+    /// base + delta minus tombstones — the corpus a from-scratch
+    /// rebuild would index.
     pub fn collection_len(&self, collection: CollectionId) -> Option<usize> {
-        let entry = self.inner.entry(collection)?;
-        let slot = entry.read().expect("collection lock");
-        Some(match &slot.live {
-            Some(state) => state.plan.len(),
-            None => frozen_len(&slot.serving),
-        })
+        self.mutation_status(collection).map(|status| status.live)
     }
 
     /// Live-mutation debt of `collection` (`None` for unknown ids). A
@@ -2216,24 +1987,12 @@ impl GenieService {
     pub fn mutation_status(&self, collection: CollectionId) -> Option<MutationStatus> {
         let entry = self.inner.entry(collection)?;
         let slot = entry.read().expect("collection lock");
-        Some(match &slot.live {
-            Some(state) => MutationStatus {
-                live: state.plan.len(),
-                delta: state.plan.delta_len(),
-                tombstones: state.plan.num_tombstones(),
-                base_shards: state.base.len(),
-                next_id: state.plan.next_id(),
-            },
-            None => {
-                let live = frozen_len(&slot.serving);
-                MutationStatus {
-                    live,
-                    delta: 0,
-                    tombstones: 0,
-                    base_shards: slot.serving.num_shards(),
-                    next_id: live as ObjectId,
-                }
-            }
+        Some(MutationStatus {
+            live: slot.plan.len(),
+            delta: slot.plan.delta_len(),
+            tombstones: slot.plan.num_tombstones(),
+            base_shards: slot.base.len(),
+            next_id: slot.plan.next_id(),
         })
     }
 
@@ -2245,7 +2004,7 @@ impl GenieService {
     /// visible, so a failed batch leaves the collection untouched.
     ///
     /// `on_assigned(position, id)` fires once per insert, after ids are
-    /// final but **before** the new serving state is swapped in — the
+    /// final but **before** the new delta shard is swapped in — the
     /// typed facade uses it to stash items into the domain's id-indexed
     /// store so no search can ever return an id whose item is missing.
     ///
@@ -2271,73 +2030,53 @@ impl GenieService {
             ServiceError::UnknownCollection(collection),
         ))?;
         let mut slot = entry.write().expect("collection lock");
-        ServiceInner::ensure_live(&mut slot);
         // the journal needs its own copy of the inserts (staging
         // consumes them); skip the clone entirely when nothing persists
         let journal_inserts = self.inner.store().is_some().then(|| inserts.clone());
-        let (ids, want_compaction) = {
-            let seq = slot.persist_seq + 1;
-            let state = slot.live.as_mut().expect("ensured above");
-            let first_id = state.plan.next_id();
-            // stage the batch on a clone: a bad delete or a failed
-            // delta upload must not leave half a batch applied
-            let mut plan = state.plan.clone();
-            for &id in deletes {
-                if !plan.delete(id) {
-                    return Err(MutateError::UnknownId(id));
-                }
+        let seq = slot.persist_seq + 1;
+        let first_id = slot.plan.next_id();
+        // stage the batch on a clone: a bad delete or a failed delta
+        // upload must not leave half a batch applied
+        let mut plan = slot.plan.clone();
+        for &id in deletes {
+            if !plan.delete(id) {
+                return Err(MutateError::UnknownId(id));
             }
-            let ids: Vec<ObjectId> = inserts.into_iter().map(|o| plan.insert(o)).collect();
-            let delta = match plan.delta_shard() {
-                Some(shard) => Some(Arc::new(PreparedShard {
-                    prepared: self
-                        .inner
-                        .scheduler
-                        .prepare(&shard.index)
-                        .map_err(|e| MutateError::Service(ServiceError::Internal(e)))?,
-                    shard,
-                })),
-                None => None,
-            };
-            let tombstones: Arc<HashSet<ObjectId>> = Arc::new(plan.tombstones().collect());
-            // write-ahead: the batch is fsynced in the journal before
-            // any search can observe it — a persistence failure aborts
-            // the batch with nothing applied. Replay re-runs the same
-            // deletes and re-assigns ids from the same `first_id`, so
-            // recovery re-derives exactly the ids handed out here.
-            if let Some(journal_inserts) = journal_inserts {
-                self.inner
-                    .journal(&JournalEvent::Mutate {
-                        collection,
-                        seq,
-                        first_id,
-                        deletes: deletes.to_vec(),
-                        inserts: journal_inserts,
-                    })
-                    .map_err(MutateError::Service)?;
-            }
-            // ids are final: let the caller stash the items before any
-            // search can return them
-            for (pos, &id) in ids.iter().enumerate() {
-                on_assigned(pos, id);
-            }
-            let debt = plan.delta_len() + plan.num_tombstones();
-            let want_compaction = self.inner.compact_after > 0
-                && debt >= self.inner.compact_after
-                && !state.compaction_queued;
-            if want_compaction {
-                state.compaction_queued = true;
-            }
-            state.plan = plan;
-            let base = state.base.clone();
-            slot.persist_seq = seq;
-            slot.serving = CollectionServing::Live {
-                base,
-                delta,
-                tombstones,
-            };
-            (ids, want_compaction)
-        };
+        }
+        let ids: Vec<ObjectId> = inserts.into_iter().map(|o| plan.insert(o)).collect();
+        let delta = self
+            .inner
+            .prepare_delta(&plan)
+            .map_err(MutateError::Service)?;
+        // write-ahead: the batch is fsynced in the journal before any
+        // search can observe it — a persistence failure aborts the
+        // batch with nothing applied. Replay re-runs the same deletes
+        // and re-assigns ids from the same `first_id`, so recovery
+        // re-derives exactly the ids handed out here.
+        if let Some(journal_inserts) = journal_inserts {
+            self.inner
+                .journal(&JournalEvent::Mutate {
+                    collection,
+                    seq,
+                    first_id,
+                    deletes: deletes.to_vec(),
+                    inserts: journal_inserts,
+                })
+                .map_err(MutateError::Service)?;
+        }
+        // ids are final: let the caller stash the items before any
+        // search can return them
+        for (pos, &id) in ids.iter().enumerate() {
+            on_assigned(pos, id);
+        }
+        let debt = plan.delta_len() + plan.num_tombstones();
+        let want_compaction = self.inner.compact_after > 0
+            && debt >= self.inner.compact_after
+            && !slot.compaction_queued;
+        slot.compaction_queued |= want_compaction;
+        slot.plan = plan;
+        slot.delta = delta;
+        slot.persist_seq = seq;
         drop(slot);
         {
             let mut stats = self.inner.stats.lock().expect("stats lock");
@@ -2401,29 +2140,8 @@ impl GenieService {
                     rec.id, rec.name
                 )));
             }
-            let mut base = Vec::with_capacity(rec.plan.base().len());
-            for shard in rec.plan.base() {
-                base.push(Arc::new(PreparedShard {
-                    prepared: self
-                        .inner
-                        .scheduler
-                        .prepare(&shard.index)
-                        .map_err(ServiceError::Internal)?,
-                    shard: shard.clone(),
-                }));
-            }
-            let delta = match rec.plan.delta_shard() {
-                Some(shard) => Some(Arc::new(PreparedShard {
-                    prepared: self
-                        .inner
-                        .scheduler
-                        .prepare(&shard.index)
-                        .map_err(ServiceError::Internal)?,
-                    shard,
-                })),
-                None => None,
-            };
-            let tombstones: Arc<HashSet<ObjectId>> = Arc::new(rec.plan.tombstones().collect());
+            let base = self.inner.prepare_base(rec.plan.base())?;
+            let delta = self.inner.prepare_delta(&rec.plan)?;
             // a persisted plan is only honored if it still fits this
             // fleet and the recovered base — placement never changes
             // answers, so dropping to broadcast is always safe
@@ -2437,16 +2155,10 @@ impl GenieService {
             let entry = Arc::new(RwLock::new(CollectionEntry {
                 name: rec.name,
                 configured_shards: rec.configured_shards,
-                serving: CollectionServing::Live {
-                    base: base.clone(),
-                    delta,
-                    tombstones,
-                },
-                live: Some(LiveState {
-                    plan: rec.plan,
-                    base,
-                    compaction_queued: false,
-                }),
+                plan: rec.plan,
+                base,
+                delta,
+                compaction_queued: false,
                 epoch: 0,
                 placement,
                 persist_seq: rec.seq,
@@ -2470,15 +2182,11 @@ impl GenieService {
         self.inner.checkpoint_now()
     }
 
-    /// Admit one query against the [`DEFAULT_COLLECTION`]; the returned
-    /// ticket resolves when its wave is served (or errs if the service
-    /// shuts down first). Client ids are assigned in admission order.
-    pub fn submit(&self, query: Query, k: usize) -> ResponseTicket {
-        self.submit_to(DEFAULT_COLLECTION, query, k)
-    }
-
-    /// Admit one query against `collection` from any thread. Unknown
-    /// collection ids resolve the ticket with an error at wave time.
+    /// Admit one query against `collection` from any thread; the
+    /// returned ticket resolves when its wave is served (or errs if the
+    /// service shuts down first). Client ids are assigned in admission
+    /// order. Unknown collection ids resolve the ticket with an error
+    /// at wave time.
     pub fn submit_to(&self, collection: CollectionId, query: Query, k: usize) -> ResponseTicket {
         let client_id = self.next_client.fetch_add(1, Ordering::Relaxed);
         self.submit_request(collection, QueryRequest::new(client_id, query, k))
@@ -2549,9 +2257,9 @@ impl GenieService {
     }
 
     /// Lifetime per-shard run accounting of `collection`, shard order
-    /// (`None` for unknown ids; empty until its first fan-out run —
-    /// unsharded collections never report). The hot-shard detector
-    /// watches the same postings signal over a sliding window.
+    /// (`None` for unknown ids; empty until its first group run — a
+    /// single-shard collection reports one slot). The hot-shard
+    /// detector watches the same postings signal over a sliding window.
     pub fn shard_stats(&self, collection: CollectionId) -> Option<Vec<ShardRunStats>> {
         self.inner.entry(collection)?;
         Some(
@@ -2576,7 +2284,7 @@ impl GenieService {
             Some(plan) => plan.assignments().to_vec(),
             None => {
                 let fleet: Vec<usize> = (0..self.inner.scheduler.backends().len()).collect();
-                vec![fleet; base_shards(&slot.serving)]
+                vec![fleet; slot.base.len()]
             }
         })
     }
@@ -2596,7 +2304,7 @@ impl GenieService {
             .entry(collection)
             .ok_or(ServiceError::UnknownCollection(collection))?;
         let mut slot = entry.write().expect("collection lock");
-        let num_base = base_shards(&slot.serving);
+        let num_base = slot.base.len();
         if plan.num_shards() != num_base {
             return Err(ServiceError::InvalidPlacement(format!(
                 "plan covers {} shards but the collection serves {num_base} base shards",
@@ -2694,20 +2402,34 @@ mod tests {
         Arc::new(b.build(None))
     }
 
+    /// A service over `scheduler` with [`tiny_index`] registered as its
+    /// one collection.
+    fn serve_tiny(
+        scheduler: QueryScheduler,
+        config: ServiceConfig,
+    ) -> (GenieService, CollectionId) {
+        let service = GenieService::start_empty(scheduler, config).expect("legal knobs");
+        let id = service
+            .add_collection("tiny", &tiny_index())
+            .expect("index fits");
+        (service, id)
+    }
+
+    fn cpu_scheduler() -> QueryScheduler {
+        QueryScheduler::single(Arc::new(CpuBackend::new()))
+    }
+
     #[test]
     fn constructor_rejects_bad_knobs() {
-        let index = tiny_index();
-        let mk = || QueryScheduler::single(Arc::new(CpuBackend::new()));
-        let err = GenieService::start(
-            mk(),
-            &index,
+        let err = GenieService::start_empty(
+            cpu_scheduler(),
             ServiceConfig {
                 dispatchers: 0,
                 ..Default::default()
             },
         )
         .unwrap_err();
-        assert!(err.contains("dispatcher"), "{err}");
+        assert!(err.to_string().contains("dispatcher"), "{err}");
     }
 
     /// `max_queue_delay = 0` is "cut immediately when non-empty", not a
@@ -2715,20 +2437,18 @@ mod tests {
     /// the condvar whenever the queue is empty).
     #[test]
     fn zero_queue_delay_cuts_immediately() {
-        let index = tiny_index();
-        let service = GenieService::start(
-            QueryScheduler::single(Arc::new(CpuBackend::new())),
-            &index,
+        // a zero deadline is a legal configuration
+        let (service, cid) = serve_tiny(
+            cpu_scheduler(),
             ServiceConfig {
                 max_queue_delay: Duration::ZERO,
                 cache_capacity: 0,
                 ..Default::default()
             },
-        )
-        .expect("zero deadline is a legal configuration");
+        );
         for i in 0..4 {
             let resp = service
-                .submit(Query::from_keywords(&[i % 7]), 3)
+                .submit_to(cid, Query::from_keywords(&[i % 7]), 3)
                 .wait()
                 .expect("zero-delay service answers every ticket");
             assert!(!resp.hits.is_empty());
@@ -2820,9 +2540,7 @@ mod tests {
 
     #[test]
     fn unknown_collection_resolves_to_an_error_ticket() {
-        let index = tiny_index();
-        let service =
-            GenieService::single(Arc::new(CpuBackend::new()), &index).expect("index fits");
+        let (service, _) = serve_tiny(cpu_scheduler(), ServiceConfig::default());
         let err = service
             .submit_to(99, Query::from_keywords(&[1]), 3)
             .wait()
@@ -2835,9 +2553,8 @@ mod tests {
 
     #[test]
     fn collections_are_registered_in_order() {
-        let scheduler = QueryScheduler::single(Arc::new(CpuBackend::new()));
         let service =
-            GenieService::start_empty(scheduler, ServiceConfig::default()).expect("starts");
+            GenieService::start_empty(cpu_scheduler(), ServiceConfig::default()).expect("starts");
         assert!(service.collection_names().is_empty());
         let a = service.add_collection("alpha", &tiny_index()).unwrap();
         let b = service.add_collection("beta", &tiny_index()).unwrap();
@@ -2906,7 +2623,6 @@ mod tests {
     /// count or memory limit.
     #[test]
     fn cost_budget_fires_the_size_trigger() {
-        let index = tiny_index();
         let scheduler = QueryScheduler::new(
             vec![Arc::new(CpuBackend::new())],
             crate::SchedulerConfig {
@@ -2914,19 +2630,17 @@ mod tests {
                 ..Default::default()
             },
         );
-        let service = GenieService::start(
+        let (service, cid) = serve_tiny(
             scheduler,
-            &index,
             ServiceConfig {
                 // only the size trigger can cut before this deadline
                 max_queue_delay: Duration::from_secs(30),
                 cache_capacity: 0,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let t1 = service.submit(Query::from_keywords(&[1]), 3);
-        let t2 = service.submit(Query::from_keywords(&[2]), 3);
+        );
+        let t1 = service.submit_to(cid, Query::from_keywords(&[1]), 3);
+        let t2 = service.submit_to(cid, Query::from_keywords(&[2]), 3);
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
         let stats = service.stats();
@@ -2941,15 +2655,13 @@ mod tests {
 
     #[test]
     fn backend_health_starts_clean_and_counts_usage() {
-        let index = tiny_index();
-        let service =
-            GenieService::single(Arc::new(CpuBackend::new()), &index).expect("index fits");
+        let (service, cid) = serve_tiny(cpu_scheduler(), ServiceConfig::default());
         let health = service.backend_health();
         assert_eq!(health.len(), 1);
         assert_eq!(health[0].name, "cpu");
         assert_eq!((health[0].batches, health[0].failed), (0, 0));
         service
-            .submit(Query::from_keywords(&[1]), 2)
+            .submit_to(cid, Query::from_keywords(&[1]), 2)
             .wait()
             .unwrap();
         let health = service.backend_health();

@@ -7,6 +7,21 @@ use genie_core::backend::{BackendCaps, BackendIndex, CpuBackend, SearchBackend};
 use genie_core::exec::SearchOutput;
 use genie_core::index::InvertedIndex;
 use genie_core::model::Query;
+use genie_service::{CollectionId, GenieService, QueryScheduler, ServiceConfig};
+
+/// A service over `scheduler` with `index` registered as its one
+/// collection — the single-collection serving setup most suites drive.
+pub fn serve(
+    scheduler: QueryScheduler,
+    index: &Arc<InvertedIndex>,
+    config: ServiceConfig,
+) -> (GenieService, CollectionId) {
+    let service = GenieService::start_empty(scheduler, config).expect("service starts");
+    let id = service
+        .add_collection("default", index)
+        .expect("index fits the fleet");
+    (service, id)
+}
 
 /// A [`CpuBackend`] that pauses before every batch. The failover,
 /// circuit-breaker and health-accumulation tests need the *other*

@@ -16,17 +16,22 @@
 //! the fresh one, which only ever saw survivors) can encode them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 
-use genie_core::backend::CpuBackend;
+use genie_core::backend::{BackendCaps, BackendIndex, CpuBackend, SearchBackend};
 use genie_core::domain::{Domain, MatchHits};
-use genie_core::model::ObjectId;
+use genie_core::exec::SearchOutput;
+use genie_core::index::{IndexBuilder, InvertedIndex};
+use genie_core::model::{Object, ObjectId, Query};
 use genie_lsh::e2lsh::E2Lsh;
 use genie_lsh::{AnnIndex, Transformer};
 use genie_sa::relational::{Attribute, RelationalSchema, Value};
 use genie_sa::sequence::SequenceSearchReport;
 use genie_sa::{DocumentIndex, Graph, GraphIndex, RelationalIndex, SequenceIndex, Tree, TreeIndex};
-use genie_service::{Collection, DbError, GenieDb, ServiceConfig};
+use genie_service::{
+    Collection, DbError, GenieDb, GenieService, QueryScheduler, ServiceConfig, ServiceError,
+};
 use proptest::prelude::*;
 
 fn db() -> GenieDb {
@@ -619,4 +624,127 @@ fn compaction_races_searches_and_mutations() {
         .map(|i| vec![format!("w{i}"), "common".into()])
         .collect();
     assert_rebuild_equivalent(&col, &fresh, &model.live_ids(), &specs, &[1, 4, 40]);
+}
+
+/// A [`CpuBackend`] whose `upload` fails, or parks until released, on
+/// cue — the fault a compaction's staging must survive.
+struct CueBackend {
+    inner: CpuBackend,
+    /// Fail the next upload (one-shot).
+    fail_next: AtomicBool,
+    /// The next upload reports in on the sender, then parks on the
+    /// receiver until the test releases it (one-shot).
+    park_next: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl SearchBackend for CueBackend {
+    fn capabilities(&self) -> BackendCaps {
+        self.inner.capabilities()
+    }
+    fn upload(&self, index: Arc<InvertedIndex>) -> Result<BackendIndex, String> {
+        if self.fail_next.swap(false, Ordering::SeqCst) {
+            return Err("upload refused on cue".into());
+        }
+        let parked = self.park_next.lock().unwrap().take();
+        if let Some((reached, resume)) = parked {
+            reached.send(()).unwrap();
+            resume.recv().unwrap();
+        }
+        self.inner.upload(index)
+    }
+    fn search_batch(&self, index: &BackendIndex, queries: &[Query], k: usize) -> SearchOutput {
+        self.inner.search_batch(index, queries, k)
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Regression: a compaction whose residual-delta upload failed used to
+/// return `Err` with the plan already compacted and the epoch already
+/// advanced, under shards that were never installed. A failed
+/// compaction — refused while uploading the rebuilt base, or while
+/// uploading the delta an insert racing the rebuild left behind — must
+/// leave status and answers exactly as they were, and the next
+/// compaction must run as if the failed ones never had.
+#[test]
+fn failed_compaction_leaves_the_collection_untouched() {
+    let backend = Arc::new(CueBackend {
+        inner: CpuBackend::new(),
+        fail_next: AtomicBool::new(false),
+        park_next: Mutex::new(None),
+    });
+    let service = GenieService::start_empty(
+        QueryScheduler::single(Arc::clone(&backend) as Arc<dyn SearchBackend>),
+        ServiceConfig {
+            compact_after: 0, // only explicit compactions
+            cache_capacity: 0,
+            max_queue_delay: std::time::Duration::from_micros(200),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut builder = IndexBuilder::new();
+    for i in 0..20u32 {
+        builder.add_object(&Object::new(vec![i % 4, 10 + i % 3]));
+    }
+    let cid = service
+        .add_collection("cued", &Arc::new(builder.build(None)))
+        .unwrap();
+    let mutate = |deletes: &[ObjectId], insert: Object| {
+        service
+            .mutate_collection(cid, deletes, vec![insert], &mut |_, _| {})
+            .expect("batch applies")
+    };
+    let answer = || {
+        let resp = service
+            .submit_to(cid, Query::from_keywords(&[1, 11]), 6)
+            .wait()
+            .expect("search serves");
+        (resp.hits, resp.audit_threshold)
+    };
+    let status = || service.mutation_status(cid).unwrap();
+    let refused = |outcome: Result<bool, ServiceError>| {
+        assert!(
+            matches!(outcome, Err(ServiceError::Internal(_))),
+            "a refused upload must fail the compaction: {outcome:?}"
+        );
+    };
+    mutate(&[1], Object::new(vec![1, 11]));
+    let (status_before, answer_before) = (status(), answer());
+    assert_eq!((status_before.delta, status_before.tombstones), (1, 1));
+
+    // the rebuilt base is refused
+    backend.fail_next.store(true, Ordering::SeqCst);
+    refused(service.compact_collection(cid));
+    assert_eq!(status(), status_before);
+    assert_eq!(answer(), answer_before);
+
+    // an insert lands while the compactor uploads its rebuilt base
+    // off-lock; the residual delta it leaves behind is then refused
+    let (reached_tx, reached_rx) = channel();
+    let (resume_tx, resume_rx) = channel();
+    *backend.park_next.lock().unwrap() = Some((reached_tx, resume_rx));
+    let (status_raced, answer_raced) = std::thread::scope(|scope| {
+        let compaction = scope.spawn(|| service.compact_collection(cid));
+        reached_rx.recv().unwrap();
+        mutate(&[], Object::new(vec![1, 11, 3]));
+        let raced = (status(), answer());
+        backend.fail_next.store(true, Ordering::SeqCst);
+        resume_tx.send(()).unwrap();
+        refused(compaction.join().unwrap());
+        raced
+    });
+    assert_eq!(status_raced.delta, 2);
+    assert_eq!(status(), status_raced, "nothing may be half-applied");
+    assert_eq!(answer(), answer_raced);
+    assert_eq!(service.stats().compactions, 0);
+
+    // the next compaction folds everything, answers unchanged
+    assert_eq!(service.compact_collection(cid), Ok(true));
+    let folded = status();
+    assert_eq!((folded.delta, folded.tombstones), (0, 0));
+    assert_eq!((folded.live, folded.next_id), (21, 22));
+    assert_eq!(answer(), answer_raced);
+    assert_eq!(service.stats().compactions, 1);
 }

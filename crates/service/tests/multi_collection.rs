@@ -18,7 +18,7 @@ use genie_core::model::{Object, Query};
 use genie_service::{GenieService, QueryScheduler, SchedulerConfig, ServiceConfig};
 
 mod common;
-use common::SlowCpu;
+use common::{serve, SlowCpu};
 
 /// An index where keyword `kw` maps to objects `kw % modulus == id % modulus`
 /// — shifted by `offset` so two builds are distinguishable.
@@ -209,7 +209,7 @@ fn backend_failures_accumulate_across_waves() {
             ..Default::default()
         },
     );
-    let service = GenieService::start(
+    let (service, cid) = serve(
         scheduler,
         &index,
         ServiceConfig {
@@ -218,15 +218,20 @@ fn backend_failures_accumulate_across_waves() {
             cache_capacity: 0, // every request must reach the scheduler
             ..Default::default()
         },
-    )
-    .expect("service starts");
+    );
 
     // several separate waves; distinct per-request ks force many
     // micro-batches per wave, so the flaky worker reliably pops (and
     // panics on) at least one before the CPU worker drains the rest
     for wave in 0..4 {
         let tickets: Vec<_> = (0..8)
-            .map(|i| service.submit(Query::from_keywords(&[(wave * 8 + i) % 5]), 1 + i as usize))
+            .map(|i| {
+                service.submit_to(
+                    cid,
+                    Query::from_keywords(&[(wave * 8 + i) % 5]),
+                    1 + i as usize,
+                )
+            })
             .collect();
         for t in tickets {
             t.wait().expect("CPU backend serves every batch");

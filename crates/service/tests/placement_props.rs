@@ -22,9 +22,7 @@ use genie_core::backend::{CpuBackend, SearchBackend};
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, ObjectId, Query};
 use genie_core::placement::PlacementPlan;
-use genie_service::{
-    GenieService, QueryScheduler, SchedulerConfig, ServiceConfig, DEFAULT_COLLECTION,
-};
+use genie_service::{GenieService, QueryScheduler, SchedulerConfig, ServiceConfig};
 use proptest::prelude::*;
 
 fn index_of(corpus: &[Vec<u32>]) -> Arc<InvertedIndex> {
@@ -426,5 +424,5 @@ fn invalid_placement_plans_are_rejected() {
         service.collection_placement(cid).unwrap(),
         vec![vec![0], vec![1], vec![0, 1]]
     );
-    let _ = service.submit_to(DEFAULT_COLLECTION, Query::from_keywords(&[1]), 3);
+    let _ = service.submit_to(cid, Query::from_keywords(&[1]), 3);
 }

@@ -10,11 +10,11 @@ use genie_core::backend::{BackendCaps, BackendIndex, BackendKind, CpuBackend, Se
 use genie_core::exec::{Engine, SearchOutput};
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query};
-use genie_service::{GenieService, QueryRequest, QueryScheduler, SchedulerConfig, ServiceConfig};
+use genie_service::{QueryRequest, QueryScheduler, SchedulerConfig, ServiceConfig};
 use gpu_sim::Device;
 
 mod common;
-use common::SlowCpu;
+use common::{serve, SlowCpu};
 
 fn index_of_mod(n: u32, modulus: u32) -> Arc<InvertedIndex> {
     let mut b = IndexBuilder::new();
@@ -43,7 +43,7 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
         ],
         SchedulerConfig::default(),
     );
-    let service = GenieService::start(
+    let (service, cid) = serve(
         scheduler,
         &index,
         ServiceConfig {
@@ -52,8 +52,7 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
             cache_capacity: 0, // isolate batching behaviour from caching
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     let barrier = Barrier::new(N);
     let responses: Vec<(Query, usize, genie_service::QueryResponse)> =
@@ -69,7 +68,7 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
                                 let kw = ((t * M + j) % 37) as u32;
                                 let query = Query::from_keywords(&[kw, 100 + (j % 5) as u32]);
                                 let k = 3 + t % 2 * 4; // two distinct ks across the fleet
-                                (query.clone(), k, service.submit(query, k))
+                                (query.clone(), k, service.submit_to(cid, query, k))
                             })
                             .collect();
                         tickets
@@ -123,7 +122,7 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
 #[test]
 fn cache_hits_return_bit_identical_results() {
     let index = index_of_mod(120, 11);
-    let service = GenieService::start(
+    let (service, cid) = serve(
         QueryScheduler::single(Arc::new(CpuBackend::new())),
         &index,
         ServiceConfig {
@@ -132,16 +131,15 @@ fn cache_hits_return_bit_identical_results() {
             cache_capacity: 64,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     let query = Query::from_keywords(&[4, 102]);
-    let first = service.submit(query.clone(), 5).wait().unwrap();
-    let second = service.submit(query.clone(), 5).wait().unwrap();
+    let first = service.submit_to(cid, query.clone(), 5).wait().unwrap();
+    let second = service.submit_to(cid, query.clone(), 5).wait().unwrap();
     assert_eq!(first.hits, second.hits, "cache must be bit-identical");
     assert_eq!(first.audit_threshold, second.audit_threshold);
 
-    let different_k = service.submit(query, 2).wait().unwrap();
+    let different_k = service.submit_to(cid, query, 2).wait().unwrap();
     assert!(different_k.hits.len() <= 2);
 
     let stats = service.stats();
@@ -158,7 +156,7 @@ fn cache_hits_return_bit_identical_results() {
 fn swap_index_invalidates_the_cache() {
     let sparse = index_of_mod(60, 60); // keyword 7 matches exactly 1 object
     let dense = index_of_mod(60, 3); // keyword 7: no object (only 0,1,2 used)
-    let service = GenieService::start(
+    let (service, cid) = serve(
         QueryScheduler::single(Arc::new(CpuBackend::new())),
         &sparse,
         ServiceConfig {
@@ -167,15 +165,14 @@ fn swap_index_invalidates_the_cache() {
             cache_capacity: 64,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     let query = Query::from_keywords(&[7]);
-    let before = service.submit(query.clone(), 4).wait().unwrap();
+    let before = service.submit_to(cid, query.clone(), 4).wait().unwrap();
     assert_eq!(before.hits.len(), 1);
 
-    service.swap_index(&dense).unwrap();
-    let after = service.submit(query, 4).wait().unwrap();
+    service.swap_collection(cid, &dense).unwrap();
+    let after = service.submit_to(cid, query, 4).wait().unwrap();
     assert!(
         after.hits.is_empty(),
         "stale cached answer served after re-prepare: {:?}",
@@ -190,7 +187,7 @@ fn swap_index_invalidates_the_cache() {
 fn deadline_trigger_serves_a_lone_request() {
     let index = index_of_mod(80, 13);
     let delay = Duration::from_millis(50);
-    let service = GenieService::start(
+    let (service, cid) = serve(
         QueryScheduler::single(Arc::new(CpuBackend::new())),
         &index,
         ServiceConfig {
@@ -199,11 +196,10 @@ fn deadline_trigger_serves_a_lone_request() {
             cache_capacity: 0,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     let started = Instant::now();
-    let ticket = service.submit(Query::from_keywords(&[3]), 4);
+    let ticket = service.submit_to(cid, Query::from_keywords(&[3]), 4);
     let resp = ticket
         .wait_timeout(Duration::from_secs(5))
         .expect("lone request must not be stranded")
@@ -225,7 +221,7 @@ fn deadline_trigger_serves_a_lone_request() {
 fn size_trigger_cuts_a_full_batch_before_the_deadline() {
     let index = index_of_mod(80, 13);
     let cap = 8usize;
-    let service = GenieService::start(
+    let (service, cid) = serve(
         QueryScheduler::new(
             vec![Arc::new(CpuBackend::new())],
             SchedulerConfig {
@@ -241,11 +237,10 @@ fn size_trigger_cuts_a_full_batch_before_the_deadline() {
             cache_capacity: 0,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     let tickets: Vec<_> = (0..cap)
-        .map(|i| service.submit(Query::from_keywords(&[i as u32 % 13]), 5))
+        .map(|i| service.submit_to(cid, Query::from_keywords(&[i as u32 % 13]), 5))
         .collect();
     for ticket in tickets {
         let resolved = ticket.wait_timeout(Duration::from_secs(5));
@@ -365,7 +360,7 @@ fn service_survives_a_panicking_fleet_member() {
         ],
         SchedulerConfig::default(),
     );
-    let service = GenieService::start(
+    let (service, cid) = serve(
         scheduler,
         &index,
         ServiceConfig {
@@ -374,10 +369,9 @@ fn service_survives_a_panicking_fleet_member() {
             cache_capacity: 0,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     let tickets: Vec<_> = (0..10)
-        .map(|i| service.submit(Query::from_keywords(&[i % 13]), 3))
+        .map(|i| service.submit_to(cid, Query::from_keywords(&[i % 13]), 3))
         .collect();
     for ticket in tickets {
         let resp = ticket.wait().expect("failover keeps clients whole");
@@ -403,7 +397,7 @@ fn circuit_breaker_retires_a_repeatedly_failing_backend() {
             ..Default::default()
         },
     );
-    let service = GenieService::start(
+    let (service, cid) = serve(
         scheduler,
         &index,
         ServiceConfig {
@@ -413,12 +407,11 @@ fn circuit_breaker_retires_a_repeatedly_failing_backend() {
             probe_after_runs: 1_000_000, // no probe during this test
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     for round in 0..12u32 {
         let tickets: Vec<_> = (0..8)
-            .map(|i| service.submit(Query::from_keywords(&[(round * 8 + i) % 13]), 3))
+            .map(|i| service.submit_to(cid, Query::from_keywords(&[(round * 8 + i) % 13]), 3))
             .collect();
         for t in tickets {
             assert!(!t
@@ -461,7 +454,7 @@ fn probe_readmits_a_recovered_backend() {
             ..Default::default()
         },
     );
-    let service = GenieService::start(
+    let (service, cid) = serve(
         scheduler,
         &index,
         ServiceConfig {
@@ -471,15 +464,14 @@ fn probe_readmits_a_recovered_backend() {
             probe_after_runs: 2,  // probed every other run
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
 
     // keep serving waves until the breaker has walked the whole cycle:
     // retire -> failing probe (stays retired) -> passing probe -> back
     let mut recovered = false;
     for round in 0..40u32 {
         let tickets: Vec<_> = (0..8)
-            .map(|i| service.submit(Query::from_keywords(&[(round * 8 + i) % 13]), 3))
+            .map(|i| service.submit_to(cid, Query::from_keywords(&[(round * 8 + i) % 13]), 3))
             .collect();
         for t in tickets {
             t.wait().expect("every ticket resolves");
@@ -520,7 +512,7 @@ fn zero_batch_cap_fails_at_scheduler_construction() {
 #[test]
 fn shutdown_flushes_queued_requests() {
     let index = index_of_mod(60, 7);
-    let service = GenieService::start(
+    let (service, cid) = serve(
         QueryScheduler::single(Arc::new(CpuBackend::new())),
         &index,
         ServiceConfig {
@@ -529,11 +521,10 @@ fn shutdown_flushes_queued_requests() {
             cache_capacity: 0,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     // far below the size trigger, far before the deadline
     let tickets: Vec<_> = (0..3)
-        .map(|i| service.submit(Query::from_keywords(&[i % 7]), 2))
+        .map(|i| service.submit_to(cid, Query::from_keywords(&[i % 7]), 2))
         .collect();
     drop(service); // graceful shutdown = final flush wave
     for ticket in tickets {

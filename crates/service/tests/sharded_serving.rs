@@ -27,7 +27,7 @@ use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{match_count, Object, Query, QueryItem};
 use genie_core::shard::ShardPlan;
 use genie_core::topk::{audit_threshold, reference_top_k};
-use genie_service::{GenieService, QueryScheduler, SchedulerConfig, ServiceConfig};
+use genie_service::{GenieService, QueryRequest, QueryScheduler, SchedulerConfig, ServiceConfig};
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 
@@ -196,7 +196,8 @@ proptest! {
 }
 
 /// `add_collection_sharded` over a shard-count sweep: identical answers
-/// at every count, with the count clamped to the collection size.
+/// at every count, with the count clamped to the collection size — and
+/// every group run counted as exactly one scheduler run per shard.
 #[test]
 fn shard_count_sweep_is_answer_invariant() {
     let objects: Vec<Object> = (0..50)
@@ -204,20 +205,50 @@ fn shard_count_sweep_is_answer_invariant() {
         .collect();
     let index = index_of(&objects);
     let service = service_over(Arc::new(CpuBackend::new()));
-    let whole = service.add_collection("whole", &index).unwrap();
     let query = Query::from_keywords(&[3, 52]);
-    let baseline = service.submit_to(whole, query.clone(), 7).wait().unwrap();
+
+    // the reference: one direct scheduler run, no service in between
+    let direct = QueryScheduler::single(Arc::new(CpuBackend::new()));
+    let prepared = direct.prepare(&index).expect("host index fits");
+    let (responses, _) = direct
+        .run_prepared(&prepared, &[QueryRequest::new(0, query.clone(), 7)])
+        .expect("direct run");
+    let baseline = &responses[0];
+
+    // every way of registering ONE shard serves through the same
+    // fan-out and must reproduce the direct run bit for bit
+    let one_shard = [
+        service.add_collection("whole", &index).unwrap(),
+        service.add_collection_sharded("s1", &index, 1).unwrap(),
+        service
+            .add_collection_plan("p1", &ShardPlan::build(&objects, 1, None))
+            .unwrap(),
+    ];
+    for id in one_shard {
+        assert_eq!(service.collection_shards(id), Some(1));
+        let resp = service.submit_to(id, query.clone(), 7).wait().unwrap();
+        assert_eq!(resp.hits, baseline.hits, "collection {id}");
+        assert_eq!(resp.audit_threshold, baseline.audit_threshold);
+    }
 
     for shards in [1usize, 2, 3, 5, 8, 50, 200] {
         let id = service
             .add_collection_sharded(&format!("s{shards}"), &index, shards)
             .unwrap();
+        let served_shards = shards.clamp(1, 50);
         assert_eq!(
             service.collection_shards(id),
-            Some(shards.clamp(1, 50)),
+            Some(served_shards),
             "{shards} requested"
         );
+        // one awaited request = one wave = one group run (no cache)
+        let runs_before = service.stats().shard_runs;
         let resp = service.submit_to(id, query.clone(), 7).wait().unwrap();
+        assert_eq!(
+            service.stats().shard_runs - runs_before,
+            served_shards as u64,
+            "a group run over {served_shards} shards is {served_shards} shard runs"
+        );
         assert_eq!(resp.hits, baseline.hits, "{shards} shards");
         assert_eq!(resp.audit_threshold, baseline.audit_threshold);
     }

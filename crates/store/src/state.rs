@@ -75,7 +75,7 @@ impl CollectionState {
             load_balance: plan.load_balance(),
             base: plan.base().to_vec(),
             delta: plan.delta_entries().to_vec(),
-            tombstones: plan.tombstones().collect(),
+            tombstones: plan.tombstones().iter().copied().collect(),
             next_id: plan.next_id(),
             placement,
         }

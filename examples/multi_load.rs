@@ -1,5 +1,5 @@
 //! Multiple loading (paper §III-D): searching a data set whose index
-//! exceeds device memory by swapping index parts through the device —
+//! exceeds device memory by swapping index shards through the device —
 //! the Table II/III scenario — then the same data served through the
 //! typed facade on a multi-device backend, where part swapping hides
 //! behind `Collection::search` entirely.
@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use genie::core::domain::Domain;
-use genie::core::multiload::{build_parts, multi_load_search};
+use genie::core::multiload::multi_load_search;
 use genie::datasets::points::sift_like;
 use genie::lsh::e2lsh::E2Lsh;
 use genie::prelude::*;
@@ -53,9 +53,9 @@ fn main() {
 
     // ...so split into parts that do fit and run the multi-load search
     let objects = whole.reconstruct_objects();
-    let parts = build_parts(&objects, 10_000, None);
-    println!("running {} parts through the device...", parts.len());
-    let (results, report) = multi_load_search(&engine, &parts, &queries, k);
+    let parts = ShardPlan::build(&objects, objects.len().div_ceil(10_000), None);
+    println!("running {} parts through the device...", parts.num_shards());
+    let (results, report) = multi_load_search(&engine, parts.shards(), &queries, k);
 
     println!(
         "index swapping: {:.1} us, matching: {:.1} us, merging: {:.1} us host",

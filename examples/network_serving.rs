@@ -43,13 +43,15 @@ fn main() {
     let index = Arc::new(builder.build(None));
 
     let service = Arc::new(
-        GenieService::start(
+        GenieService::start_empty(
             QueryScheduler::single(Arc::new(CpuBackend::new())),
-            &index,
             ServiceConfig::default(),
         )
         .expect("service starts"),
     );
+    let corpus = service
+        .add_collection("corpus", &index)
+        .expect("index fits the backend");
 
     // port 0: the OS picks a free port, handle.addr() reports it
     let mut handle = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
@@ -77,7 +79,7 @@ fn main() {
                     .map(|q| {
                         client
                             .send(&genie::net::frame::Request::Search {
-                                collection: genie::service::DEFAULT_COLLECTION,
+                                collection: corpus,
                                 k: 5,
                                 query: q.clone(),
                             })

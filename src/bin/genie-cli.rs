@@ -808,7 +808,7 @@ fn serve(args: &Args, lines: &[&str], db: &GenieDb) {
         stats.batches,
         stats.mean_batch_occupancy()
     );
-    if stats.shard_runs > 0 {
+    if args.shards > 1 {
         println!(
             "sharded dispatch: {} scheduler runs across {} shards ({} placement-routed)",
             stats.shard_runs, args.shards, stats.placed_shard_runs

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use genie::core::model::match_count;
-use genie::core::multiload::{build_parts, multi_load_search};
+use genie::core::multiload::multi_load_search;
 use genie::prelude::*;
 use proptest::prelude::*;
 
@@ -64,10 +64,10 @@ proptest! {
         (objects, queries, k, part) in (arb_objects(), arb_queries(), 1usize..8, 1usize..40)
     ) {
         let engine = Engine::new(Arc::new(Device::with_defaults()));
-        let single = build_parts(&objects, objects.len(), None);
-        let parts = build_parts(&objects, part, None);
-        let (a, _) = multi_load_search(&engine, &single, &queries, k);
-        let (b, _) = multi_load_search(&engine, &parts, &queries, k);
+        let single = ShardPlan::build(&objects, 1, None);
+        let parts = ShardPlan::build(&objects, objects.len().div_ceil(part), None);
+        let (a, _) = multi_load_search(&engine, single.shards(), &queries, k);
+        let (b, _) = multi_load_search(&engine, parts.shards(), &queries, k);
         for qi in 0..queries.len() {
             let ca: Vec<u32> = a[qi].iter().map(|h| h.count).collect();
             let cb: Vec<u32> = b[qi].iter().map(|h| h.count).collect();

@@ -3,23 +3,21 @@
 //! Multiple loading (paper §III-D) keeps one prebuilt index per data
 //! part in host memory and swaps them through the device. For data sets
 //! whose parts are built offline, the parts need a storage format; this
-//! module provides a versioned little-endian codec over [`bytes`]
-//! buffers (far denser than generic serde encodings: the List Array is
-//! the payload and is written verbatim).
+//! module provides a versioned one (far denser than generic serde
+//! encodings: the List Array is the payload and is written verbatim).
 //!
-//! Layout (all integers little-endian):
+//! Layout, in the primitives of [`crate::codec`]:
 //!
 //! ```text
 //! magic "GNIE" | version u16 | flags u16 (bit0: load-balanced)
-//! num_objects u32 | max_object_len u32 | longest_list u64
-//! [max_list_len u64]                 -- iff load-balanced
-//! num_entries u32 | entries: (keyword, start, len) u32 triples
-//! list_len u32 | list_array: u32 words
+//! num_objects u32 | max_object_len u32 | longest_list usize
+//! [max_list_len usize]               -- iff load-balanced
+//! entries: count | (keyword, start, len) u32 triples
+//! list_array: u32s
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use crate::index::{InvertedIndex, LoadBalanceConfig};
+use crate::codec::{self, Reader, Writer};
+use crate::index::{InvertedIndex, LoadBalanceConfig, PostingsEntry};
 
 const MAGIC: &[u8; 4] = b"GNIE";
 const VERSION: u16 = 1;
@@ -51,116 +49,83 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Serialise an index into a fresh buffer.
-pub fn encode_index(index: &InvertedIndex) -> Bytes {
-    let entries = index.entries_raw();
-    let list = index.list_array();
-    let mut buf = BytesMut::with_capacity(32 + entries.len() * 12 + list.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    let lb = index.load_balance();
-    buf.put_u16_le(u16::from(lb.is_some()));
-    buf.put_u32_le(index.num_objects());
-    buf.put_u32_le(index.max_object_len() as u32);
-    buf.put_u64_le(index.longest_list() as u64);
-    if let Some(cfg) = lb {
-        buf.put_u64_le(cfg.max_list_len as u64);
+impl From<codec::DecodeError> for DecodeError {
+    fn from(e: codec::DecodeError) -> Self {
+        match e {
+            // a declared length the buffer cannot back is the buffer
+            // ending early, whichever check noticed first
+            codec::DecodeError::Truncated { .. } | codec::DecodeError::LengthOverrun { .. } => {
+                Self::Truncated
+            }
+            _ => Self::Corrupt("malformed field"),
+        }
     }
-    buf.put_u32_le(entries.len() as u32);
-    for e in entries {
-        buf.put_u32_le(e.keyword);
-        buf.put_u32_le(e.start);
-        buf.put_u32_le(e.len);
-    }
-    buf.put_u32_le(list.len() as u32);
-    for &w in list {
-        buf.put_u32_le(w);
-    }
-    buf.freeze()
 }
 
-/// A u64 size field that must index host memory. Rejecting values that
-/// don't fit `usize` (32-bit hosts) keeps a corrupt snapshot from
-/// silently truncating a size through an `as` cast.
-fn size_field(raw: u64) -> Result<usize, DecodeError> {
-    usize::try_from(raw).map_err(|_| DecodeError::Corrupt("size field exceeds usize"))
+/// Serialise an index into a fresh buffer.
+pub fn encode_index(index: &InvertedIndex) -> Vec<u8> {
+    let entries = index.entries_raw();
+    let list = index.list_array();
+    let mut w = Writer::with_capacity(40 + entries.len() * 12 + list.len() * 4);
+    w.put_raw(MAGIC);
+    w.put_u16(VERSION);
+    let lb = index.load_balance();
+    w.put_u16(u16::from(lb.is_some()));
+    w.put_u32(index.num_objects());
+    w.put_u32(index.max_object_len() as u32);
+    w.put_usize(index.longest_list());
+    if let Some(cfg) = lb {
+        w.put_usize(cfg.max_list_len);
+    }
+    w.put_count(entries.len());
+    for e in entries {
+        w.put_u32(e.keyword);
+        w.put_u32(e.start);
+        w.put_u32(e.len);
+    }
+    w.put_u32s(list);
+    w.into_vec()
 }
 
 /// Deserialise an index previously produced by [`encode_index`].
 ///
-/// Every length prefix is validated against the bytes actually present
-/// **before** any allocation is sized from it, and all derived byte
-/// counts use checked arithmetic — a corrupt or adversarial buffer can
-/// produce only a typed [`DecodeError`], never a huge allocation, an
-/// overflow or a panic (the discipline of `genie_net::wire`'s
-/// `ByteReader`, applied to the snapshot codec).
-pub fn decode_index(mut buf: impl Buf) -> Result<InvertedIndex, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+/// Every count is validated against the bytes actually present
+/// **before** any allocation is sized from it ([`Reader::count`]) — a
+/// corrupt or adversarial buffer can produce only a typed
+/// [`DecodeError`], never a huge allocation, an overflow or a panic.
+pub fn decode_index(buf: &[u8]) -> Result<InvertedIndex, DecodeError> {
+    let mut r = Reader::new(buf);
+    if r.take(4, "magic")? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = r.get_u16("version")?;
     if version != VERSION {
         return Err(DecodeError::UnsupportedVersion(version));
     }
-    let flags = buf.get_u16_le();
+    let flags = r.get_u16("flags")?;
     if flags & !1 != 0 {
         return Err(DecodeError::Corrupt("unknown flag bits set"));
     }
-    if buf.remaining() < 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let num_objects = buf.get_u32_le();
-    let max_object_len = buf.get_u32_le() as usize;
-    let longest_list = size_field(buf.get_u64_le())?;
+    let num_objects = r.get_u32("num_objects")?;
+    let max_object_len = r.get_u32("max_object_len")? as usize;
+    let longest_list = r.get_usize("longest_list")?;
     let load_balance = if flags & 1 != 0 {
-        if buf.remaining() < 8 {
-            return Err(DecodeError::Truncated);
-        }
         Some(LoadBalanceConfig {
-            max_list_len: size_field(buf.get_u64_le())?,
+            max_list_len: r.get_usize("max_list_len")?,
         })
     } else {
         None
     };
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let num_entries = buf.get_u32_le() as usize;
-    let entry_bytes = num_entries
-        .checked_mul(12)
-        .ok_or(DecodeError::Corrupt("entry count overflows byte length"))?;
-    if buf.remaining() < entry_bytes {
-        // declared length validated against the buffer *before* the
-        // Vec below is sized from it
-        return Err(DecodeError::Truncated);
-    }
+    let num_entries = r.count(12, "entries")?;
     let mut entries = Vec::with_capacity(num_entries);
     for _ in 0..num_entries {
-        entries.push(crate::index::PostingsEntry {
-            keyword: buf.get_u32_le(),
-            start: buf.get_u32_le(),
-            len: buf.get_u32_le(),
+        entries.push(PostingsEntry {
+            keyword: r.get_u32("entry keyword")?,
+            start: r.get_u32("entry start")?,
+            len: r.get_u32("entry len")?,
         });
     }
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let list_len = buf.get_u32_le() as usize;
-    let list_bytes = list_len
-        .checked_mul(4)
-        .ok_or(DecodeError::Corrupt("list length overflows byte length"))?;
-    if buf.remaining() < list_bytes {
-        return Err(DecodeError::Truncated);
-    }
-    let mut list_array = Vec::with_capacity(list_len);
-    for _ in 0..list_len {
-        list_array.push(buf.get_u32_le());
-    }
+    let list_array = r.get_u32s("list array")?;
     // structural validation
     let mut last_kw = None;
     for e in &entries {
@@ -209,7 +174,7 @@ mod tests {
     fn round_trip_plain() {
         let idx = sample(None);
         let bytes = encode_index(&idx);
-        let back = decode_index(bytes).unwrap();
+        let back = decode_index(&bytes).unwrap();
         assert_eq!(back.num_objects(), idx.num_objects());
         assert_eq!(back.list_array(), idx.list_array());
         assert_eq!(back.postings_of(3), idx.postings_of(3));
@@ -220,7 +185,7 @@ mod tests {
     fn round_trip_load_balanced() {
         let lb = LoadBalanceConfig { max_list_len: 4 };
         let idx = sample(Some(lb));
-        let back = decode_index(encode_index(&idx)).unwrap();
+        let back = decode_index(&encode_index(&idx)).unwrap();
         assert_eq!(back.load_balance(), Some(lb));
         assert_eq!(back.postings_of(0), idx.postings_of(0));
         assert_eq!(back.num_lists(), idx.num_lists());
@@ -229,7 +194,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic() {
         assert_eq!(
-            decode_index(&b"NOPE........"[..]).unwrap_err(),
+            decode_index(b"NOPE........").unwrap_err(),
             DecodeError::BadMagic
         );
     }
@@ -250,13 +215,13 @@ mod tests {
     /// the process — worse than a panic).
     #[test]
     fn absurd_length_prefixes_fail_without_allocating() {
-        let mut raw = encode_index(&sample(None)).to_vec();
+        let mut raw = encode_index(&sample(None));
         let entry_count_at = 24; // header (no LB) ends here
         raw[entry_count_at..entry_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_index(&raw[..]).unwrap_err(), DecodeError::Truncated);
 
         // same for the List Array length prefix
-        let mut raw = encode_index(&sample(None)).to_vec();
+        let mut raw = encode_index(&sample(None));
         let n = raw.len();
         raw[n - 4 * 100 - 4..n - 4 * 100].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_index(&raw[..]).is_err());
@@ -264,7 +229,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flag_bits() {
-        let mut raw = encode_index(&sample(None)).to_vec();
+        let mut raw = encode_index(&sample(None));
         raw[6] |= 0x02;
         assert!(matches!(
             decode_index(&raw[..]),
@@ -274,7 +239,7 @@ mod tests {
 
     #[test]
     fn rejects_inconsistent_longest_list() {
-        let mut raw = encode_index(&sample(None)).to_vec();
+        let mut raw = encode_index(&sample(None));
         // longest_list lives at offset 16..24; zero it while entries
         // still carry non-empty lists
         raw[16..24].copy_from_slice(&0u64.to_le_bytes());
@@ -293,7 +258,7 @@ mod tests {
         let bytes = encode_index(&sample(Some(LoadBalanceConfig { max_list_len: 4 })));
         for pos in 0..bytes.len() {
             for bit in 0..8 {
-                let mut raw = bytes.to_vec();
+                let mut raw = bytes.clone();
                 raw[pos] ^= 1 << bit;
                 if let Ok(idx) = decode_index(&raw[..]) {
                     // decoded fine — invariants must hold
@@ -306,7 +271,7 @@ mod tests {
 
     #[test]
     fn rejects_future_version() {
-        let mut raw = encode_index(&sample(None)).to_vec();
+        let mut raw = encode_index(&sample(None));
         raw[4] = 0xFF; // bump version field
         assert!(matches!(
             decode_index(&raw[..]),
@@ -317,7 +282,7 @@ mod tests {
     #[test]
     fn detects_corrupt_entry_bounds() {
         let idx = sample(None);
-        let mut raw = encode_index(&idx).to_vec();
+        let mut raw = encode_index(&idx);
         // entry table starts at offset 24 (no LB); corrupt first entry's
         // start to point far past the list array
         let entry_start = 24 + 4;
@@ -335,7 +300,7 @@ mod tests {
         use std::sync::Arc;
 
         let idx = sample(None);
-        let back = decode_index(encode_index(&idx)).unwrap();
+        let back = decode_index(&encode_index(&idx)).unwrap();
         let engine = Engine::new(Arc::new(gpu_sim::Device::with_defaults()));
         let d1 = engine.upload(Arc::new(idx)).unwrap();
         let d2 = engine.upload(Arc::new(back)).unwrap();

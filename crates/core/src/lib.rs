@@ -27,7 +27,10 @@
 //!   collection carries one, empty until its first write), with a
 //!   snapshot/compact/apply background-compaction protocol, so
 //!   collections absorb inserts and deletes with search results
-//!   provably identical to a from-scratch rebuild.
+//!   provably identical to a from-scratch rebuild;
+//! * the **byte codec** ([`codec`]) — the one bounds-checked
+//!   little-endian writer/reader pair behind the wire protocol, the
+//!   journal, the snapshots and the index payloads of [`io`].
 //!
 //! ## Search backends
 //!
@@ -77,6 +80,7 @@
 //! ```
 
 pub mod backend;
+pub mod codec;
 pub mod cpq;
 pub mod delta;
 pub mod domain;

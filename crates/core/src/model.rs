@@ -16,6 +16,8 @@
 //! by tests and CPU baselines; the device engine must agree with it
 //! exactly.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 /// Identifier of an encoded universe element (a "keyword" of the
@@ -58,6 +60,10 @@ impl From<Vec<KeywordId>> for Object {
 /// every `Domain::encode` implementation, so malformed specs surface as
 /// a typed error at *encode* time instead of tripping `debug_assert`s
 /// (or producing silently-wrong counts) deep inside the match kernel.
+///
+/// The same type travels the wire (`genie_net`'s `WireError::Build`):
+/// the descriptive `what`/`expected` fields are `Cow` so a validator
+/// names them with a literal and a decoder with the received string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryBuildError {
     /// The query spec has no dimensions/items at all.
@@ -70,9 +76,9 @@ pub enum QueryBuildError {
         universe: KeywordId,
     },
     /// A numeric input that must be finite is NaN or infinite.
-    NonFinite { what: &'static str },
+    NonFinite { what: Cow<'static, str> },
     /// A weight/value that must be non-negative is negative.
-    Negative { what: &'static str },
+    Negative { what: Cow<'static, str> },
     /// An item's numeric range is empty (`lo > hi`), in attribute
     /// units.
     EmptyNumericRange { attr: usize, lo: f64, hi: f64 },
@@ -80,7 +86,10 @@ pub enum QueryBuildError {
     UnknownAttribute { attr: usize, num_attributes: usize },
     /// A condition's kind does not match its attribute's kind (e.g. a
     /// numeric range over a categorical attribute).
-    TypeMismatch { attr: usize, expected: &'static str },
+    TypeMismatch {
+        attr: usize,
+        expected: Cow<'static, str>,
+    },
     /// A categorical value beyond its attribute's cardinality.
     ValueOutOfRange {
         attr: usize,

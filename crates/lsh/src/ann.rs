@@ -133,7 +133,7 @@ where
         }
         if spec.iter().any(|c| !c.is_finite()) {
             return Err(QueryBuildError::NonFinite {
-                what: "query point coordinate",
+                what: "query point coordinate".into(),
             });
         }
         Ok(self.transformer.to_query(&spec[..]))
@@ -150,7 +150,7 @@ where
         }
         if item.iter().any(|c| !c.is_finite()) {
             return Err(QueryBuildError::NonFinite {
-                what: "data point coordinate",
+                what: "data point coordinate".into(),
             });
         }
         Ok(self.transformer.to_object(&item[..]))
@@ -266,13 +266,13 @@ mod tests {
         assert_eq!(
             ann.encode(&vec![1.0, f32::NAN, 0.0, 0.0]),
             Err(QueryBuildError::NonFinite {
-                what: "query point coordinate"
+                what: "query point coordinate".into()
             })
         );
         assert_eq!(
             ann.encode(&vec![1.0, f32::INFINITY, 0.0, 0.0]),
             Err(QueryBuildError::NonFinite {
-                what: "query point coordinate"
+                what: "query point coordinate".into()
             })
         );
     }

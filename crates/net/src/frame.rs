@@ -7,10 +7,9 @@
 //! here is pure buffer work — no sockets — so the torture suite can
 //! hammer the decoder with truncated/garbage/oversized inputs directly.
 
-use genie_core::model::{Query, QueryBuildError, QueryItem};
+use genie_core::codec::{DecodeError, Reader, Writer};
+use genie_core::model::{Query, QueryBuildError};
 use genie_core::topk::TopHit;
-
-use crate::wire::{ByteReader, ByteWriter, DecodeError};
 
 /// The protocol version this build speaks. A [`Request::Hello`]
 /// carrying any other version is rejected with
@@ -170,139 +169,13 @@ pub enum Response {
     Error { error: WireError },
 }
 
-/// `QueryBuildError` as it travels the wire. Identical taxonomy, but
-/// `&'static str` payloads become owned strings on decode — use
-/// [`BuildError::from`] to convert outbound and compare variants
-/// inbound.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BuildError {
-    EmptyQuery,
-    EmptyRange {
-        lo: u32,
-        hi: u32,
-    },
-    KeywordOutOfRange {
-        keyword: u32,
-        universe: u32,
-    },
-    NonFinite {
-        what: String,
-    },
-    Negative {
-        what: String,
-    },
-    EmptyNumericRange {
-        attr: u64,
-        lo: f64,
-        hi: f64,
-    },
-    UnknownAttribute {
-        attr: u64,
-        num_attributes: u64,
-    },
-    TypeMismatch {
-        attr: u64,
-        expected: String,
-    },
-    ValueOutOfRange {
-        attr: u64,
-        value: u32,
-        cardinality: u32,
-    },
-    RowArity {
-        got: u64,
-        expected: u64,
-    },
-}
-
-impl From<QueryBuildError> for BuildError {
-    fn from(e: QueryBuildError) -> Self {
-        match e {
-            QueryBuildError::EmptyQuery => Self::EmptyQuery,
-            QueryBuildError::EmptyRange { lo, hi } => Self::EmptyRange { lo, hi },
-            QueryBuildError::KeywordOutOfRange { keyword, universe } => {
-                Self::KeywordOutOfRange { keyword, universe }
-            }
-            QueryBuildError::NonFinite { what } => Self::NonFinite { what: what.into() },
-            QueryBuildError::Negative { what } => Self::Negative { what: what.into() },
-            QueryBuildError::EmptyNumericRange { attr, lo, hi } => Self::EmptyNumericRange {
-                attr: attr as u64,
-                lo,
-                hi,
-            },
-            QueryBuildError::UnknownAttribute {
-                attr,
-                num_attributes,
-            } => Self::UnknownAttribute {
-                attr: attr as u64,
-                num_attributes: num_attributes as u64,
-            },
-            QueryBuildError::TypeMismatch { attr, expected } => Self::TypeMismatch {
-                attr: attr as u64,
-                expected: expected.into(),
-            },
-            QueryBuildError::ValueOutOfRange {
-                attr,
-                value,
-                cardinality,
-            } => Self::ValueOutOfRange {
-                attr: attr as u64,
-                value,
-                cardinality,
-            },
-            QueryBuildError::RowArity { got, expected } => Self::RowArity {
-                got: got as u64,
-                expected: expected as u64,
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EmptyQuery => write!(f, "query spec has no items"),
-            Self::EmptyRange { lo, hi } => write!(f, "empty keyword range [{lo}, {hi}] (lo > hi)"),
-            Self::KeywordOutOfRange { keyword, universe } => {
-                write!(f, "keyword {keyword} outside the universe 0..{universe}")
-            }
-            Self::NonFinite { what } => write!(f, "{what} must be finite (got NaN or infinity)"),
-            Self::Negative { what } => write!(f, "{what} must be non-negative"),
-            Self::EmptyNumericRange { attr, lo, hi } => {
-                write!(f, "empty numeric range [{lo}, {hi}] on attribute {attr}")
-            }
-            Self::UnknownAttribute {
-                attr,
-                num_attributes,
-            } => write!(
-                f,
-                "attribute {attr} out of range (schema has {num_attributes})"
-            ),
-            Self::TypeMismatch { attr, expected } => {
-                write!(f, "attribute {attr} is not {expected}")
-            }
-            Self::ValueOutOfRange {
-                attr,
-                value,
-                cardinality,
-            } => write!(
-                f,
-                "value {value} out of range for attribute {attr} (cardinality {cardinality})"
-            ),
-            Self::RowArity { got, expected } => write!(
-                f,
-                "row has {got} cells but the schema has {expected} attributes"
-            ),
-        }
-    }
-}
-
 /// The full wire error taxonomy — what an [`Response::Error`] (or a
 /// handshake [`Response::Reject`]) carries. Mirrors the in-process
-/// types: `QueryBuildError` → [`WireError::Build`], `DbError`/
-/// `MutateError` variants → the corresponding variants here, plus the
-/// transport-only conditions (malformed frame, oversized frame,
-/// version mismatch, auth failure, shutdown).
+/// types: a `QueryBuildError` travels as itself inside
+/// [`WireError::Build`], `ServiceError`/`DbError` variants → the
+/// corresponding variants here, plus the transport-only conditions
+/// (malformed frame, oversized frame, version mismatch, auth failure,
+/// shutdown).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
     /// The frame could not be decoded (truncated body, unknown kind,
@@ -320,18 +193,16 @@ pub enum WireError {
     /// A request named a collection id the service does not have.
     UnknownCollection(u64),
     /// A delete/upsert named an object id that is not live
-    /// (mirrors `MutateError::UnknownId`; the batch was not applied).
+    /// (mirrors `ServiceError::UnknownId`; the batch was not applied).
     UnknownId(u32),
     /// Mirrors `DbError::NoBackends`.
     NoBackends,
     /// Mirrors `DbError::InvalidShards`.
     InvalidShards(String),
-    /// Operational service failure (mirrors `DbError::Service` /
-    /// `MutateError::Service` / `SearchError::Service`).
+    /// Operational service failure (mirrors `DbError::Service`).
     Service(String),
-    /// The query/item failed typed validation (mirrors
-    /// `QueryBuildError` via [`BuildError`]).
-    Build(BuildError),
+    /// The query/item failed typed validation.
+    Build(QueryBuildError),
 }
 
 impl std::fmt::Display for WireError {
@@ -363,7 +234,7 @@ impl std::error::Error for WireError {}
 
 impl From<QueryBuildError> for WireError {
     fn from(e: QueryBuildError) -> Self {
-        Self::Build(e.into())
+        Self::Build(e)
     }
 }
 
@@ -405,21 +276,22 @@ impl WireError {
             Self::InvalidShards(_) => ERR_INVALID_SHARDS,
             Self::Service(_) => ERR_SERVICE,
             Self::Build(b) => match b {
-                BuildError::EmptyQuery => ERR_BUILD_EMPTY_QUERY,
-                BuildError::EmptyRange { .. } => ERR_BUILD_EMPTY_RANGE,
-                BuildError::KeywordOutOfRange { .. } => ERR_BUILD_KEYWORD_OUT_OF_RANGE,
-                BuildError::NonFinite { .. } => ERR_BUILD_NON_FINITE,
-                BuildError::Negative { .. } => ERR_BUILD_NEGATIVE,
-                BuildError::EmptyNumericRange { .. } => ERR_BUILD_EMPTY_NUMERIC_RANGE,
-                BuildError::UnknownAttribute { .. } => ERR_BUILD_UNKNOWN_ATTRIBUTE,
-                BuildError::TypeMismatch { .. } => ERR_BUILD_TYPE_MISMATCH,
-                BuildError::ValueOutOfRange { .. } => ERR_BUILD_VALUE_OUT_OF_RANGE,
-                BuildError::RowArity { .. } => ERR_BUILD_ROW_ARITY,
+                QueryBuildError::EmptyQuery => ERR_BUILD_EMPTY_QUERY,
+                QueryBuildError::EmptyRange { .. } => ERR_BUILD_EMPTY_RANGE,
+                QueryBuildError::KeywordOutOfRange { .. } => ERR_BUILD_KEYWORD_OUT_OF_RANGE,
+                QueryBuildError::NonFinite { .. } => ERR_BUILD_NON_FINITE,
+                QueryBuildError::Negative { .. } => ERR_BUILD_NEGATIVE,
+                QueryBuildError::EmptyNumericRange { .. } => ERR_BUILD_EMPTY_NUMERIC_RANGE,
+                QueryBuildError::UnknownAttribute { .. } => ERR_BUILD_UNKNOWN_ATTRIBUTE,
+                QueryBuildError::TypeMismatch { .. } => ERR_BUILD_TYPE_MISMATCH,
+                QueryBuildError::ValueOutOfRange { .. } => ERR_BUILD_VALUE_OUT_OF_RANGE,
+                QueryBuildError::RowArity { .. } => ERR_BUILD_ROW_ARITY,
             },
         }
     }
 
-    fn encode(&self, w: &mut ByteWriter) {
+    fn encode(&self, w: &mut Writer) {
+        use QueryBuildError as B;
         w.put_u16(self.code());
         match self {
             Self::Protocol(d) | Self::Auth(d) | Self::InvalidShards(d) | Self::Service(d) => {
@@ -437,50 +309,51 @@ impl WireError {
             Self::UnknownCollection(id) => w.put_u64(*id),
             Self::UnknownId(id) => w.put_u32(*id),
             Self::Build(b) => match b {
-                BuildError::EmptyQuery => {}
-                BuildError::EmptyRange { lo, hi } => {
+                B::EmptyQuery => {}
+                B::EmptyRange { lo, hi } => {
                     w.put_u32(*lo);
                     w.put_u32(*hi);
                 }
-                BuildError::KeywordOutOfRange { keyword, universe } => {
+                B::KeywordOutOfRange { keyword, universe } => {
                     w.put_u32(*keyword);
                     w.put_u32(*universe);
                 }
-                BuildError::NonFinite { what } | BuildError::Negative { what } => w.put_str(what),
-                BuildError::EmptyNumericRange { attr, lo, hi } => {
-                    w.put_u64(*attr);
+                B::NonFinite { what } | B::Negative { what } => w.put_str(what),
+                B::EmptyNumericRange { attr, lo, hi } => {
+                    w.put_usize(*attr);
                     w.put_f64(*lo);
                     w.put_f64(*hi);
                 }
-                BuildError::UnknownAttribute {
+                B::UnknownAttribute {
                     attr,
                     num_attributes,
                 } => {
-                    w.put_u64(*attr);
-                    w.put_u64(*num_attributes);
+                    w.put_usize(*attr);
+                    w.put_usize(*num_attributes);
                 }
-                BuildError::TypeMismatch { attr, expected } => {
-                    w.put_u64(*attr);
+                B::TypeMismatch { attr, expected } => {
+                    w.put_usize(*attr);
                     w.put_str(expected);
                 }
-                BuildError::ValueOutOfRange {
+                B::ValueOutOfRange {
                     attr,
                     value,
                     cardinality,
                 } => {
-                    w.put_u64(*attr);
+                    w.put_usize(*attr);
                     w.put_u32(*value);
                     w.put_u32(*cardinality);
                 }
-                BuildError::RowArity { got, expected } => {
-                    w.put_u64(*got);
-                    w.put_u64(*expected);
+                B::RowArity { got, expected } => {
+                    w.put_usize(*got);
+                    w.put_usize(*expected);
                 }
             },
         }
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        use QueryBuildError as B;
         let code = r.get_u16("error code")?;
         Ok(match code {
             ERR_PROTOCOL => Self::Protocol(r.get_str("protocol detail")?),
@@ -499,42 +372,42 @@ impl WireError {
             ERR_NO_BACKENDS => Self::NoBackends,
             ERR_INVALID_SHARDS => Self::InvalidShards(r.get_str("shards detail")?),
             ERR_SERVICE => Self::Service(r.get_str("service detail")?),
-            ERR_BUILD_EMPTY_QUERY => Self::Build(BuildError::EmptyQuery),
-            ERR_BUILD_EMPTY_RANGE => Self::Build(BuildError::EmptyRange {
+            ERR_BUILD_EMPTY_QUERY => Self::Build(B::EmptyQuery),
+            ERR_BUILD_EMPTY_RANGE => Self::Build(B::EmptyRange {
                 lo: r.get_u32("range lo")?,
                 hi: r.get_u32("range hi")?,
             }),
-            ERR_BUILD_KEYWORD_OUT_OF_RANGE => Self::Build(BuildError::KeywordOutOfRange {
+            ERR_BUILD_KEYWORD_OUT_OF_RANGE => Self::Build(B::KeywordOutOfRange {
                 keyword: r.get_u32("keyword")?,
                 universe: r.get_u32("universe")?,
             }),
-            ERR_BUILD_NON_FINITE => Self::Build(BuildError::NonFinite {
-                what: r.get_str("what")?,
+            ERR_BUILD_NON_FINITE => Self::Build(B::NonFinite {
+                what: r.get_str("what")?.into(),
             }),
-            ERR_BUILD_NEGATIVE => Self::Build(BuildError::Negative {
-                what: r.get_str("what")?,
+            ERR_BUILD_NEGATIVE => Self::Build(B::Negative {
+                what: r.get_str("what")?.into(),
             }),
-            ERR_BUILD_EMPTY_NUMERIC_RANGE => Self::Build(BuildError::EmptyNumericRange {
-                attr: r.get_u64("attr")?,
+            ERR_BUILD_EMPTY_NUMERIC_RANGE => Self::Build(B::EmptyNumericRange {
+                attr: r.get_usize("attr")?,
                 lo: r.get_f64("numeric lo")?,
                 hi: r.get_f64("numeric hi")?,
             }),
-            ERR_BUILD_UNKNOWN_ATTRIBUTE => Self::Build(BuildError::UnknownAttribute {
-                attr: r.get_u64("attr")?,
-                num_attributes: r.get_u64("num attributes")?,
+            ERR_BUILD_UNKNOWN_ATTRIBUTE => Self::Build(B::UnknownAttribute {
+                attr: r.get_usize("attr")?,
+                num_attributes: r.get_usize("num attributes")?,
             }),
-            ERR_BUILD_TYPE_MISMATCH => Self::Build(BuildError::TypeMismatch {
-                attr: r.get_u64("attr")?,
-                expected: r.get_str("expected kind")?,
+            ERR_BUILD_TYPE_MISMATCH => Self::Build(B::TypeMismatch {
+                attr: r.get_usize("attr")?,
+                expected: r.get_str("expected kind")?.into(),
             }),
-            ERR_BUILD_VALUE_OUT_OF_RANGE => Self::Build(BuildError::ValueOutOfRange {
-                attr: r.get_u64("attr")?,
+            ERR_BUILD_VALUE_OUT_OF_RANGE => Self::Build(B::ValueOutOfRange {
+                attr: r.get_usize("attr")?,
                 value: r.get_u32("value")?,
                 cardinality: r.get_u32("cardinality")?,
             }),
-            ERR_BUILD_ROW_ARITY => Self::Build(BuildError::RowArity {
-                got: r.get_u64("got arity")?,
-                expected: r.get_u64("expected arity")?,
+            ERR_BUILD_ROW_ARITY => Self::Build(B::RowArity {
+                got: r.get_usize("got arity")?,
+                expected: r.get_usize("expected arity")?,
             }),
             _ => {
                 return Err(DecodeError::BadTag {
@@ -546,52 +419,15 @@ impl WireError {
     }
 }
 
-fn put_query(w: &mut ByteWriter, query: &Query) {
-    w.put_u32(query.items.len() as u32);
-    for item in &query.items {
-        w.put_u32(item.lo);
-        w.put_u32(item.hi);
-    }
-}
-
-fn get_query(r: &mut ByteReader<'_>) -> Result<Query, DecodeError> {
-    let n = r.get_count("query items")?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lo = r.get_u32("item lo")?;
-        let hi = r.get_u32("item hi")?;
-        items.push(QueryItem { lo, hi });
-    }
-    Ok(Query::new(items))
-}
-
-fn put_objects(w: &mut ByteWriter, objects: &[Vec<u32>]) {
-    w.put_u32(objects.len() as u32);
-    for o in objects {
-        w.put_u32s(o);
-    }
-}
-
-fn get_objects(r: &mut ByteReader<'_>) -> Result<Vec<Vec<u32>>, DecodeError> {
-    let n = r.get_count("object list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_u32s("object keywords")?);
-    }
-    Ok(out)
-}
-
 /// Encode one request as a complete frame (length prefix included).
 pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     w.put_u32(0); // length backpatched below
     match request {
         Request::Hello { version, token } => {
             w.put_u8(KIND_HELLO);
             w.put_u64(request_id);
-            for b in HELLO_MAGIC {
-                w.put_u8(b);
-            }
+            w.put_raw(&HELLO_MAGIC);
             w.put_u16(*version);
             w.put_str(token);
         }
@@ -604,7 +440,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
             w.put_u64(request_id);
             w.put_u64(*collection);
             w.put_u32(*k);
-            put_query(&mut w, query);
+            w.put_query(query);
         }
         Request::SearchAdaptive {
             collection,
@@ -617,7 +453,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
             w.put_u64(*collection);
             w.put_u32(*k);
             w.put_u32s(schedule);
-            put_query(&mut w, query);
+            w.put_query(query);
         }
         Request::Insert {
             collection,
@@ -654,7 +490,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
             w.put_u64(request_id);
             w.put_u64(*collection);
             w.put_u32s(deletes);
-            put_objects(&mut w, inserts);
+            w.put_objects(inserts.iter().map(Vec::as_slice));
         }
         Request::Compact { collection } => {
             w.put_u8(KIND_COMPACT);
@@ -675,7 +511,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
             w.put_u64(request_id);
             w.put_str(name);
             w.put_u32(*shards);
-            put_objects(&mut w, objects);
+            w.put_objects(objects.iter().map(Vec::as_slice));
         }
         Request::Reindex {
             collection,
@@ -684,7 +520,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
             w.put_u8(KIND_REINDEX);
             w.put_u64(request_id);
             w.put_u64(*collection);
-            put_objects(&mut w, objects);
+            w.put_objects(objects.iter().map(Vec::as_slice));
         }
         Request::ListCollections => {
             w.put_u8(KIND_LIST_COLLECTIONS);
@@ -700,7 +536,7 @@ pub fn encode_request(request_id: u64, request: &Request) -> Vec<u8> {
 
 /// Encode one response as a complete frame (length prefix included).
 pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     w.put_u32(0); // length backpatched below
     match response {
         Response::Welcome { version } => {
@@ -722,7 +558,7 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
             w.put_u64(request_id);
             w.put_u32(*rounds);
             w.put_u32(*audit_threshold);
-            w.put_u32(hits.len() as u32);
+            w.put_count(hits.len());
             for h in hits {
                 w.put_u32(h.id);
                 w.put_u32(h.count);
@@ -770,7 +606,7 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
         Response::Collections { entries } => {
             w.put_u8(KIND_COLLECTIONS);
             w.put_u64(request_id);
-            w.put_u32(entries.len() as u32);
+            w.put_count(entries.len());
             for e in entries {
                 w.put_u64(e.id);
                 w.put_str(&e.name);
@@ -781,7 +617,7 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
         Response::Stats { fields } => {
             w.put_u8(KIND_STATS_OK);
             w.put_u64(request_id);
-            w.put_u32(fields.len() as u32);
+            w.put_count(fields.len());
             for (name, value) in fields {
                 w.put_str(name);
                 w.put_f64(*value);
@@ -797,7 +633,7 @@ pub fn encode_response(request_id: u64, response: &Response) -> Vec<u8> {
 }
 
 /// Backpatch the 4-byte length prefix over the assembled frame.
-fn finish_frame(w: ByteWriter) -> Vec<u8> {
+fn finish_frame(w: Writer) -> Vec<u8> {
     let mut bytes = w.into_vec();
     let body_len = (bytes.len() - 4) as u32;
     bytes[..4].copy_from_slice(&body_len.to_le_bytes());
@@ -806,15 +642,12 @@ fn finish_frame(w: ByteWriter) -> Vec<u8> {
 
 /// Decode one request frame body (everything after the length prefix).
 pub fn decode_request(body: &[u8]) -> Result<(u64, Request), DecodeError> {
-    let mut r = ByteReader::new(body);
+    let mut r = Reader::new(body);
     let kind = r.get_u8("frame kind")?;
     let request_id = r.get_u64("request id")?;
     let request = match kind {
         KIND_HELLO => {
-            let mut magic = [0u8; 4];
-            for b in &mut magic {
-                *b = r.get_u8("hello magic")?;
-            }
+            let magic = r.take(4, "hello magic")?;
             if magic != HELLO_MAGIC {
                 return Err(DecodeError::BadTag {
                     what: "hello magic",
@@ -829,13 +662,13 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), DecodeError> {
         KIND_SEARCH => Request::Search {
             collection: r.get_u64("collection id")?,
             k: r.get_u32("k")?,
-            query: get_query(&mut r)?,
+            query: r.get_query()?,
         },
         KIND_SEARCH_ADAPTIVE => Request::SearchAdaptive {
             collection: r.get_u64("collection id")?,
             k: r.get_u32("k")?,
             schedule: r.get_u32s("schedule")?,
-            query: get_query(&mut r)?,
+            query: r.get_query()?,
         },
         KIND_INSERT => Request::Insert {
             collection: r.get_u64("collection id")?,
@@ -853,7 +686,7 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), DecodeError> {
         KIND_MUTATE => Request::Mutate {
             collection: r.get_u64("collection id")?,
             deletes: r.get_u32s("deletes")?,
-            inserts: get_objects(&mut r)?,
+            inserts: r.get_objects("inserts")?,
         },
         KIND_COMPACT => Request::Compact {
             collection: r.get_u64("collection id")?,
@@ -864,11 +697,11 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), DecodeError> {
         KIND_CREATE_COLLECTION => Request::CreateCollection {
             name: r.get_str("collection name")?,
             shards: r.get_u32("shards")?,
-            objects: get_objects(&mut r)?,
+            objects: r.get_objects("objects")?,
         },
         KIND_REINDEX => Request::Reindex {
             collection: r.get_u64("collection id")?,
-            objects: get_objects(&mut r)?,
+            objects: r.get_objects("objects")?,
         },
         KIND_LIST_COLLECTIONS => Request::ListCollections,
         KIND_STATS => Request::Stats,
@@ -885,7 +718,7 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, Request), DecodeError> {
 
 /// Decode one response frame body (everything after the length prefix).
 pub fn decode_response(body: &[u8]) -> Result<(u64, Response), DecodeError> {
-    let mut r = ByteReader::new(body);
+    let mut r = Reader::new(body);
     let kind = r.get_u8("frame kind")?;
     let request_id = r.get_u64("request id")?;
     let response = match kind {
@@ -898,7 +731,7 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), DecodeError> {
         KIND_SEARCH_OK => {
             let rounds = r.get_u32("rounds")?;
             let audit_threshold = r.get_u32("audit threshold")?;
-            let n = r.get_count("hits")?;
+            let n = r.count(8, "hits")?;
             let mut hits = Vec::with_capacity(n);
             for _ in 0..n {
                 let id = r.get_u32("hit id")?;
@@ -932,7 +765,8 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), DecodeError> {
             upload_sim_us: r.get_f64("upload time")?,
         },
         KIND_COLLECTIONS => {
-            let n = r.get_count("collection entries")?;
+            // id + name count + shards + len
+            let n = r.count(24, "collection entries")?;
             let mut entries = Vec::with_capacity(n);
             for _ in 0..n {
                 entries.push(CollectionInfo {
@@ -945,7 +779,8 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, Response), DecodeError> {
             Response::Collections { entries }
         }
         KIND_STATS_OK => {
-            let n = r.get_count("stats fields")?;
+            // name count + value
+            let n = r.count(12, "stats fields")?;
             let mut fields = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = r.get_str("field name")?;
@@ -1139,6 +974,7 @@ pub fn read_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genie_core::model::QueryItem;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1230,7 +1066,7 @@ mod tests {
                 fields: vec![("served".into(), 9.0), ("net/frames_in".into(), 21.0)],
             },
             Response::Error {
-                error: WireError::Build(BuildError::KeywordOutOfRange {
+                error: WireError::Build(QueryBuildError::KeywordOutOfRange {
                     keyword: 900,
                     universe: 100,
                 }),
@@ -1279,37 +1115,37 @@ mod tests {
             WireError::NoBackends,
             WireError::InvalidShards("zero shards".into()),
             WireError::Service("backend gone".into()),
-            WireError::Build(BuildError::EmptyQuery),
-            WireError::Build(BuildError::EmptyRange { lo: 5, hi: 2 }),
-            WireError::Build(BuildError::KeywordOutOfRange {
+            WireError::Build(QueryBuildError::EmptyQuery),
+            WireError::Build(QueryBuildError::EmptyRange { lo: 5, hi: 2 }),
+            WireError::Build(QueryBuildError::KeywordOutOfRange {
                 keyword: 9,
                 universe: 4,
             }),
-            WireError::Build(BuildError::NonFinite {
+            WireError::Build(QueryBuildError::NonFinite {
                 what: "weight".into(),
             }),
-            WireError::Build(BuildError::Negative {
+            WireError::Build(QueryBuildError::Negative {
                 what: "radius".into(),
             }),
-            WireError::Build(BuildError::EmptyNumericRange {
+            WireError::Build(QueryBuildError::EmptyNumericRange {
                 attr: 1,
                 lo: 3.0,
                 hi: 1.0,
             }),
-            WireError::Build(BuildError::UnknownAttribute {
+            WireError::Build(QueryBuildError::UnknownAttribute {
                 attr: 9,
                 num_attributes: 3,
             }),
-            WireError::Build(BuildError::TypeMismatch {
+            WireError::Build(QueryBuildError::TypeMismatch {
                 attr: 0,
                 expected: "numeric".into(),
             }),
-            WireError::Build(BuildError::ValueOutOfRange {
+            WireError::Build(QueryBuildError::ValueOutOfRange {
                 attr: 2,
                 value: 9,
                 cardinality: 4,
             }),
-            WireError::Build(BuildError::RowArity {
+            WireError::Build(QueryBuildError::RowArity {
                 got: 2,
                 expected: 3,
             }),
@@ -1325,35 +1161,18 @@ mod tests {
 
     #[test]
     fn build_errors_mirror_query_build_error_displays() {
-        // the client-facing message matches the in-process one, so an
-        // application can switch transports without changing its error
-        // handling
+        // the client-facing message matches the in-process one — also
+        // after the wire turned the validator's literals into received
+        // strings — so an application can switch transports without
+        // changing its error handling
         let cases: Vec<QueryBuildError> = vec![
             QueryBuildError::EmptyQuery,
-            QueryBuildError::EmptyRange { lo: 5, hi: 2 },
-            QueryBuildError::KeywordOutOfRange {
-                keyword: 9,
-                universe: 4,
-            },
-            QueryBuildError::NonFinite { what: "weight" },
-            QueryBuildError::Negative { what: "radius" },
-            QueryBuildError::EmptyNumericRange {
-                attr: 1,
-                lo: 3.0,
-                hi: 1.0,
-            },
-            QueryBuildError::UnknownAttribute {
-                attr: 9,
-                num_attributes: 3,
+            QueryBuildError::NonFinite {
+                what: "weight".into(),
             },
             QueryBuildError::TypeMismatch {
                 attr: 0,
-                expected: "numeric",
-            },
-            QueryBuildError::ValueOutOfRange {
-                attr: 2,
-                value: 9,
-                cardinality: 4,
+                expected: "numeric".into(),
             },
             QueryBuildError::RowArity {
                 got: 2,
@@ -1361,8 +1180,18 @@ mod tests {
             },
         ];
         for e in cases {
-            let wire: BuildError = e.clone().into();
-            assert_eq!(wire.to_string(), e.to_string());
+            let frame = encode_response(
+                1,
+                &Response::Error {
+                    error: e.clone().into(),
+                },
+            );
+            let (_, back) = decode_response(&frame[4..]).unwrap();
+            let Response::Error { error } = back else {
+                panic!("decoded a different kind: {back:?}");
+            };
+            assert_eq!(error, WireError::Build(e.clone()));
+            assert_eq!(error.to_string(), e.to_string());
         }
     }
 

@@ -6,13 +6,10 @@
 //! * [`protocol`] — the normative wire specification (frame layout,
 //!   handshake state machine, kind and error-code tables). Start here
 //!   to implement a third-party client.
-//! * [`wire`] — the primitive byte codec ([`wire::ByteWriter`] /
-//!   [`wire::ByteReader`]) with hard bounds checking: every decode
-//!   failure is a typed [`wire::DecodeError`], never a panic or an
-//!   unbounded allocation.
 //! * [`frame`] — typed [`frame::Request`]/[`frame::Response`] values
-//!   ⇄ frames, plus the [`frame::WireError`] taxonomy mirroring the
-//!   in-process error types.
+//!   ⇄ frames (bytes through [`genie_core::codec`], the workspace's
+//!   one bounds-checked codec), plus the [`frame::WireError`] taxonomy
+//!   mirroring the in-process error types.
 //! * [`server`] — [`server::NetServer`]: the accept loop and
 //!   per-connection reader/writer pairs fronting a service, with
 //!   graceful drain on shutdown.
@@ -23,12 +20,10 @@
 pub mod frame;
 pub mod protocol;
 pub mod server;
-pub mod wire;
 
 pub use frame::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, BuildError,
-    CollectionInfo, FrameProgress, FrameReadError, FrameReader, Request, Response, WireError,
+    decode_request, decode_response, encode_request, encode_response, read_frame, CollectionInfo,
+    FrameProgress, FrameReadError, FrameReader, Request, Response, WireError,
     DEFAULT_MAX_FRAME_LEN, HANDSHAKE_REQUEST_ID, HELLO_MAGIC, PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetStats, ServerConfig, ServerHandle};
-pub use wire::{ByteReader, ByteWriter, DecodeError};

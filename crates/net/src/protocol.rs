@@ -1,9 +1,11 @@
 //! The normative GENIE wire-protocol specification (v1).
 //!
-//! This module is documentation only — the codec lives in
+//! This module is documentation only — the frame codec lives in
 //! [`frame`](crate::frame), the serving loop in
 //! [`server`](crate::server). Everything a third-party client needs to
-//! interoperate is specified here.
+//! interoperate is specified here, in terms of the byte-level
+//! primitives (`u32`, `f64`, `usize`, `str`, `u32s`, `objects`,
+//! `query`, and the count rule) that [`genie_core::codec`] defines.
 //!
 //! # Transport and frame layout
 //!
@@ -17,8 +19,10 @@
 //!   little-endian; `len` counts kind + request id + payload
 //! ```
 //!
-//! * All integers are little-endian. Strings are `u32` byte length +
-//!   UTF-8 bytes. Sequences are `u32` element count + elements.
+//! * Every field is a [`genie_core::codec`] primitive; `x...` below
+//!   is a count-prefixed sequence of `x`, and a count that the rest of
+//!   the frame could not hold is a protocol error before anything is
+//!   allocated for it.
 //! * `len` must not exceed the receiver's frame cap
 //!   ([`DEFAULT_MAX_FRAME_LEN`](crate::frame::DEFAULT_MAX_FRAME_LEN) by
 //!   default). An oversized frame is answered with error code 2
@@ -76,7 +80,8 @@
 //! should be unique among in-flight requests on the connection. The
 //! server answers **every** accepted request with exactly one response
 //! frame tagged with the same id, **in completion order** — not
-//! submission order. Searches batched into one service wave complete
+//! submission order (the connection's writer is notified of each
+//! finished reply; it does not poll). Searches batched into one service wave complete
 //! together; a slow search does not block a later quick mutation's
 //! reply. Clients must therefore match replies by id, not position.
 //!
@@ -159,7 +164,10 @@
 //! tagged with its request id: `code: u16` followed by a code-specific
 //! payload. The codes mirror the in-process error taxonomy — a network
 //! client sees exactly the errors an embedded caller sees, plus the
-//! transport-only codes 1–5.
+//! transport-only codes 1–5. Codes 100–109 carry a
+//! [`QueryBuildError`](genie_core::model::QueryBuildError) itself, one
+//! code per variant: the client decodes the same type the server's
+//! validator returned.
 //!
 //! | code | meaning                 | payload | mirrors |
 //! |------|-------------------------|---------|---------|
@@ -168,21 +176,21 @@
 //! | 3    | UnsupportedVersion      | got u16, want u16 | — |
 //! | 4    | Auth                    | detail str | — |
 //! | 5    | ShuttingDown            | — | service shutdown |
-//! | 6    | UnknownCollection       | id u64 | `DbError::UnknownId` (collection) |
-//! | 7    | UnknownId               | id u32 | `MutateError::UnknownId` |
+//! | 6    | UnknownCollection       | id u64 | `ServiceError::UnknownCollection` |
+//! | 7    | UnknownId               | id u32 | `ServiceError::UnknownId` / `DbError::UnknownId` |
 //! | 8    | NoBackends              | — | `DbError::NoBackends` |
-//! | 9    | InvalidShards           | detail str | `DbError::InvalidShards` |
-//! | 10   | Service                 | detail str | `*::Service` |
-//! | 100  | Build/EmptyQuery        | — | `QueryBuildError::EmptyQuery` |
-//! | 101  | Build/EmptyRange        | lo u32, hi u32 | `…::EmptyRange` |
-//! | 102  | Build/KeywordOutOfRange | keyword u32, universe u32 | `…::KeywordOutOfRange` |
-//! | 103  | Build/NonFinite         | what str | `…::NonFinite` |
-//! | 104  | Build/Negative          | what str | `…::Negative` |
-//! | 105  | Build/EmptyNumericRange | attr u64, lo f64, hi f64 | `…::EmptyNumericRange` |
-//! | 106  | Build/UnknownAttribute  | attr u64, num u64 | `…::UnknownAttribute` |
-//! | 107  | Build/TypeMismatch      | attr u64, expected str | `…::TypeMismatch` |
-//! | 108  | Build/ValueOutOfRange   | attr u64, value u32, cardinality u32 | `…::ValueOutOfRange` |
-//! | 109  | Build/RowArity          | got u64, expected u64 | `…::RowArity` |
+//! | 9    | InvalidShards           | detail str | `ServiceError::InvalidShards` / `DbError::InvalidShards` |
+//! | 10   | Service                 | detail str | any other `ServiceError` |
+//! | 100  | `QueryBuildError::EmptyQuery`        | — | itself |
+//! | 101  | `QueryBuildError::EmptyRange`        | lo u32, hi u32 | itself |
+//! | 102  | `QueryBuildError::KeywordOutOfRange` | keyword u32, universe u32 | itself |
+//! | 103  | `QueryBuildError::NonFinite`         | what str | itself |
+//! | 104  | `QueryBuildError::Negative`          | what str | itself |
+//! | 105  | `QueryBuildError::EmptyNumericRange` | attr usize, lo f64, hi f64 | itself |
+//! | 106  | `QueryBuildError::UnknownAttribute`  | attr usize, num_attributes usize | itself |
+//! | 107  | `QueryBuildError::TypeMismatch`      | attr usize, expected str | itself |
+//! | 108  | `QueryBuildError::ValueOutOfRange`   | attr usize, value u32, cardinality u32 | itself |
+//! | 109  | `QueryBuildError::RowArity`          | got usize, expected usize | itself |
 //!
 //! ## Degradation rules
 //!

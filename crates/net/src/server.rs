@@ -5,20 +5,22 @@
 //! # Per-connection architecture
 //!
 //! Every accepted connection gets a **reader** thread (the spawned
-//! connection thread itself) and a **writer** thread joined by a job
-//! channel:
+//! connection thread itself) and a **writer** thread joined by one
+//! channel, the writer's inbox:
 //!
 //! * The reader performs the handshake, then decodes request frames.
-//!   Searches are admitted to the service's batching queue — their
-//!   [`ResponseTicket`]s travel to the writer, which is what makes the
+//!   Searches are admitted to the service's batching queue with a
+//!   completion that pushes the result into the inbox
+//!   ([`GenieService::submit_with`]), which is what makes the
 //!   connection *pipelined*: the reader is already decoding the next
 //!   frame while earlier searches wait for their wave. Mutations and
 //!   admin requests execute inline (they are synchronous in the
 //!   service) and ship to the writer as finished frames.
-//! * The writer streams replies in **completion order**: finished
-//!   frames go out immediately, ticket jobs go out whenever their wave
-//!   resolves them — a slow search never blocks a later quick
-//!   mutation's reply.
+//! * The writer blocks on the inbox and streams replies in
+//!   **completion order**: it is *notified* of each finished frame and
+//!   each resolved search round, never polls for them — a slow search
+//!   never blocks a later quick mutation's reply, and a peer that
+//!   stops reading stalls only this thread, never a dispatcher.
 //!
 //! Failures degrade per the protocol's rules: semantic errors answer
 //! the one request; undecodable/oversized frames and dead sockets get
@@ -33,10 +35,11 @@
 //! [`ServerConfig::drain_timeout`]) for every connection to flush its
 //! accepted replies — the no-silently-dropped-request guarantee.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,8 +48,7 @@ use genie_core::index::IndexBuilder;
 use genie_core::model::{Object, Query};
 use genie_core::shard::ShardError;
 use genie_service::{
-    BackendHealth, ConnectionRegistry, GenieService, MutateError, ResponseTicket, ServiceError,
-    ServiceStats, TicketResult,
+    BackendHealth, ConnectionRegistry, GenieService, ServiceError, ServiceStats, TicketResult,
 };
 
 use crate::frame::{
@@ -324,133 +326,67 @@ fn reject_and_drop(mut stream: TcpStream, shared: &Shared, error: WireError) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One queued reply-in-progress on the writer side.
-enum Job {
+/// What lands in a connection writer's inbox.
+enum Outbound {
     /// A finished frame, writable immediately.
-    Done(Vec<u8>),
-    /// Ticketed search rounds; writable once the wave resolves them.
-    Tickets {
-        request_id: u64,
-        final_k: u32,
-        /// `(candidate count, ticket)` in schedule order.
-        rounds: Vec<(u32, ResponseTicket)>,
-        results: Vec<Option<TicketResult>>,
+    Frame(Vec<u8>),
+    /// One resolved round of an admitted search, pushed by the
+    /// service's completion for it.
+    Round {
+        search: Arc<Search>,
+        round: usize,
+        result: TicketResult,
     },
 }
 
-impl Job {
-    /// Poll every unresolved ticket; `true` once the job is writable.
-    fn ready(&mut self) -> bool {
-        match self {
-            Job::Done(_) => true,
-            Job::Tickets {
-                rounds, results, ..
-            } => {
-                for (i, (_, ticket)) in rounds.iter().enumerate() {
-                    if results[i].is_none() {
-                        results[i] = ticket.try_take();
-                    }
-                }
-                results.iter().all(|r| r.is_some())
-            }
-        }
-    }
-
-    /// Block up to `timeout` on the first unresolved ticket (no-op for
-    /// finished frames).
-    fn wait_a_little(&mut self, timeout: Duration) {
-        if let Job::Tickets {
-            rounds, results, ..
-        } = self
-        {
-            for (i, (_, ticket)) in rounds.iter().enumerate() {
-                if results[i].is_none() {
-                    results[i] = ticket.wait_timeout(timeout);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Encode the finished reply. Only call once [`ready`](Self::ready)
-    /// returned `true`.
-    fn into_frame(self) -> (Vec<u8>, bool) {
-        match self {
-            Job::Done(bytes) => (bytes, false),
-            Job::Tickets {
-                request_id,
-                final_k,
-                rounds,
-                results,
-            } => {
-                let response = assemble_search_reply(final_k, &rounds, results);
-                let is_error = matches!(response, Response::Error { .. });
-                (frame::encode_response(request_id, &response), is_error)
-            }
-        }
-    }
+/// One admitted Search / SearchAdaptive request.
+struct Search {
+    request_id: u64,
+    final_k: u32,
+    /// Candidate count of each round; all rounds ride the same wave.
+    schedule: Vec<u32>,
 }
 
 /// Fold resolved schedule rounds into one Search reply: the first
 /// *saturated* round (fewer hits than its candidate count — a larger K
 /// cannot add more) or the last round, truncated to the requested `k`.
-fn assemble_search_reply(
-    final_k: u32,
-    rounds: &[(u32, ResponseTicket)],
-    results: Vec<Option<TicketResult>>,
-) -> Response {
-    let mut chosen = results.len() - 1;
-    for (i, result) in results.iter().enumerate() {
-        match result {
-            Some(Ok(resp)) if resp.hits.len() < rounds[i].0 as usize => {
-                chosen = i;
-                break;
-            }
-            _ => {}
-        }
-    }
-    let result = results
-        .into_iter()
-        .nth(chosen)
-        .flatten()
-        .expect("only assembled once every round resolved");
-    match result {
+fn assemble_search_reply(search: &Search, results: Vec<TicketResult>) -> Response {
+    let chosen = results
+        .iter()
+        .zip(&search.schedule)
+        .position(|(result, &kc)| matches!(result, Ok(resp) if resp.hits.len() < kc as usize))
+        .unwrap_or(results.len() - 1);
+    match results.into_iter().nth(chosen).expect("chosen is in range") {
         Ok(resp) => {
             let mut hits = resp.hits;
-            hits.truncate(final_k as usize);
+            hits.truncate(search.final_k as usize);
             Response::Search {
                 rounds: (chosen + 1) as u32,
                 audit_threshold: resp.audit_threshold,
                 hits,
             }
         }
-        Err(e) => Response::Error {
-            error: service_error(e),
-        },
+        Err(e) => Response::Error { error: e.into() },
     }
 }
 
-/// Translate the service's typed error onto the wire taxonomy — a
+/// The service's typed error on the wire taxonomy — a
 /// variant-for-variant mapping, never a classification of message
 /// strings.
-fn service_error(e: ServiceError) -> WireError {
-    match e {
-        ServiceError::ShuttingDown => WireError::ShuttingDown,
-        ServiceError::UnknownCollection(id) => WireError::UnknownCollection(id),
-        ServiceError::InvalidShards(e) => WireError::InvalidShards(e.to_string()),
-        // no wire operation installs placement plans (rebalancing is
-        // server-local), so this variant can only surface as a
-        // diagnostic if that ever changes
-        ServiceError::InvalidPlacement(e) => WireError::Service(format!("invalid placement: {e}")),
-        ServiceError::Persist(e) => WireError::Service(format!("persistence failure: {e}")),
-        ServiceError::Internal(e) => WireError::Service(e),
-    }
-}
-
-fn mutate_error(e: MutateError) -> WireError {
-    match e {
-        MutateError::UnknownId(id) => WireError::UnknownId(id),
-        MutateError::Service(e) => service_error(e),
+impl From<ServiceError> for WireError {
+    fn from(e: ServiceError) -> Self {
+        match e {
+            ServiceError::ShuttingDown => Self::ShuttingDown,
+            ServiceError::UnknownCollection(id) => Self::UnknownCollection(id),
+            ServiceError::UnknownId(id) => Self::UnknownId(id),
+            ServiceError::InvalidShards(e) => Self::InvalidShards(e.to_string()),
+            // no wire operation installs placement plans (rebalancing is
+            // server-local), so this variant can only surface as a
+            // diagnostic if that ever changes
+            ServiceError::InvalidPlacement(e) => Self::Service(format!("invalid placement: {e}")),
+            ServiceError::Persist(e) => Self::Service(format!("persistence failure: {e}")),
+            ServiceError::Internal(e) => Self::Service(e),
+        }
     }
 }
 
@@ -463,7 +399,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, guard: genie_service
     let Some((mut read_half, write_half)) = handshake(stream, &shared) else {
         return;
     };
-    let (tx, rx) = channel::<Job>();
+    let (tx, rx) = channel::<Outbound>();
     let writer_shared = Arc::clone(&shared);
     let writer = std::thread::Builder::new()
         .name("genie-net-write".into())
@@ -473,8 +409,9 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, guard: genie_service
         return;
     };
     reader_loop(&mut read_half, &shared, &tx);
-    // dropping the channel tells the writer to flush what remains and
-    // exit; the socket shuts down only after that flush
+    // the writer exits once every sender is gone: this one, and the
+    // clone inside each admitted search's completion — so everything
+    // accepted is flushed first, and the socket shuts down only then
     drop(tx);
     let _ = writer.join();
     let _ = read_half.shutdown(Shutdown::Both);
@@ -581,7 +518,7 @@ fn handshake(stream: TcpStream, shared: &Shared) -> Option<(TcpStream, TcpStream
 /// re-parsing mid-body bytes as a fresh length prefix, and a stalled
 /// mid-frame sender still lets this thread observe server shutdown on
 /// every tick.
-fn reader_loop(read_half: &mut TcpStream, shared: &Shared, tx: &Sender<Job>) {
+fn reader_loop(read_half: &mut TcpStream, shared: &Shared, tx: &Sender<Outbound>) {
     let mut reader = FrameReader::new();
     loop {
         let body = match reader.read(read_half, shared.config.max_frame_len) {
@@ -636,8 +573,10 @@ fn reader_loop(read_half: &mut TcpStream, shared: &Shared, tx: &Sender<Job>) {
             );
             return;
         }
-        if tx.send(dispatch(shared, request_id, request)).is_err() {
-            return; // writer already dropped the connection
+        if let Some(frame) = dispatch(shared, tx, request_id, request) {
+            if tx.send(Outbound::Frame(frame)).is_err() {
+                return; // writer already dropped the connection
+            }
         }
     }
 }
@@ -651,164 +590,109 @@ fn salvage_request_id(body: &[u8]) -> u64 {
     }
 }
 
-fn send_error(tx: &Sender<Job>, shared: &Shared, request_id: u64, error: WireError) {
-    bump(&shared.counters.errors_sent);
-    let body = frame::encode_response(request_id, &Response::Error { error });
-    let _ = tx.send(Job::Done(body));
+fn send_error(tx: &Sender<Outbound>, shared: &Shared, request_id: u64, error: WireError) {
+    let _ = tx.send(Outbound::Frame(error_frame(shared, request_id, error)));
 }
 
-/// Turn one decoded request into a writer job — a ticket set for
-/// searches, a finished frame for everything else.
-fn dispatch(shared: &Shared, request_id: u64, request: Request) -> Job {
+fn error_frame(shared: &Shared, request_id: u64, error: WireError) -> Vec<u8> {
+    bump(&shared.counters.errors_sent);
+    frame::encode_response(request_id, &Response::Error { error })
+}
+
+/// Serve one decoded request: the finished reply frame for everything
+/// the service answers synchronously, `None` for an admitted search
+/// (its rounds reach the writer through their completions).
+fn dispatch(
+    shared: &Shared,
+    tx: &Sender<Outbound>,
+    request_id: u64,
+    request: Request,
+) -> Option<Vec<u8>> {
     let service = &shared.service;
-    let done = |response: Response| {
-        if matches!(response, Response::Error { .. }) {
-            bump(&shared.counters.errors_sent);
-        }
-        Job::Done(frame::encode_response(request_id, &response))
-    };
     // pre-check the collection so unknown ids answer with the typed
     // error instead of a formatted Service string at wave time
     if let Some(collection) = request.collection() {
         if service.collection_len(collection).is_none() {
-            return done(Response::Error {
-                error: WireError::UnknownCollection(collection),
-            });
+            let error = WireError::UnknownCollection(collection);
+            return Some(error_frame(shared, request_id, error));
         }
     }
-    match request {
-        Request::Hello { .. } => done(Response::Error {
-            error: WireError::Protocol("Hello is only valid as the first frame".into()),
-        }),
+    let mutate = |collection, deletes: &[u32], inserts: Vec<Vec<u32>>| {
+        let inserts = inserts.into_iter().map(Object::new).collect();
+        service.mutate_collection(collection, deletes, inserts, &mut |_, _| {})
+    };
+    let outcome: Result<Response, WireError> = match request {
+        Request::Hello { .. } => Err(WireError::Protocol(
+            "Hello is only valid as the first frame".into(),
+        )),
         Request::Search {
             collection,
             k,
             query,
-        } => submit_rounds(shared, request_id, collection, k, vec![k], query),
+        } => return submit_rounds(shared, tx, request_id, collection, k, vec![k], query),
         Request::SearchAdaptive {
             collection,
             k,
             schedule,
             query,
-        } => {
-            if schedule.is_empty() {
-                return done(Response::Error {
-                    error: WireError::Service("adaptive schedule must be non-empty".into()),
-                });
-            }
-            submit_rounds(shared, request_id, collection, k, schedule, query)
-        }
+        } => return submit_rounds(shared, tx, request_id, collection, k, schedule, query),
         Request::Insert {
             collection,
             keywords,
-        } => done(
-            match service.mutate_collection(
-                collection,
-                &[],
-                vec![Object { keywords }],
-                &mut |_, _| {},
-            ) {
-                Ok(ids) => Response::Ids { ids },
-                Err(e) => Response::Error {
-                    error: mutate_error(e),
-                },
-            },
-        ),
-        Request::Delete { collection, ids } => done(
-            match service.mutate_collection(collection, &ids, Vec::new(), &mut |_, _| {}) {
-                Ok(_) => Response::Ack,
-                Err(e) => Response::Error {
-                    error: mutate_error(e),
-                },
-            },
-        ),
+        } => mutate(collection, &[], vec![keywords])
+            .map(|ids| Response::Ids { ids })
+            .map_err(WireError::from),
+        Request::Delete { collection, ids } => mutate(collection, &ids, Vec::new())
+            .map(|_| Response::Ack)
+            .map_err(WireError::from),
         Request::Upsert {
             collection,
             id,
             keywords,
-        } => done(
-            match service.mutate_collection(
-                collection,
-                &[id],
-                vec![Object { keywords }],
-                &mut |_, _| {},
-            ) {
-                Ok(ids) => Response::Ids { ids },
-                Err(e) => Response::Error {
-                    error: mutate_error(e),
-                },
-            },
-        ),
+        } => mutate(collection, &[id], vec![keywords])
+            .map(|ids| Response::Ids { ids })
+            .map_err(WireError::from),
         Request::Mutate {
             collection,
             deletes,
             inserts,
-        } => {
-            let inserts = inserts
-                .into_iter()
-                .map(|keywords| Object { keywords })
-                .collect();
-            done(
-                match service.mutate_collection(collection, &deletes, inserts, &mut |_, _| {}) {
-                    Ok(ids) => Response::Ids { ids },
-                    Err(e) => Response::Error {
-                        error: mutate_error(e),
-                    },
-                },
-            )
-        }
-        Request::Compact { collection } => done(match service.compact_collection(collection) {
-            Ok(applied) => Response::Compacted { applied },
-            Err(e) => Response::Error {
-                error: service_error(e),
-            },
-        }),
-        Request::MutationStatus { collection } => done(match service.mutation_status(collection) {
-            Some(s) => Response::MutationStatus {
+        } => mutate(collection, &deletes, inserts)
+            .map(|ids| Response::Ids { ids })
+            .map_err(WireError::from),
+        Request::Compact { collection } => service
+            .compact_collection(collection)
+            .map(|applied| Response::Compacted { applied })
+            .map_err(WireError::from),
+        Request::MutationStatus { collection } => service
+            .mutation_status(collection)
+            .map(|s| Response::MutationStatus {
                 live: s.live as u64,
                 delta: s.delta as u64,
                 tombstones: s.tombstones as u64,
                 base_shards: s.base_shards as u64,
                 next_id: s.next_id,
-            },
-            None => Response::Error {
-                error: WireError::UnknownCollection(collection),
-            },
-        }),
+            })
+            .ok_or(WireError::UnknownCollection(collection)),
+        // mirror GenieDb::create_collection_sharded: a zero shard count
+        // is a typed validation error, not a silent clamp
+        Request::CreateCollection { shards: 0, .. } => {
+            Err(WireError::InvalidShards(ShardError::ZeroShards.to_string()))
+        }
         Request::CreateCollection {
             name,
             shards,
             objects,
-        } => {
-            // mirror GenieDb::create_collection_sharded: a zero shard
-            // count is a typed validation error, not a silent clamp
-            if shards == 0 {
-                return done(Response::Error {
-                    error: WireError::InvalidShards(ShardError::ZeroShards.to_string()),
-                });
-            }
-            let index = build_index(&objects);
-            done(
-                match service.add_collection_sharded(&name, &index, shards as usize) {
-                    Ok(id) => Response::Created { collection: id },
-                    Err(e) => Response::Error {
-                        error: service_error(e),
-                    },
-                },
-            )
-        }
+        } => service
+            .add_collection_sharded(&name, &build_index(&objects), shards as usize)
+            .map(|collection| Response::Created { collection })
+            .map_err(WireError::from),
         Request::Reindex {
             collection,
             objects,
-        } => {
-            let index = build_index(&objects);
-            done(match service.swap_collection(collection, &index) {
-                Ok(upload_sim_us) => Response::Reindexed { upload_sim_us },
-                Err(e) => Response::Error {
-                    error: service_error(e),
-                },
-            })
-        }
+        } => service
+            .swap_collection(collection, &build_index(&objects))
+            .map(|upload_sim_us| Response::Reindexed { upload_sim_us })
+            .map_err(WireError::from),
         Request::ListCollections => {
             let entries = service
                 .collection_names()
@@ -820,7 +704,7 @@ fn dispatch(shared: &Shared, request_id: u64, request: Request) -> Job {
                     len: service.collection_len(id).unwrap_or(0) as u64,
                 })
                 .collect();
-            done(Response::Collections { entries })
+            Ok(Response::Collections { entries })
         }
         Request::Stats => {
             let mut fields = service_stats_fields(&service.stats());
@@ -830,53 +714,60 @@ fn dispatch(shared: &Shared, request_id: u64, request: Request) -> Job {
                 "net/active_connections".into(),
                 shared.registry.active() as f64,
             ));
-            done(Response::Stats { fields })
+            Ok(Response::Stats { fields })
         }
-    }
+    };
+    Some(match outcome {
+        Ok(response) => frame::encode_response(request_id, &response),
+        Err(error) => error_frame(shared, request_id, error),
+    })
 }
 
 /// Validate and admit one search round per schedule entry (they land
-/// in the same wave), handing the tickets to the writer.
+/// in the same wave); each round's completion notifies the writer.
+/// Returns the error frame when validation refuses the request.
 fn submit_rounds(
     shared: &Shared,
+    tx: &Sender<Outbound>,
     request_id: u64,
     collection: u64,
     k: u32,
     schedule: Vec<u32>,
     query: Query,
-) -> Job {
-    let error = |error: WireError| {
-        bump(&shared.counters.errors_sent);
-        Job::Done(frame::encode_response(
-            request_id,
-            &Response::Error { error },
+) -> Option<Vec<u8>> {
+    let refused = if schedule.is_empty() {
+        Some(WireError::Service(
+            "adaptive schedule must be non-empty".into(),
         ))
+    } else if k == 0 || schedule.contains(&0) {
+        Some(WireError::Service("k must be at least 1".into()))
+    } else {
+        Query::try_new(query.items.clone())
+            .err()
+            .map(WireError::from)
     };
-    if k == 0 || schedule.contains(&0) {
-        return error(WireError::Service("k must be at least 1".into()));
+    if let Some(error) = refused {
+        return Some(error_frame(shared, request_id, error));
     }
-    if let Err(e) = Query::try_new(query.items.clone()) {
-        return error(WireError::from(e));
-    }
-    let rounds: Vec<(u32, ResponseTicket)> = schedule
-        .iter()
-        .map(|&kc| {
-            bump(&shared.counters.requests_admitted);
-            (
-                kc,
-                shared
-                    .service
-                    .submit_to(collection, query.clone(), kc as usize),
-            )
-        })
-        .collect();
-    let results = vec![None; rounds.len()];
-    Job::Tickets {
+    let search = Arc::new(Search {
         request_id,
         final_k: k,
-        rounds,
-        results,
+        schedule,
+    });
+    for (round, &kc) in search.schedule.iter().enumerate() {
+        bump(&shared.counters.requests_admitted);
+        let (tx, search) = (tx.clone(), Arc::clone(&search));
+        shared
+            .service
+            .submit_with(collection, query.clone(), kc as usize, move |result| {
+                let _ = tx.send(Outbound::Round {
+                    search,
+                    round,
+                    result,
+                });
+            });
     }
+    None
 }
 
 fn build_index(objects: &[Vec<u32>]) -> Arc<genie_core::index::InvertedIndex> {
@@ -991,69 +882,48 @@ pub fn backend_health_fields(health: &[BackendHealth]) -> Vec<(String, f64)> {
     fields
 }
 
-/// Stream finished replies in completion order until the reader hangs
-/// up and the queue is flushed, or the socket dies.
-fn writer_loop(mut stream: TcpStream, rx: Receiver<Job>, shared: Arc<Shared>) {
-    let mut queue: Vec<Job> = Vec::new();
-    let mut disconnected = false;
-    loop {
-        // 1. pull everything the reader has queued, without blocking
-        loop {
-            match rx.try_recv() {
-                Ok(job) => queue.push(job),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        // 2. write every job that is ready, preserving completion order
-        let mut wrote = false;
-        let mut i = 0;
-        while i < queue.len() {
-            if queue[i].ready() {
-                let (bytes, _) = queue.remove(i).into_frame();
-                match stream.write_all(&bytes) {
-                    Ok(()) => {
-                        bump(&shared.counters.frames_out);
-                        wrote = true;
-                    }
-                    Err(e) => {
-                        use std::io::ErrorKind;
-                        if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                            bump(&shared.counters.slow_reader_drops);
-                        } else {
-                            bump(&shared.counters.io_drops);
-                        }
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return;
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-        if wrote {
-            continue; // new jobs may have become ready meanwhile
-        }
-        if disconnected && queue.is_empty() {
-            return; // reader gone, everything flushed
-        }
-        // 3. idle: park briefly on the oldest incomplete ticket, or on
-        // the channel when only finished work can arrive
-        match queue.iter_mut().find(|j| matches!(j, Job::Tickets { .. })) {
-            Some(job) => job.wait_a_little(Duration::from_millis(5)),
-            None => {
-                if disconnected {
+/// Stream replies in completion order: block on the inbox, write each
+/// finished frame, and write a search's reply when its last round
+/// arrives. Ends when every sender is gone (the reader hung up and no
+/// admitted search is still unanswered) or the socket dies.
+fn writer_loop(mut stream: TcpStream, rx: Receiver<Outbound>, shared: Arc<Shared>) {
+    // rounds still waiting for their siblings, keyed by the search they
+    // belong to (its address: request ids are the client's to repeat)
+    let mut partial: HashMap<*const Search, Vec<Option<TicketResult>>> = HashMap::new();
+    while let Ok(outbound) = rx.recv() {
+        let bytes = match outbound {
+            Outbound::Frame(bytes) => bytes,
+            Outbound::Round {
+                search,
+                round,
+                result,
+            } => {
+                let slots = partial
+                    .entry(Arc::as_ptr(&search))
+                    .or_insert_with(|| vec![None; search.schedule.len()]);
+                slots[round] = Some(result);
+                if slots.iter().any(Option::is_none) {
                     continue;
                 }
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(job) => queue.push(job),
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => disconnected = true,
-                }
+                let results = partial
+                    .remove(&Arc::as_ptr(&search))
+                    .expect("entry filled above")
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                frame::encode_response(search.request_id, &assemble_search_reply(&search, results))
             }
+        };
+        if let Err(e) = stream.write_all(&bytes) {
+            use std::io::ErrorKind;
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                bump(&shared.counters.slow_reader_drops);
+            } else {
+                bump(&shared.counters.io_drops);
+            }
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
+        bump(&shared.counters.frames_out);
     }
 }

@@ -165,7 +165,9 @@ fn typed_errors_are_request_scoped() {
     assert!(
         matches!(
             err,
-            ClientError::Remote(WireError::Build(genie_net::frame::BuildError::EmptyQuery))
+            ClientError::Remote(WireError::Build(
+                genie_core::model::QueryBuildError::EmptyQuery
+            ))
         ),
         "empty query surfaces the typed build error, got {err:?}"
     );

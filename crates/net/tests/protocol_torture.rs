@@ -11,8 +11,11 @@ use std::time::Duration;
 
 use common::{objects, query, start_server};
 use genie_client::Client;
+use genie_core::codec::DecodeError;
+use genie_core::model::Query;
 use genie_net::frame::{
-    encode_request, read_frame, Request, Response, WireError, PROTOCOL_VERSION,
+    decode_request, decode_response, encode_request, read_frame, Request, Response, WireError,
+    PROTOCOL_VERSION,
 };
 use genie_net::server::{ServerConfig, ServerHandle};
 use genie_service::{CollectionId, GenieService};
@@ -108,7 +111,96 @@ fn sample_request(i: usize) -> Request {
     }
 }
 
+/// One of the three request kinds that carry a variable-width list,
+/// with the list empty, and the fewest bytes one of its elements can
+/// occupy (an object needs its own 4-byte count, a query item 8).
+fn list_request(kind: usize) -> (Request, usize) {
+    match kind % 3 {
+        0 => (
+            Request::CreateCollection {
+                name: "forged".into(),
+                shards: 1,
+                objects: vec![],
+            },
+            4,
+        ),
+        1 => (
+            Request::Mutate {
+                collection: fixture().collection,
+                deletes: vec![],
+                inserts: vec![],
+            },
+            4,
+        ),
+        _ => (
+            Request::Search {
+                collection: fixture().collection,
+                k: 5,
+                query: Query::new(vec![]),
+            },
+            8,
+        ),
+    }
+}
+
+/// `request`'s frame with its (empty, trailing) list's count forged to
+/// `n` and `filler` zero bytes where the elements should be.
+fn forge_count(request: &Request, n: usize, filler: usize) -> Vec<u8> {
+    let mut frame = encode_request(7, request);
+    // the empty list's count is the frame's last four bytes
+    let count_at = frame.len() - 4;
+    frame[count_at..].copy_from_slice(&(n as u32).to_le_bytes());
+    frame.resize(frame.len() + filler, 0);
+    let body_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame
+}
+
 proptest! {
+    /// A count that would fit at one byte per element but not at the
+    /// element's real width is refused on the count alone — before a
+    /// `Vec` is sized from it (one forged 8 MiB frame used to reserve
+    /// 24× its size) — with the typed `Protocol` error.
+    #[test]
+    fn forged_counts_are_refused_before_allocating(
+        kind in 0usize..3,
+        filler in 64usize..8192,
+        slack_bp in 0usize..10_000,
+    ) {
+        let (request, min_elem_bytes) = list_request(kind);
+        let fits = filler / min_elem_bytes;
+        let n = fits + 1 + (filler - fits - 1) * slack_bp / 10_000;
+        let frame = forge_count(&request, n, filler);
+        match decode_request(&frame[4..]) {
+            Err(DecodeError::LengthOverrun { declared, remaining, .. }) => {
+                prop_assert_eq!((declared, remaining), (n as u64, filler));
+                prop_assert!(declared as usize > remaining / min_elem_bytes);
+            }
+            other => panic!("count {n} over {filler} bytes was not refused up front: {other:?}"),
+        }
+        // one element fewer than the bytes could hold is not an overrun
+        // (it fails later, or decodes): the rule is exact, not a cap
+        prop_assert!(!matches!(
+            decode_request(&forge_count(&request, fits, filler)[4..]),
+            Err(DecodeError::LengthOverrun { .. })
+        ));
+
+        let mut stream = TcpStream::connect(fixture().addr).expect("connect");
+        handshake(&mut stream);
+        stream.write_all(&frame).expect("forged frame");
+        let body = read_frame(&mut stream, TORTURE_FRAME_CAP)
+            .expect("error readable")
+            .expect("error present");
+        match decode_response(&body).expect("typed error") {
+            (7, Response::Error { error: WireError::Protocol(detail) }) => {
+                prop_assert!(detail.contains("declares"), "{detail}");
+            }
+            other => panic!("wanted a Protocol error for request 7, got {other:?}"),
+        }
+        drain_until_close(&mut stream);
+        assert_server_healthy("a forged count");
+    }
+
     /// A valid frame truncated at any byte → clean drop or typed
     /// error; the server survives every time.
     #[test]
@@ -164,7 +256,7 @@ proptest! {
         let body = read_frame(&mut stream, TORTURE_FRAME_CAP)
             .expect("reject readable")
             .expect("reject present");
-        let (id, response) = genie_net::frame::decode_response(&body).expect("typed reject");
+        let (id, response) = decode_response(&body).expect("typed reject");
         prop_assert_eq!(id, 0);
         match response {
             Response::Reject { error: WireError::UnsupportedVersion { got, want } } => {

@@ -172,7 +172,7 @@ impl RelationalIndex {
                 let Attribute::Categorical { cardinality } = self.attribute(attr)? else {
                     return Err(QueryBuildError::TypeMismatch {
                         attr,
-                        expected: "categorical",
+                        expected: "categorical".into(),
                     });
                 };
                 if value >= cardinality {
@@ -188,12 +188,12 @@ impl RelationalIndex {
                 if !matches!(self.attribute(attr)?, Attribute::Numeric { .. }) {
                     return Err(QueryBuildError::TypeMismatch {
                         attr,
-                        expected: "numeric",
+                        expected: "numeric".into(),
                     });
                 }
                 if !lo.is_finite() || !hi.is_finite() {
                     return Err(QueryBuildError::NonFinite {
-                        what: "numeric range bound",
+                        what: "numeric range bound".into(),
                     });
                 }
                 if lo > hi {
@@ -280,7 +280,7 @@ impl Domain for RelationalIndex {
                 (Attribute::Numeric { .. }, Value::Num(v)) => {
                     if !v.is_finite() {
                         return Err(QueryBuildError::NonFinite {
-                            what: "row cell value",
+                            what: "row cell value".into(),
                         });
                     }
                     self.bucket_of(attr, Value::Num(v))
@@ -288,13 +288,13 @@ impl Domain for RelationalIndex {
                 (Attribute::Categorical { .. }, Value::Num(_)) => {
                     return Err(QueryBuildError::TypeMismatch {
                         attr,
-                        expected: "numeric",
+                        expected: "numeric".into(),
                     });
                 }
                 (Attribute::Numeric { .. }, Value::Cat(_)) => {
                     return Err(QueryBuildError::TypeMismatch {
                         attr,
-                        expected: "categorical",
+                        expected: "categorical".into(),
                     });
                 }
             };
@@ -497,7 +497,7 @@ mod tests {
                 hi: 0.5
             }]),
             Err(QueryBuildError::NonFinite {
-                what: "numeric range bound"
+                what: "numeric range bound".into()
             })
         );
         // inverted numeric range reports the real bounds in attribute
@@ -541,7 +541,7 @@ mod tests {
             }]),
             Err(QueryBuildError::TypeMismatch {
                 attr: 0,
-                expected: "numeric"
+                expected: "numeric".into()
             })
         );
         // a categorical equality over the numeric attribute used to be
@@ -550,7 +550,7 @@ mod tests {
             rel.encode(&vec![Condition::CatEq { attr: 1, value: 3 }]),
             Err(QueryBuildError::TypeMismatch {
                 attr: 1,
-                expected: "categorical"
+                expected: "categorical".into()
             })
         );
         // BucketRange is kind-agnostic (bucket space exists for both)

@@ -29,47 +29,18 @@ use genie_core::model::{ObjectId, QueryBuildError};
 use genie_core::shard::ShardError;
 
 use crate::service::{
-    BackendHealth, CollectionId, GenieService, MutateError, MutationStatus, ResponseTicket,
-    ServiceConfig, ServiceError, ServiceStats,
+    BackendHealth, CollectionId, GenieService, MutationStatus, ResponseTicket, ServiceConfig,
+    ServiceError, ServiceStats,
 };
 use crate::{QueryScheduler, SchedulerConfig};
 
-/// Why a typed search failed: the spec never became a query (typed
-/// validation error at encode time) or the serving layer failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SearchError {
-    /// The query spec failed validation; nothing was submitted.
-    Build(QueryBuildError),
-    /// The service could not serve the request (wave failure,
-    /// shutdown, unknown collection).
-    Service(ServiceError),
-}
-
-impl std::fmt::Display for SearchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Build(e) => write!(f, "query build error: {e}"),
-            Self::Service(e) => write!(f, "service error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SearchError {}
-
-impl From<QueryBuildError> for SearchError {
-    fn from(e: QueryBuildError) -> Self {
-        Self::Build(e)
-    }
-}
-
-/// Why a [`GenieDb`] / [`Collection`] management operation failed —
-/// the typed counterpart of [`SearchError`] for everything that is not
-/// a query: opening the database, creating collections, reindexing,
-/// and live mutations.
+/// Why a [`GenieDb`] / [`Collection`] operation failed: typed searches,
+/// opening the database, creating collections, reindexing, and live
+/// mutations all fail with this one type.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbError {
-    /// An item (or query spec) failed the domain's typed validation;
-    /// nothing was indexed or mutated.
+    /// An item or query spec failed the domain's typed validation;
+    /// nothing was indexed, mutated or submitted.
     Build(QueryBuildError),
     /// [`GenieDb::open`] was given an empty backend fleet.
     NoBackends,
@@ -87,15 +58,15 @@ pub enum DbError {
     /// The durability layer could not journal or checkpoint. The
     /// operation was **not** applied (write-ahead discipline).
     Persist(String),
-    /// The serving layer failed (backend preparation, shutdown,
-    /// unknown collection).
+    /// The serving layer failed (backend preparation, wave failure,
+    /// shutdown, unknown collection).
     Service(ServiceError),
 }
 
 impl std::fmt::Display for DbError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Build(e) => write!(f, "item build error: {e}"),
+            Self::Build(e) => write!(f, "build error: {e}"),
             Self::NoBackends => f.write_str("GenieDb needs at least one backend"),
             Self::InvalidShards(e) => write!(f, "invalid shard count: {e}"),
             Self::UnknownId(id) => {
@@ -125,11 +96,11 @@ impl From<ShardError> for DbError {
     }
 }
 
-impl From<MutateError> for DbError {
-    fn from(e: MutateError) -> Self {
+impl From<ServiceError> for DbError {
+    fn from(e: ServiceError) -> Self {
         match e {
-            MutateError::UnknownId(id) => Self::UnknownId(id),
-            MutateError::Service(e) => Self::Service(e),
+            ServiceError::UnknownId(id) => Self::UnknownId(id),
+            e => Self::Service(e),
         }
     }
 }
@@ -187,7 +158,7 @@ impl GenieDb {
             return Err(DbError::NoBackends);
         }
         let sched = QueryScheduler::new(backends.clone(), scheduler);
-        let service = GenieService::start_empty(sched, service).map_err(DbError::Service)?;
+        let service = GenieService::start_empty(sched, service)?;
         Ok(Self {
             service: Arc::new(service),
             backends,
@@ -249,9 +220,7 @@ impl GenieDb {
         let mut db = Self::open(backends, scheduler, service)?;
         let recovered = genie_store::DurableStore::open(vfs, path)
             .map_err(|e| DbError::Recover(e.to_string()))?;
-        db.service
-            .restore_collections(recovered.collections)
-            .map_err(DbError::Service)?;
+        db.service.restore_collections(recovered.collections)?;
         db.service.attach_store(Arc::new(recovered.store));
         db.recovery = Some(recovered.report);
         Ok(db)
@@ -367,8 +336,7 @@ impl GenieDb {
         let domain = D::create(config, items);
         let id = self
             .service
-            .add_collection_sharded(name, domain.index(), shards)
-            .map_err(DbError::Service)?;
+            .add_collection_sharded(name, domain.index(), shards)?;
         Ok(Collection {
             inner: Arc::new(CollectionInner {
                 name: name.to_owned(),
@@ -506,7 +474,7 @@ impl<D: Domain> Collection<D> {
     /// shared service (admission queue, micro-batching, cache), decode
     /// the hits. The candidate count is the domain's
     /// [`candidates_for`](Domain::candidates_for).
-    pub fn search(&self, spec: &D::QuerySpec, k: usize) -> Result<D::Response, SearchError> {
+    pub fn search(&self, spec: &D::QuerySpec, k: usize) -> Result<D::Response, DbError> {
         let domain = self.domain();
         let kc = domain.candidates_for(k);
         self.search_on(&domain, spec, kc, k)
@@ -519,7 +487,7 @@ impl<D: Domain> Collection<D> {
         spec: &D::QuerySpec,
         k_candidates: usize,
         k: usize,
-    ) -> Result<D::Response, SearchError> {
+    ) -> Result<D::Response, DbError> {
         self.search_on(&self.domain(), spec, k_candidates, k)
     }
 
@@ -529,14 +497,13 @@ impl<D: Domain> Collection<D> {
         spec: &D::QuerySpec,
         k_candidates: usize,
         k: usize,
-    ) -> Result<D::Response, SearchError> {
+    ) -> Result<D::Response, DbError> {
         let query = domain.encode(spec)?;
         let response = self
             .inner
             .service
             .submit_to(self.inner.id, query, k_candidates)
-            .wait()
-            .map_err(SearchError::Service)?;
+            .wait()?;
         Ok(domain.decode(
             spec,
             response.hits,
@@ -577,7 +544,7 @@ impl<D: Domain> Collection<D> {
         spec: &D::QuerySpec,
         schedule: &[usize],
         k: usize,
-    ) -> Result<D::Response, SearchError> {
+    ) -> Result<D::Response, DbError> {
         assert!(!schedule.is_empty(), "schedule must name at least one K");
         let domain = self.domain();
         let mut last = None;
@@ -676,8 +643,7 @@ impl<D: Domain> Collection<D> {
         let upload_sim_us = self
             .inner
             .service
-            .swap_collection(self.inner.id, domain.index())
-            .map_err(DbError::Service)?;
+            .swap_collection(self.inner.id, domain.index())?;
         *slot = domain;
         Ok(upload_sim_us)
     }
@@ -779,10 +745,7 @@ impl<D: Domain> Collection<D> {
     /// compaction was applied (`false`: nothing to fold, or the base
     /// moved underneath and the rebuild was discarded as stale).
     pub fn compact(&self) -> Result<bool, DbError> {
-        self.inner
-            .service
-            .compact_collection(self.inner.id)
-            .map_err(DbError::Service)
+        Ok(self.inner.service.compact_collection(self.inner.id)?)
     }
 
     /// Live-mutation debt: delta size, tombstone count, base shards,
@@ -822,8 +785,8 @@ impl<D: Domain> TypedTicket<D> {
     }
 
     /// Block until the response arrives, then decode it.
-    pub fn wait(self) -> Result<D::Response, SearchError> {
-        let response = self.ticket.wait().map_err(SearchError::Service)?;
+    pub fn wait(self) -> Result<D::Response, DbError> {
+        let response = self.ticket.wait()?;
         Ok(self.domain.decode(
             &self.spec,
             response.hits,
@@ -834,9 +797,9 @@ impl<D: Domain> TypedTicket<D> {
     }
 
     /// Non-blocking poll; `None` means not served yet.
-    pub fn try_take(&self) -> Option<Result<D::Response, SearchError>> {
+    pub fn try_take(&self) -> Option<Result<D::Response, DbError>> {
         let result = self.ticket.try_take()?;
-        Some(result.map_err(SearchError::Service).map(|response| {
+        Some(result.map_err(DbError::from).map(|response| {
             self.domain.decode(
                 &self.spec,
                 response.hits,
@@ -1001,7 +964,7 @@ mod tests {
         let submitted_before = db.stats().submitted;
         assert_eq!(
             col.search(&vec![99], 1),
-            Err(SearchError::Build(QueryBuildError::KeywordOutOfRange {
+            Err(DbError::Build(QueryBuildError::KeywordOutOfRange {
                 keyword: 99,
                 universe: 10
             }))

@@ -16,8 +16,8 @@
 //!   [`upsert`](Collection::upsert) batches absorb into a delta shard
 //!   and tombstone set (no reindex), every answer provably equal to a
 //!   from-scratch rebuild, and a background compactor folds the debt
-//!   behind a generation swap. Failures are typed ([`DbError`],
-//!   [`MutateError`]) end to end.
+//!   behind a generation swap. Failures are typed ([`DbError`] over
+//!   [`ServiceError`]) end to end.
 //! * [`GenieService`] — the **always-on front-end**: an admission queue
 //!   any thread can [`submit_to`](GenieService::submit_to) for a
 //!   [`ResponseTicket`], with background dispatcher threads that cut
@@ -91,22 +91,21 @@ mod db;
 mod drain;
 mod service;
 
-pub use db::{Collection, DbError, GenieDb, SearchError, TypedTicket};
+pub use db::{Collection, DbError, GenieDb, TypedTicket};
 pub use drain::{ConnectionGuard, ConnectionRegistry};
 // the durability types that appear in this crate's public signatures
 // ([`GenieDb::open_at_vfs`], [`GenieService::attach_store`], ...)
 pub use genie_store::{DiskVfs, DurableStore, MemVfs, RecoveredCollection, RecoveryReport, Vfs};
 pub use service::{
-    percentile_us, BackendHealth, CollectionId, GenieService, MutateError, MutationStatus,
-    ResponseTicket, ServiceConfig, ServiceError, ServiceStats, ShardRunStats, TicketResult,
-    Trigger,
+    percentile_us, BackendHealth, CollectionId, GenieService, MutationStatus, ResponseTicket,
+    ServiceConfig, ServiceError, ServiceStats, ShardRunStats, TicketResult, Trigger,
 };
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use genie_core::backend::SearchBackend;
+use genie_core::backend::{BackendIndex, SearchBackend};
 use genie_core::cpq::CpqLayout;
 use genie_core::exec::{elapsed_us, StageProfile};
 use genie_core::index::InvertedIndex;
@@ -378,7 +377,7 @@ type ResultSlot = Option<(Vec<TopHit>, u32)>;
 /// request waves (see [`QueryScheduler::prepare`]).
 pub struct PreparedIndex {
     index: Arc<InvertedIndex>,
-    bindexes: Vec<genie_core::backend::BackendIndex>,
+    bindexes: Vec<BackendIndex>,
     /// Total simulated H2D time of the per-backend uploads.
     pub upload_sim_us: f64,
 }
@@ -761,121 +760,108 @@ impl QueryScheduler {
         let queue_cv = Condvar::new();
         let slots: Mutex<Vec<ResultSlot>> = Mutex::new(vec![None; requests.len()]);
 
-        let usages: Vec<BackendUsage> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .backends
-                .iter()
-                .zip(bindexes)
-                .zip(active)
-                .map(|((backend, bindex), &is_active)| {
-                    if !is_active {
-                        return None;
-                    }
-                    let queue = &queue;
-                    let queue_cv = &queue_cv;
-                    let slots = &slots;
-                    let costs = &costs;
-                    let postings = &postings;
-                    Some(scope.spawn(move || {
-                        let mut usage = BackendUsage {
-                            name: backend.capabilities().name,
-                            batches: 0,
-                            queries: 0,
-                            postings: 0,
-                            stages: StageProfile::default(),
-                            predicted_cost_us: 0.0,
-                            actual_cost_us: 0.0,
-                            failed: None,
-                        };
-                        loop {
-                            let batch = {
-                                let mut q = queue.lock().expect("queue poisoned");
-                                loop {
-                                    if let Some(b) = q.batches.pop_front() {
-                                        q.in_flight += 1;
-                                        break Some(b);
-                                    }
-                                    if q.in_flight == 0 {
-                                        break None; // drained for good
-                                    }
-                                    // a busy peer may panic and return
-                                    // its batch — park, don't exit
-                                    q = queue_cv.wait(q).expect("queue poisoned");
-                                }
-                            };
-                            let batch = match batch {
-                                Some(b) => b,
-                                None => break,
-                            };
-                            let queries: Vec<Query> = batch
-                                .requests
-                                .iter()
-                                .map(|&i| requests[i].query.clone())
-                                .collect();
-                            // a panicking backend must not poison the
-                            // whole wave: hand its batch back for the
-                            // surviving backends and retire this worker
-                            let batch_started = Instant::now();
-                            let out =
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    backend.search_batch(bindex, &queries, batch.k)
-                                })) {
-                                    Ok(out) => out,
-                                    Err(payload) => {
-                                        {
-                                            let mut q = queue.lock().expect("queue poisoned");
-                                            q.in_flight -= 1;
-                                            q.batches.push_front(batch);
-                                        }
-                                        queue_cv.notify_all();
-                                        usage.failed = Some(panic_message(payload.as_ref()));
-                                        break;
-                                    }
-                                };
-                            usage.actual_cost_us += elapsed_us(batch_started);
-                            usage.predicted_cost_us +=
-                                batch.requests.iter().map(|&i| costs[i]).sum::<f64>();
-                            usage.postings +=
-                                batch.requests.iter().map(|&i| postings[i]).sum::<u64>();
-                            usage.batches += 1;
-                            usage.queries += batch.requests.len();
-                            usage.stages.accumulate(&out.profile);
-                            {
-                                let mut slots = slots.lock().expect("slots poisoned");
-                                for (pos, (&req_idx, hits)) in
-                                    batch.requests.iter().zip(out.results).enumerate()
-                                {
-                                    slots[req_idx] = Some((hits, out.audit_thresholds[pos]));
-                                }
-                            }
-                            {
-                                let mut q = queue.lock().expect("queue poisoned");
-                                q.in_flight -= 1;
-                            }
-                            queue_cv.notify_all();
+        let idle = |backend: &Arc<dyn SearchBackend>| BackendUsage {
+            name: backend.capabilities().name,
+            batches: 0,
+            queries: 0,
+            postings: 0,
+            stages: StageProfile::default(),
+            predicted_cost_us: 0.0,
+            actual_cost_us: 0.0,
+            failed: None,
+        };
+        // one backend's worker loop: drain batches until the queue is
+        // empty for good
+        let serve = |backend: &Arc<dyn SearchBackend>, bindex: &BackendIndex| {
+            let mut usage = idle(backend);
+            loop {
+                let batch = {
+                    let mut q = queue.lock().expect("queue poisoned");
+                    loop {
+                        if let Some(b) = q.batches.pop_front() {
+                            q.in_flight += 1;
+                            break Some(b);
                         }
-                        usage
-                    }))
+                        if q.in_flight == 0 {
+                            break None; // drained for good
+                        }
+                        // a busy peer may panic and return its batch —
+                        // park, don't exit
+                        q = queue_cv.wait(q).expect("queue poisoned");
+                    }
+                };
+                let batch = match batch {
+                    Some(b) => b,
+                    None => break,
+                };
+                let queries: Vec<Query> = batch
+                    .requests
+                    .iter()
+                    .map(|&i| requests[i].query.clone())
+                    .collect();
+                // a panicking backend must not poison the whole wave:
+                // hand its batch back for the surviving backends and
+                // retire this worker
+                let batch_started = Instant::now();
+                let out = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    backend.search_batch(bindex, &queries, batch.k)
+                })) {
+                    Ok(out) => out,
+                    Err(payload) => {
+                        {
+                            let mut q = queue.lock().expect("queue poisoned");
+                            q.in_flight -= 1;
+                            q.batches.push_front(batch);
+                        }
+                        queue_cv.notify_all();
+                        usage.failed = Some(panic_message(payload.as_ref()));
+                        break;
+                    }
+                };
+                usage.actual_cost_us += elapsed_us(batch_started);
+                usage.predicted_cost_us += batch.requests.iter().map(|&i| costs[i]).sum::<f64>();
+                usage.postings += batch.requests.iter().map(|&i| postings[i]).sum::<u64>();
+                usage.batches += 1;
+                usage.queries += batch.requests.len();
+                usage.stages.accumulate(&out.profile);
+                {
+                    let mut slots = slots.lock().expect("slots poisoned");
+                    for (pos, (&req_idx, hits)) in
+                        batch.requests.iter().zip(out.results).enumerate()
+                    {
+                        slots[req_idx] = Some((hits, out.audit_thresholds[pos]));
+                    }
+                }
+                {
+                    let mut q = queue.lock().expect("queue poisoned");
+                    q.in_flight -= 1;
+                }
+                queue_cv.notify_all();
+            }
+            usage
+        };
+
+        // The caller takes one share: it serves the first active
+        // backend itself and spawns a worker only for each further one
+        // (a one-backend fleet spawns nothing). Masked-out backends
+        // keep their idle, fleet-ordered placeholder.
+        let mine = active.iter().position(|&a| a).expect("checked above");
+        let mut usages: Vec<BackendUsage> = self.backends.iter().map(idle).collect();
+        std::thread::scope(|scope| {
+            let serve = &serve;
+            let spawned: Vec<_> = (0..self.backends.len())
+                .filter(|&i| active[i] && i != mine)
+                .map(|i| {
+                    (
+                        i,
+                        scope.spawn(move || serve(&self.backends[i], &bindexes[i])),
+                    )
                 })
                 .collect();
-            handles
-                .into_iter()
-                .zip(&self.backends)
-                .map(|(h, backend)| match h {
-                    Some(h) => h.join().expect("backend worker panicked"),
-                    // masked out: an idle, fleet-ordered placeholder
-                    None => BackendUsage {
-                        name: backend.capabilities().name,
-                        batches: 0,
-                        queries: 0,
-                        postings: 0,
-                        stages: StageProfile::default(),
-                        predicted_cost_us: 0.0,
-                        actual_cost_us: 0.0,
-                        failed: None,
-                    },
-                })
-                .collect()
+            usages[mine] = serve(&self.backends[mine], &bindexes[mine]);
+            for (i, worker) in spawned {
+                usages[i] = worker.join().expect("backend worker panicked");
+            }
         });
 
         for usage in &usages {

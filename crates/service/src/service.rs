@@ -34,6 +34,9 @@
 //!   [`submit_to`](GenieService::submit_to); the request lands in a
 //!   queue and the caller gets a [`ResponseTicket`] it can block on
 //!   ([`ResponseTicket::wait`]) or poll ([`ResponseTicket::try_take`]).
+//!   A queued request is answered through a completion; a ticket is
+//!   the completion that sends to its own channel, and
+//!   [`submit_with`](GenieService::submit_with) takes the caller's.
 //! * **Wave cutting** — background dispatcher threads cut the queue
 //!   into a wave when either trigger fires:
 //!   - **size trigger**: the queued requests are enough to fill a
@@ -184,7 +187,7 @@ pub enum Trigger {
 /// [`GenieService::stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Requests admitted through `submit_to`/`submit_request`.
+    /// Requests admitted through `submit_to`/`submit_with`.
     pub submitted: u64,
     /// Requests answered successfully (scheduler-served + cache hits).
     pub served: u64,
@@ -358,6 +361,10 @@ pub enum ServiceError {
     ShuttingDown,
     /// No collection is registered under this id.
     UnknownCollection(CollectionId),
+    /// A mutation batch deleted an id that is not live in the collection
+    /// (it never existed, or was already deleted). Batches are atomic:
+    /// nothing was applied.
+    UnknownId(ObjectId),
     /// A degenerate shard plan was requested.
     InvalidShards(ShardError),
     /// A placement plan does not fit the collection or the fleet (wrong
@@ -379,6 +386,10 @@ impl std::fmt::Display for ServiceError {
         match self {
             Self::ShuttingDown => f.write_str("service is shutting down"),
             Self::UnknownCollection(id) => write!(f, "unknown collection id {id}"),
+            Self::UnknownId(id) => write!(
+                f,
+                "cannot delete object {id}: not a live id of this collection"
+            ),
             Self::InvalidShards(e) => write!(f, "invalid shard plan: {e}"),
             Self::InvalidPlacement(e) => write!(f, "invalid placement: {e}"),
             Self::Persist(e) => write!(f, "persistence failure: {e}"),
@@ -393,7 +404,12 @@ impl std::error::Error for ServiceError {}
 /// stopped its wave.
 pub type TicketResult = Result<QueryResponse, ServiceError>;
 
-/// A claim on one submitted request's future response.
+/// What a queued request is answered through; see
+/// [`GenieService::submit_with`].
+type Completion = Box<dyn FnOnce(TicketResult) + Send>;
+
+/// A claim on one submitted request's future response: the receiving
+/// end of a completion that sends to its own channel.
 ///
 /// Resolve it blocking ([`wait`](Self::wait) /
 /// [`wait_timeout`](Self::wait_timeout)) or by polling
@@ -448,7 +464,30 @@ struct Pending {
     collection: CollectionId,
     request: QueryRequest,
     enqueued_at: Instant,
-    tx: Sender<TicketResult>,
+    reply: Reply,
+}
+
+/// The completion of one queued request, behind a drop guard: a
+/// request dropped unanswered (a dispatcher unwinding mid-wave, the
+/// queue torn down) still completes — with the "dropped unserved"
+/// error — so no ticket waits forever and no connection's drain hangs
+/// on a reply that will never come.
+struct Reply(Option<Completion>);
+
+impl Reply {
+    fn send(mut self, result: TicketResult) {
+        if let Some(done) = self.0.take() {
+            done(result);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(done) = self.0.take() {
+            done(Err(dropped_unserved()));
+        }
+    }
 }
 
 struct QueueState {
@@ -618,34 +657,6 @@ pub struct MutationStatus {
     /// grows).
     pub next_id: ObjectId,
 }
-
-/// Why [`GenieService::mutate_collection`] rejected a batch. Batches
-/// are atomic: any error means nothing was applied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MutateError {
-    /// A delete named an id that is not live in the collection (it
-    /// never existed, or was already deleted).
-    UnknownId(ObjectId),
-    /// The service could not apply the batch (unknown collection,
-    /// backend preparation failure).
-    Service(ServiceError),
-}
-
-impl std::fmt::Display for MutateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownId(id) => {
-                write!(
-                    f,
-                    "cannot delete object {id}: not a live id of this collection"
-                )
-            }
-            Self::Service(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MutateError {}
 
 struct ServiceInner {
     scheduler: QueryScheduler,
@@ -933,7 +944,7 @@ impl ServiceInner {
         }
 
         for (p, (cached_hits, at)) in hits {
-            let _ = p.tx.send(Ok(QueryResponse {
+            p.reply.send(Ok(QueryResponse {
                 client_id: p.request.client_id,
                 hits: cached_hits,
                 audit_threshold: at,
@@ -943,12 +954,12 @@ impl ServiceInner {
             match outcome {
                 Ok(responses) => {
                     for (p, resp) in group.into_iter().zip(responses) {
-                        let _ = p.tx.send(Ok(resp));
+                        p.reply.send(Ok(resp));
                     }
                 }
                 Err(e) => {
                     for p in group {
-                        let _ = p.tx.send(Err(e.clone()));
+                        p.reply.send(Err(e.clone()));
                     }
                 }
             }
@@ -2021,14 +2032,15 @@ impl GenieService {
         deletes: &[ObjectId],
         inserts: Vec<Object>,
         on_assigned: &mut dyn FnMut(usize, ObjectId),
-    ) -> Result<Vec<ObjectId>, MutateError> {
+    ) -> Result<Vec<ObjectId>, ServiceError> {
         if deletes.is_empty() && inserts.is_empty() {
             return Ok(Vec::new());
         }
         let num_inserts = inserts.len() as u64;
-        let entry = self.inner.entry(collection).ok_or(MutateError::Service(
-            ServiceError::UnknownCollection(collection),
-        ))?;
+        let entry = self
+            .inner
+            .entry(collection)
+            .ok_or(ServiceError::UnknownCollection(collection))?;
         let mut slot = entry.write().expect("collection lock");
         // the journal needs its own copy of the inserts (staging
         // consumes them); skip the clone entirely when nothing persists
@@ -2040,29 +2052,24 @@ impl GenieService {
         let mut plan = slot.plan.clone();
         for &id in deletes {
             if !plan.delete(id) {
-                return Err(MutateError::UnknownId(id));
+                return Err(ServiceError::UnknownId(id));
             }
         }
         let ids: Vec<ObjectId> = inserts.into_iter().map(|o| plan.insert(o)).collect();
-        let delta = self
-            .inner
-            .prepare_delta(&plan)
-            .map_err(MutateError::Service)?;
+        let delta = self.inner.prepare_delta(&plan)?;
         // write-ahead: the batch is fsynced in the journal before any
         // search can observe it — a persistence failure aborts the
         // batch with nothing applied. Replay re-runs the same deletes
         // and re-assigns ids from the same `first_id`, so recovery
         // re-derives exactly the ids handed out here.
         if let Some(journal_inserts) = journal_inserts {
-            self.inner
-                .journal(&JournalEvent::Mutate {
-                    collection,
-                    seq,
-                    first_id,
-                    deletes: deletes.to_vec(),
-                    inserts: journal_inserts,
-                })
-                .map_err(MutateError::Service)?;
+            self.inner.journal(&JournalEvent::Mutate {
+                collection,
+                seq,
+                first_id,
+                deletes: deletes.to_vec(),
+                inserts: journal_inserts,
+            })?;
         }
         // ids are final: let the caller stash the items before any
         // search can return them
@@ -2188,39 +2195,70 @@ impl GenieService {
     /// order. Unknown collection ids resolve the ticket with an error
     /// at wave time.
     pub fn submit_to(&self, collection: CollectionId, query: Query, k: usize) -> ResponseTicket {
-        let client_id = self.next_client.fetch_add(1, Ordering::Relaxed);
-        self.submit_request(collection, QueryRequest::new(client_id, query, k))
-    }
-
-    /// [`submit_to`](Self::submit_to) with a caller-chosen client id.
-    pub fn submit_request(
-        &self,
-        collection: CollectionId,
-        request: QueryRequest,
-    ) -> ResponseTicket {
         let (tx, rx) = channel();
-        let client_id = request.client_id;
-        let submitted_at = Instant::now();
-        {
-            let mut q = self.inner.queue.lock().expect("queue lock");
-            if q.shutdown {
-                let _ = tx.send(Err(ServiceError::ShuttingDown));
-            } else {
-                q.pending.push_back(Pending {
-                    collection,
-                    request,
-                    enqueued_at: submitted_at,
-                    tx,
-                });
-                self.inner.stats.lock().expect("stats lock").submitted += 1;
-            }
-        }
-        self.inner.wakeup.notify_one();
+        let (client_id, submitted_at) = self.admit(
+            collection,
+            query,
+            k,
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
         ResponseTicket {
             client_id,
             submitted_at,
             rx,
         }
+    }
+
+    /// [`submit_to`](Self::submit_to) without the ticket: `done` is
+    /// called instead, exactly once, with the outcome — on whichever
+    /// thread resolves the request (a dispatcher, or this one when the
+    /// service is already shutting down), so it must be quick and must
+    /// not block. Front-ends that already own an outbound queue (the
+    /// network server's per-connection writer) are notified through it
+    /// rather than polling tickets.
+    pub fn submit_with(
+        &self,
+        collection: CollectionId,
+        query: Query,
+        k: usize,
+        done: impl FnOnce(TicketResult) + Send + 'static,
+    ) {
+        self.admit(collection, query, k, Box::new(done));
+    }
+
+    fn admit(
+        &self,
+        collection: CollectionId,
+        query: Query,
+        k: usize,
+        done: Completion,
+    ) -> (u64, Instant) {
+        let client_id = self.next_client.fetch_add(1, Ordering::Relaxed);
+        let submitted_at = Instant::now();
+        let reply = Reply(Some(done));
+        let refused = {
+            let mut q = self.inner.queue.lock().expect("queue lock");
+            if q.shutdown {
+                Some(reply)
+            } else {
+                q.pending.push_back(Pending {
+                    collection,
+                    request: QueryRequest::new(client_id, query, k),
+                    enqueued_at: submitted_at,
+                    reply,
+                });
+                self.inner.stats.lock().expect("stats lock").submitted += 1;
+                None
+            }
+        };
+        match refused {
+            // answered off the queue lock: the completion is foreign code
+            Some(reply) => reply.send(Err(ServiceError::ShuttingDown)),
+            None => self.inner.wakeup.notify_one(),
+        }
+        (client_id, submitted_at)
     }
 
     /// Snapshot of the serving counters. The `learned_*` fields are
@@ -2549,6 +2587,23 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.failed_requests, 1);
         assert_eq!(stats.served, 0);
+    }
+
+    /// A completion is called exactly once: with the wave's outcome,
+    /// or — when the queued request is dropped unanswered — with the
+    /// "dropped unserved" error, so nothing waits on it forever.
+    #[test]
+    fn completions_fire_once_even_when_dropped_unserved() {
+        let (service, cid) = serve_tiny(cpu_scheduler(), ServiceConfig::default());
+        let (tx, rx) = channel();
+        let served = tx.clone();
+        service.submit_with(cid, Query::from_keywords(&[1]), 3, move |r| {
+            served.send(r).unwrap()
+        });
+        assert!(rx.recv().unwrap().is_ok());
+        drop(Reply(Some(Box::new(move |r| tx.send(r).unwrap()))));
+        assert_eq!(rx.recv().unwrap().unwrap_err(), dropped_unserved());
+        assert!(rx.recv().is_err(), "each completion fired exactly once");
     }
 
     #[test]

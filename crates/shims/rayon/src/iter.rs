@@ -72,21 +72,19 @@ where
         }
         let chunk = n.div_ceil(workers);
         let f = &self.f;
-        let mut pieces: Vec<Vec<R>> = Vec::with_capacity(workers);
+        let map = move |part: &'a [T]| part.iter().map(f).collect::<Vec<R>>();
+        let mut parts = self.slice.chunks(chunk);
+        let first = parts.next().expect("n > 1, so there is a first chunk");
+        // the caller takes one share: it maps the first chunk itself
+        // while `workers - 1` spawned threads map the rest
+        let mut out = Vec::with_capacity(n);
         std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .slice
-                .chunks(chunk)
-                .map(|part| s.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
-                .collect();
+            let handles: Vec<_> = parts.map(|part| s.spawn(move || map(part))).collect();
+            out.extend(map(first));
             for h in handles {
-                pieces.push(h.join().expect("rayon par_iter worker panicked"));
+                out.extend(h.join().expect("rayon par_iter worker panicked"));
             }
         });
-        let mut out = Vec::with_capacity(n);
-        for p in pieces {
-            out.extend(p);
-        }
         out
     }
 }

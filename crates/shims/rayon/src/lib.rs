@@ -1,11 +1,12 @@
 //! Offline stand-in for the `rayon` crate.
 //!
-//! Implements the data-parallel subset the CPU search backend uses —
-//! `slice.par_iter().map(f).collect::<Vec<_>>()`, [`join`], [`scope`]
-//! and [`current_num_threads`] — on plain `std::thread::scope` with one
-//! chunk per available core. There is no work-stealing pool; for the
-//! coarse per-query parallelism this workspace needs, static chunking
-//! is equivalent. Swapping in real rayon is a Cargo.toml change only.
+//! Implements exactly the surface this workspace uses —
+//! `slice.par_iter().map(f).collect::<Vec<_>>()` and
+//! [`current_num_threads`] — on plain `std::thread::scope` with one
+//! chunk per available core, the calling thread mapping the first.
+//! There is no work-stealing pool; for the coarse per-query parallelism
+//! this workspace needs, static chunking is equivalent. Swapping in
+//! real rayon is a Cargo.toml change only.
 
 pub mod iter;
 
@@ -27,53 +28,9 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon::join closure panicked"))
-    })
-}
-
-/// Scoped task spawning (`rayon::scope`), mapped onto
-/// `std::thread::scope`. The closure receives a [`Scope`] whose `spawn`
-/// takes a `FnOnce(&Scope)` like rayon's.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: for<'a> FnOnce(&'a Scope<'scope, 'env>) + Send + 'scope,
-        'env: 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn par_map_collect_preserves_order() {
@@ -87,24 +44,5 @@ mod tests {
         let xs: Vec<u8> = Vec::new();
         let out: Vec<u8> = xs.par_iter().map(|&x| x).collect();
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
-
-    #[test]
-    fn scope_spawns_run_to_completion() {
-        let hits = AtomicU32::new(0);
-        super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
     }
 }

@@ -1,14 +1,15 @@
 //! Byte-level plumbing shared by every on-disk structure: CRC-32
-//! checksums, the `[len | crc | payload]` record frame, and a
-//! bounds-checked little-endian reader/writer pair.
+//! checksums, the `[len | crc | payload]` record frame, and
+//! [`FormatError`], the on-disk formats' semantic error.
 //!
-//! The reader follows the `genie_net::wire::ByteReader` discipline:
-//! every length prefix is validated against the bytes actually present
-//! *before* any allocation is sized from it, every failure is a typed
+//! Payloads are written and read with [`genie_core::codec`] (every
+//! count validated against the bytes actually present *before* any
+//! allocation is sized from it); its failures convert into
 //! [`FormatError`], and nothing in this module can panic on arbitrary
 //! input — the property the truncate-at-every-byte and bit-flip suites
 //! in `tests/recovery_props.rs` exercise end to end.
 
+use genie_core::codec;
 use genie_core::io::DecodeError;
 
 /// Hard upper bound on one record's payload. Far above any record this
@@ -79,153 +80,18 @@ impl From<DecodeError> for FormatError {
     }
 }
 
-/// Bounds-checked little-endian cursor over a byte slice.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
-        if self.remaining() < n {
-            return Err(FormatError::Eof);
+impl From<codec::DecodeError> for FormatError {
+    fn from(e: codec::DecodeError) -> Self {
+        match e {
+            // a count the remaining bytes cannot back is the input
+            // ending early, whichever check noticed first
+            codec::DecodeError::Truncated { .. } | codec::DecodeError::LengthOverrun { .. } => {
+                Self::Eof
+            }
+            codec::DecodeError::BadUtf8 { .. } => Self::Invalid("non-UTF-8 string"),
+            codec::DecodeError::BadTag { .. } => Self::Invalid("unknown tag"),
+            codec::DecodeError::TrailingBytes { .. } => Self::Invalid("trailing bytes"),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, FormatError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16, FormatError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub fn u32(&mut self) -> Result<u32, FormatError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, FormatError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// A `u32` element count, validated against the bytes remaining
-    /// (each element needs at least `elem_bytes` more bytes), so a
-    /// corrupt count can never size a huge allocation.
-    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, FormatError> {
-        let n = self.u32()? as usize;
-        if n.checked_mul(elem_bytes.max(1))
-            .is_none_or(|total| total > self.remaining())
-        {
-            return Err(FormatError::Eof);
-        }
-        Ok(n)
-    }
-
-    /// A `u32` length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], FormatError> {
-        let n = self.count(1)?;
-        self.take(n)
-    }
-
-    /// A `u32` length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, FormatError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| FormatError::Invalid("non-UTF-8 string"))
-    }
-
-    /// A `u32` count-prefixed vector of `u32`s.
-    pub fn vec_u32(&mut self) -> Result<Vec<u32>, FormatError> {
-        let n = self.count(4)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u32()?);
-        }
-        Ok(v)
-    }
-
-    /// Parsing must consume the whole structure: trailing bytes mean
-    /// the length prefix and the content disagree.
-    pub fn finish(self) -> Result<(), FormatError> {
-        if self.is_empty() {
-            Ok(())
-        } else {
-            Err(FormatError::Invalid("trailing bytes"))
-        }
-    }
-}
-
-/// Little-endian writer; the mirror of [`Reader`].
-#[derive(Default)]
-pub struct Writer {
-    out: Vec<u8>,
-}
-
-impl Writer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-
-    pub fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// A `u32` count prefix. Callers pass collection lengths; anything
-    /// past `u32::MAX` is a logic error upstream, not valid data.
-    pub fn count(&mut self, n: usize) {
-        self.u32(u32::try_from(n).expect("collection too large for u32 count"));
-    }
-
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.count(b.len());
-        self.out.extend_from_slice(b);
-    }
-
-    pub fn string(&mut self, s: &str) {
-        self.bytes(s.as_bytes());
-    }
-
-    pub fn vec_u32(&mut self, v: &[u32]) {
-        self.count(v.len());
-        for &x in v {
-            self.u32(x);
-        }
-    }
-
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.out
     }
 }
 
@@ -336,25 +202,38 @@ mod tests {
         assert_eq!(scan_frame(&zeroed, 0), Frame::BadLength);
     }
 
+    /// The codec's structural failures land on the variants recovery
+    /// distinguishes: anything the remaining bytes cannot back is
+    /// [`FormatError::Eof`] (a torn tail), the rest is `Invalid`.
     #[test]
     fn reader_validates_counts_before_allocating() {
         // declares u32::MAX elements with 4 bytes of content
-        let mut w = Writer::new();
-        w.u32(u32::MAX);
-        w.u32(7);
-        let mut r = Reader::new(w.out.as_slice());
-        assert_eq!(r.vec_u32().unwrap_err(), FormatError::Eof);
+        let mut w = codec::Writer::new();
+        w.put_u32(u32::MAX);
+        w.put_u32(7);
+        let bytes = w.into_vec();
+        let eof = |e: codec::DecodeError| assert_eq!(FormatError::from(e), FormatError::Eof);
+        eof(codec::Reader::new(&bytes).get_u32s("ids").unwrap_err());
+        eof(codec::Reader::new(&bytes).get_bytes("blob").unwrap_err());
+        eof(codec::Reader::new(&bytes[..3]).get_u32("n").unwrap_err());
     }
 
     #[test]
     fn reader_rejects_trailing_bytes() {
-        let mut w = Writer::new();
-        w.u32(5);
-        w.u8(0);
-        let mut r = Reader::new(w.out.as_slice());
-        assert_eq!(r.u32().unwrap(), 5);
+        let mut w = codec::Writer::new();
+        w.put_u32(5);
+        w.put_bytes(&[0xFF]);
+        let bytes = w.into_vec();
+        let mut r = codec::Reader::new(&bytes);
+        assert_eq!(r.get_u32("n").unwrap(), 5);
         assert_eq!(
-            r.finish().unwrap_err(),
+            FormatError::from(r.get_str("s").unwrap_err()),
+            FormatError::Invalid("non-UTF-8 string")
+        );
+        let mut r = codec::Reader::new(&bytes);
+        assert_eq!(r.get_u32("n").unwrap(), 5);
+        assert_eq!(
+            FormatError::from(r.finish().unwrap_err()),
             FormatError::Invalid("trailing bytes")
         );
     }

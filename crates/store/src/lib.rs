@@ -5,7 +5,11 @@
 //! This module doc is the **normative on-disk format specification**,
 //! in the same spirit as `genie_net::protocol`. Any reader/writer of a
 //! store directory must follow it; the structs in [`state`] and
-//! [`store`] are the reference implementation.
+//! [`store`] are the reference implementation. Record payloads are
+//! sequences of the byte-level primitives [`genie_core::codec`]
+//! defines (`u32`, `usize`, `str`, `bytes`, `u32s`, `objects`, and the
+//! count rule that bounds every count by the bytes left); this
+//! document only says which primitive goes where.
 //!
 //! # Directory layout
 //!
@@ -76,20 +80,20 @@
 //! ```text
 //! id: u64           collection id (must match the filename)
 //! seq: u64          last event sequence folded into this snapshot
-//! name: string      (u32 len | utf-8 bytes)
+//! name: str
 //! configured_shards: u32
 //! has_lb: u8        0 | 1, then if 1:
-//!   num_shards: u32, sub_shards: u32, large_threshold: u32
-//! base: shards      (u32 count, then per shard:)
-//!   id_mode: u8     1 = identity ids (then u32 count), 0 = explicit
-//!                   (then u32-count-prefixed strictly-increasing ids)
-//!   index: bytes    u32 len | genie_core::io::encode_index bytes
-//! delta: objects    u32 count, then per object:
-//!   id: u32, keywords: vec_u32
-//! tombstones: vec_u32 (strictly increasing)
+//!   max_list_len: usize
+//! base: shards      count, then per shard:
+//!   id_mode: u8     1 = identity ids (then their u32 count), 0 =
+//!                   explicit (then u32s, strictly increasing)
+//!   index: bytes    a genie_core::io::encode_index payload
+//! delta:            count, then per pending insert:
+//!   id: u32, keywords: u32s
+//! tombstones: u32s  (strictly increasing)
 //! next_id: u32
 //! has_placement: u8 0 | 1, then if 1:
-//!   num_backends: u32, assignments: u32 count × vec_u32
+//!   num_backends: u32, assignments: count × u32s
 //! ```
 //!
 //! # Journal event payload ([`JournalEvent`])
@@ -101,7 +105,7 @@
 //! ```text
 //! tag 1 Create     name, configured_shards, has_lb?, base shards
 //! tag 2 Swap       has_lb?, base shards       (reindex/compaction swap)
-//! tag 3 Mutate     first_id: u32, deletes: vec_u32, inserts: objects
+//! tag 3 Mutate     first_id: u32, deletes: u32s, inserts: objects
 //! tag 4 Placement  placement spec (as in snapshots)
 //! ```
 //!

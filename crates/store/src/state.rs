@@ -11,9 +11,9 @@
 //! `GenieDb::open_at` for how the typed facade layers back on top.
 //!
 //! Payload layouts are normative and versioned by the enclosing file
-//! headers (see the [crate docs](crate)); all integers little-endian,
-//! all counts `u32`-prefixed and validated against the remaining bytes
-//! before any allocation ([`Reader`]'s contract).
+//! headers (see the [crate docs](crate));
+//! written and read in the primitives of [`genie_core::codec`] (counts
+//! validated against the remaining bytes before any allocation).
 
 use std::sync::Arc;
 
@@ -23,7 +23,9 @@ use genie_core::io::{decode_index, encode_index};
 use genie_core::model::{Object, ObjectId};
 use genie_core::shard::Shard;
 
-use crate::format::{FormatError, Reader, Writer};
+use genie_core::codec::{Reader, Writer};
+
+use crate::format::FormatError;
 
 /// A persisted placement plan: which backends each shard fans out to,
 /// over a fleet of `num_backends`.
@@ -164,23 +166,20 @@ const TAG_PLACEMENT: u8 = 4;
 
 fn write_load_balance(w: &mut Writer, lb: Option<LoadBalanceConfig>) {
     match lb {
-        None => w.u8(0),
+        None => w.put_u8(0),
         Some(cfg) => {
-            w.u8(1);
-            w.u64(cfg.max_list_len as u64);
+            w.put_u8(1);
+            w.put_usize(cfg.max_list_len);
         }
     }
 }
 
 fn read_load_balance(r: &mut Reader<'_>) -> Result<Option<LoadBalanceConfig>, FormatError> {
-    match r.u8()? {
+    match r.get_u8("load-balance flag")? {
         0 => Ok(None),
-        1 => {
-            let raw = r.u64()?;
-            let max_list_len = usize::try_from(raw)
-                .map_err(|_| FormatError::Invalid("load-balance limit exceeds usize"))?;
-            Ok(Some(LoadBalanceConfig { max_list_len }))
-        }
+        1 => Ok(Some(LoadBalanceConfig {
+            max_list_len: r.get_usize("load-balance limit")?,
+        })),
         _ => Err(FormatError::Invalid("unknown load-balance flag")),
     }
 }
@@ -190,23 +189,20 @@ fn read_load_balance(r: &mut Reader<'_>) -> Result<Option<LoadBalanceConfig>, Fo
 fn write_shard(w: &mut Writer, shard: &Shard) {
     let ids = &shard.global_ids;
     if ids.iter().enumerate().all(|(i, &id)| id as usize == i) {
-        w.u8(1);
-        w.count(ids.len());
+        w.put_u8(1);
+        w.put_count(ids.len());
     } else {
-        w.u8(0);
-        w.vec_u32(ids);
+        w.put_u8(0);
+        w.put_u32s(ids);
     }
-    w.bytes(&encode_index(&shard.index));
+    w.put_bytes(&encode_index(&shard.index));
 }
 
 fn read_shard(r: &mut Reader<'_>) -> Result<Shard, FormatError> {
-    let ids: Vec<ObjectId> = match r.u8()? {
-        1 => {
-            let n = r.u32()?;
-            (0..n).collect()
-        }
+    let ids: Vec<ObjectId> = match r.get_u8("shard id-map flag")? {
+        1 => (0..r.get_u32("shard size")?).collect(),
         0 => {
-            let ids = r.vec_u32()?;
+            let ids = r.get_u32s("shard ids")?;
             if !ids.windows(2).all(|w| w[0] < w[1]) {
                 return Err(FormatError::Invalid("shard ids not strictly increasing"));
             }
@@ -214,7 +210,7 @@ fn read_shard(r: &mut Reader<'_>) -> Result<Shard, FormatError> {
         }
         _ => return Err(FormatError::Invalid("unknown shard id-map flag")),
     };
-    let index = decode_index(r.bytes()?)?;
+    let index = decode_index(r.get_bytes("shard index")?)?;
     if index.num_objects() as usize != ids.len() {
         return Err(FormatError::Invalid("shard id map length != index objects"));
     }
@@ -225,7 +221,7 @@ fn read_shard(r: &mut Reader<'_>) -> Result<Shard, FormatError> {
 }
 
 fn write_shards(w: &mut Writer, shards: &[Shard]) {
-    w.count(shards.len());
+    w.put_count(shards.len());
     for s in shards {
         write_shard(w, s);
     }
@@ -234,7 +230,7 @@ fn write_shards(w: &mut Writer, shards: &[Shard]) {
 fn read_shards(r: &mut Reader<'_>) -> Result<Vec<Shard>, FormatError> {
     // every shard needs at least an id-map flag, a count and an index
     // length prefix — 9 bytes — so the count is bounded by remaining/9
-    let n = r.count(9)?;
+    let n = r.count(9, "shards")?;
     let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         shards.push(read_shard(r)?);
@@ -244,15 +240,15 @@ fn read_shards(r: &mut Reader<'_>) -> Result<Vec<Shard>, FormatError> {
 
 fn write_placement(w: &mut Writer, placement: Option<&PlacementSpec>) {
     match placement {
-        None => w.u8(0),
+        None => w.put_u8(0),
         Some(spec) => {
-            w.u8(1);
-            w.count(spec.num_backends);
-            w.count(spec.assignments.len());
+            w.put_u8(1);
+            w.put_count(spec.num_backends);
+            w.put_count(spec.assignments.len());
             for shard in &spec.assignments {
-                w.count(shard.len());
+                w.put_count(shard.len());
                 for &b in shard {
-                    w.count(b);
+                    w.put_count(b);
                 }
             }
         }
@@ -260,17 +256,17 @@ fn write_placement(w: &mut Writer, placement: Option<&PlacementSpec>) {
 }
 
 fn read_placement(r: &mut Reader<'_>) -> Result<Option<PlacementSpec>, FormatError> {
-    match r.u8()? {
+    match r.get_u8("placement flag")? {
         0 => Ok(None),
         1 => {
-            let num_backends = r.u32()? as usize;
-            let shards = r.count(4)?;
+            let num_backends = r.get_u32("fleet size")? as usize;
+            let shards = r.count(4, "placed shards")?;
             let mut assignments = Vec::with_capacity(shards);
             for _ in 0..shards {
-                let n = r.count(4)?;
+                let n = r.count(4, "shard backends")?;
                 let mut backends = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let b = r.u32()? as usize;
+                    let b = r.get_u32("backend index")? as usize;
                     if b >= num_backends {
                         return Err(FormatError::Invalid("placement backend out of range"));
                     }
@@ -287,22 +283,6 @@ fn read_placement(r: &mut Reader<'_>) -> Result<Option<PlacementSpec>, FormatErr
     }
 }
 
-fn write_objects(w: &mut Writer, objects: &[Object]) {
-    w.count(objects.len());
-    for o in objects {
-        w.vec_u32(&o.keywords);
-    }
-}
-
-fn read_objects(r: &mut Reader<'_>) -> Result<Vec<Object>, FormatError> {
-    let n = r.count(4)?;
-    let mut objects = Vec::with_capacity(n);
-    for _ in 0..n {
-        objects.push(Object::new(r.vec_u32()?));
-    }
-    Ok(objects)
-}
-
 /// Encode one journal event into a frame payload.
 pub fn encode_event(event: &JournalEvent) -> Vec<u8> {
     let mut w = Writer::new();
@@ -315,11 +295,11 @@ pub fn encode_event(event: &JournalEvent) -> Vec<u8> {
             load_balance,
             base,
         } => {
-            w.u8(TAG_CREATE);
-            w.u64(*collection);
-            w.u64(*seq);
-            w.string(name);
-            w.count(*configured_shards);
+            w.put_u8(TAG_CREATE);
+            w.put_u64(*collection);
+            w.put_u64(*seq);
+            w.put_str(name);
+            w.put_count(*configured_shards);
             write_load_balance(&mut w, *load_balance);
             write_shards(&mut w, base);
         }
@@ -329,9 +309,9 @@ pub fn encode_event(event: &JournalEvent) -> Vec<u8> {
             load_balance,
             base,
         } => {
-            w.u8(TAG_SWAP);
-            w.u64(*collection);
-            w.u64(*seq);
+            w.put_u8(TAG_SWAP);
+            w.put_u64(*collection);
+            w.put_u64(*seq);
             write_load_balance(&mut w, *load_balance);
             write_shards(&mut w, base);
         }
@@ -342,39 +322,39 @@ pub fn encode_event(event: &JournalEvent) -> Vec<u8> {
             deletes,
             inserts,
         } => {
-            w.u8(TAG_MUTATE);
-            w.u64(*collection);
-            w.u64(*seq);
-            w.u32(*first_id);
-            w.vec_u32(deletes);
-            write_objects(&mut w, inserts);
+            w.put_u8(TAG_MUTATE);
+            w.put_u64(*collection);
+            w.put_u64(*seq);
+            w.put_u32(*first_id);
+            w.put_u32s(deletes);
+            w.put_objects(inserts.iter().map(|o| o.keywords.as_slice()));
         }
         JournalEvent::Placement {
             collection,
             seq,
             placement,
         } => {
-            w.u8(TAG_PLACEMENT);
-            w.u64(*collection);
-            w.u64(*seq);
+            w.put_u8(TAG_PLACEMENT);
+            w.put_u64(*collection);
+            w.put_u64(*seq);
             write_placement(&mut w, placement.as_ref());
         }
     }
-    w.into_bytes()
+    w.into_vec()
 }
 
 /// Decode one journal event from a verified frame payload.
 pub fn decode_event(payload: &[u8]) -> Result<JournalEvent, FormatError> {
     let mut r = Reader::new(payload);
-    let tag = r.u8()?;
-    let collection = r.u64()?;
-    let seq = r.u64()?;
+    let tag = r.get_u8("event tag")?;
+    let collection = r.get_u64("collection id")?;
+    let seq = r.get_u64("event seq")?;
     let event = match tag {
         TAG_CREATE => JournalEvent::Create {
             collection,
             seq,
-            name: r.string()?,
-            configured_shards: r.u32()? as usize,
+            name: r.get_str("collection name")?,
+            configured_shards: r.get_u32("configured shards")? as usize,
             load_balance: read_load_balance(&mut r)?,
             base: read_shards(&mut r)?,
         },
@@ -387,9 +367,9 @@ pub fn decode_event(payload: &[u8]) -> Result<JournalEvent, FormatError> {
         TAG_MUTATE => JournalEvent::Mutate {
             collection,
             seq,
-            first_id: r.u32()?,
-            deletes: r.vec_u32()?,
-            inserts: read_objects(&mut r)?,
+            first_id: r.get_u32("first id")?,
+            deletes: r.get_u32s("deletes")?,
+            inserts: r.get_objects("inserts")?,
         },
         TAG_PLACEMENT => JournalEvent::Placement {
             collection,
@@ -405,40 +385,40 @@ pub fn decode_event(payload: &[u8]) -> Result<JournalEvent, FormatError> {
 /// Encode one collection snapshot into a frame payload.
 pub fn encode_state(state: &CollectionState) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u64(state.id);
-    w.u64(state.seq);
-    w.string(&state.name);
-    w.count(state.configured_shards);
+    w.put_u64(state.id);
+    w.put_u64(state.seq);
+    w.put_str(&state.name);
+    w.put_count(state.configured_shards);
     write_load_balance(&mut w, state.load_balance);
     write_shards(&mut w, &state.base);
-    w.count(state.delta.len());
+    w.put_count(state.delta.len());
     for (id, object) in &state.delta {
-        w.u32(*id);
-        w.vec_u32(&object.keywords);
+        w.put_u32(*id);
+        w.put_u32s(&object.keywords);
     }
-    w.vec_u32(&state.tombstones);
-    w.u32(state.next_id);
+    w.put_u32s(&state.tombstones);
+    w.put_u32(state.next_id);
     write_placement(&mut w, state.placement.as_ref());
-    w.into_bytes()
+    w.into_vec()
 }
 
 /// Decode one collection snapshot from a verified frame payload.
 pub fn decode_state(payload: &[u8]) -> Result<CollectionState, FormatError> {
     let mut r = Reader::new(payload);
-    let id = r.u64()?;
-    let seq = r.u64()?;
-    let name = r.string()?;
-    let configured_shards = r.u32()? as usize;
+    let id = r.get_u64("collection id")?;
+    let seq = r.get_u64("snapshot seq")?;
+    let name = r.get_str("collection name")?;
+    let configured_shards = r.get_u32("configured shards")? as usize;
     let load_balance = read_load_balance(&mut r)?;
     let base = read_shards(&mut r)?;
-    let delta_len = r.count(8)?;
+    let delta_len = r.count(8, "delta entries")?;
     let mut delta = Vec::with_capacity(delta_len);
     for _ in 0..delta_len {
-        let id = r.u32()?;
-        delta.push((id, Object::new(r.vec_u32()?)));
+        let id = r.get_u32("delta id")?;
+        delta.push((id, Object::new(r.get_u32s("delta keywords")?)));
     }
-    let tombstones = r.vec_u32()?;
-    let next_id = r.u32()?;
+    let tombstones = r.get_u32s("tombstones")?;
+    let next_id = r.get_u32("next id")?;
     let placement = read_placement(&mut r)?;
     r.finish()?;
     Ok(CollectionState {
@@ -581,7 +561,7 @@ mod tests {
         let shards = sample_shards(100, 1);
         let mut w = Writer::new();
         write_shards(&mut w, &shards);
-        let compact = w.into_bytes();
+        let compact = w.into_vec();
         // a non-identity map of the same shard costs ~4 bytes per id more
         let offset = Shard {
             index: shards[0].index.clone(),
@@ -589,7 +569,7 @@ mod tests {
         };
         let mut w = Writer::new();
         write_shards(&mut w, &[offset]);
-        assert!(compact.len() + 350 < w.into_bytes().len());
+        assert!(compact.len() + 350 < w.into_vec().len());
     }
 
     #[test]
@@ -597,28 +577,28 @@ mod tests {
         // id map length disagreeing with the embedded index
         let shard = &sample_shards(10, 1)[0];
         let mut w = Writer::new();
-        w.u8(0);
-        w.vec_u32(&[0, 1, 2]); // 3 ids for a 10-object index
-        w.bytes(&encode_index(&shard.index));
-        let mut r = Reader::new(w.into_bytes().leak());
+        w.put_u8(0);
+        w.put_u32s(&[0, 1, 2]); // 3 ids for a 10-object index
+        w.put_bytes(&encode_index(&shard.index));
+        let mut r = Reader::new(w.into_vec().leak());
         assert!(matches!(read_shard(&mut r), Err(FormatError::Invalid(_))));
 
         // unsorted id map
         let mut w = Writer::new();
-        w.u8(0);
-        w.vec_u32(&[5, 4, 3, 2, 1, 0, 6, 7, 8, 9]);
-        w.bytes(&encode_index(&shard.index));
-        let mut r = Reader::new(w.into_bytes().leak());
+        w.put_u8(0);
+        w.put_u32s(&[5, 4, 3, 2, 1, 0, 6, 7, 8, 9]);
+        w.put_bytes(&encode_index(&shard.index));
+        let mut r = Reader::new(w.into_vec().leak());
         assert!(matches!(read_shard(&mut r), Err(FormatError::Invalid(_))));
 
         // placement pointing past the fleet
         let mut w = Writer::new();
-        w.u8(1);
-        w.count(2); // num_backends = 2
-        w.count(1); // one shard
-        w.count(1); // one backend entry
-        w.count(5); // backend index 5 >= 2
-        let bytes = w.into_bytes();
+        w.put_u8(1);
+        w.put_count(2); // num_backends = 2
+        w.put_count(1); // one shard
+        w.put_count(1); // one backend entry
+        w.put_count(5); // backend index 5 >= 2
+        let bytes = w.into_vec();
         let mut r = Reader::new(&bytes);
         assert!(matches!(
             read_placement(&mut r),

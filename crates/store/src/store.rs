@@ -6,9 +6,10 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use genie_core::codec::{Reader, Writer};
 use genie_core::delta::DeltaPlan;
 
-use crate::format::{self, FormatError, Frame, Reader, Writer};
+use crate::format::{self, FormatError, Frame};
 use crate::state::{
     decode_event, decode_state, encode_event, encode_state, CollectionState, JournalEvent,
     PlacementSpec,
@@ -206,14 +207,14 @@ fn file_header(magic: &[u8; 4], gen: u64) -> Vec<u8> {
 /// Parse a `magic | version | gen` file header.
 pub(crate) fn parse_header(magic: &[u8; 4], bytes: &[u8]) -> Result<(u64, usize), FormatError> {
     let mut r = Reader::new(bytes);
-    if r.take(4)? != magic {
+    if r.take(4, "magic")? != magic {
         return Err(FormatError::BadMagic);
     }
-    let version = r.u16()?;
+    let version = r.get_u16("format version")?;
     if version != FORMAT_VERSION {
         return Err(FormatError::UnsupportedVersion(version));
     }
-    let gen = r.u64()?;
+    let gen = r.get_u64("generation")?;
     Ok((gen, FILE_HEADER))
 }
 
@@ -253,7 +254,7 @@ pub(crate) fn read_manifest(vfs: &dyn Vfs, root: &Path) -> Result<Option<u64>, R
             }
             let mut r = Reader::new(payload);
             let gen = r
-                .u64()
+                .get_u64("snapshot generation")
                 .map_err(|e| RecoverError::BadManifest(e.to_string()))?;
             r.finish()
                 .map_err(|e| RecoverError::BadManifest(e.to_string()))?;
@@ -660,8 +661,8 @@ impl DurableStore {
         // unused — it is not itself generational)
         let mut manifest = file_header(MANIFEST_MAGIC, 0);
         let mut payload = Writer::new();
-        payload.u64(new_gen);
-        format::frame(&mut manifest, &payload.into_bytes());
+        payload.put_u64(new_gen);
+        format::frame(&mut manifest, &payload.into_vec());
         self.vfs
             .write_atomic(&manifest_path(&self.root), &manifest)
             .map_err(io_err)?;

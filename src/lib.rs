@@ -70,9 +70,8 @@ pub mod prelude {
     pub use genie_sa::{DocumentIndex, RelationalIndex, RelationalSchema, SequenceIndex};
     pub use genie_service::{
         percentile_us, BackendHealth, Collection, CollectionId, DbError, GenieDb, GenieService,
-        MutateError, MutationStatus, PreparedIndex, QueryRequest, QueryResponse, QueryScheduler,
-        ResponseTicket, ScheduleReport, SchedulerConfig, SearchError, ServiceConfig, ServiceStats,
-        TypedTicket,
+        MutationStatus, PreparedIndex, QueryRequest, QueryResponse, QueryScheduler, ResponseTicket,
+        ScheduleReport, SchedulerConfig, ServiceConfig, ServiceError, ServiceStats, TypedTicket,
     };
     pub use gpu_sim::{Device, DeviceConfig};
 }

@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices of the paper's §III-IV that
+//! `genie-core`'s module docs call out:
 //!
 //! * Robin Hood overwrite-expired rule on vs a plain saturating table —
 //!   measured indirectly through hash-table insert throughput under a

@@ -1,4 +1,5 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and record or
+//! check the `BENCH_*.json` baselines.
 //!
 //! ```text
 //! repro --all                    # everything (a few minutes)
@@ -8,62 +9,24 @@
 //! repro --serving-smoke --check  # CI serving gate + baseline audit
 //! ```
 //!
-//! `--check` flips the bench runners from *recording* baselines to
-//! *gating against* them: the workload is re-run several times, each
-//! gated metric is summarised as median ± MAD, and the process exits
-//! nonzero if any row regresses beyond its noise band vs the checked-in
-//! `BENCH_*.json` (see `genie_bench::check`). Setting
-//! `GENIE_BENCH_INJECT_REGRESSION=1` spins inside the timed kernel
-//! loops; CI runs the gate once with it set and asserts failure, so the
-//! band can never silently widen past a real regression.
+//! `--check` flips every selected bench from *recording* its baseline
+//! to *gating against* it, and the process exits nonzero if any gate is
+//! red (see the `genie_bench` crate docs for what a bench records and
+//! gates, and where). Setting `GENIE_BENCH_INJECT_REGRESSION=1` spins
+//! inside the timed kernel loops; CI runs the gate once with it set and
+//! asserts failure, so the band can never silently widen past a real
+//! regression.
 
-use genie_bench::cpu_kernel;
-use genie_bench::durability;
 use genie_bench::experiments as exp;
-use genie_bench::mutations;
-use genie_bench::net;
-use genie_bench::placement;
-use genie_bench::serving;
-use genie_bench::workloads::Scale;
+use genie_bench::harness;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!(
-            "usage: repro [--quick] [--all] [--fig8] [--fig9] [--fig10] [--fig11] \
-             [--fig12] [--fig13] [--fig14] [--table1] [--table2] [--table4] \
-             [--table5] [--table6] [--ext-structures] [--ext-tau] [--serving] \
-             [--serving-smoke] [--shards N] [--cpu-kernel [--smoke]] \
-             [--mutations [--smoke]] [--net [--smoke]] \
-             [--placement [--smoke]] [--durability [--smoke]] [--check]"
-        );
+    let invocation = harness::parse_args(&args).unwrap_or_else(|problem| {
+        eprintln!("repro: {problem}\n{}", harness::usage());
         std::process::exit(2);
-    }
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    // `--shards N`: how many index shards the serving smoke splits its
-    // collection across (N > 1 exercises the sharded fan-out + merge).
-    // A malformed value must fail loudly — silently falling back to 1
-    // would let the CI sharded-smoke gate pass without ever running
-    // the sharded path it exists to test.
-    let shards: usize = match args.iter().position(|a| a == "--shards") {
-        None => 1,
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            }
-        },
-    };
-    let all = has("--all");
-    let scale = if has("--quick") {
-        Scale {
-            n: 2_000,
-            num_queries: 1024,
-        }
-    } else {
-        Scale::default()
-    };
+    });
+    let scale = invocation.scale();
 
     println!("GENIE evaluation reproduction (scaled synthetic workloads)");
     println!(
@@ -73,145 +36,19 @@ fn main() {
         exp::SCALED_M
     );
 
-    if all || has("--fig8") {
-        exp::fig8();
+    for (flags, experiment) in exp::ALL {
+        if invocation.has("--all") || flags.iter().any(|flag| invocation.has(flag)) {
+            experiment(scale);
+        }
     }
-    if all || has("--fig9") {
-        exp::fig9(scale);
-    }
-    if all || has("--fig10") {
-        exp::fig10(scale);
-    }
-    if all || has("--fig11") {
-        exp::fig11(scale);
-    }
-    if all || has("--fig12") {
-        exp::fig12(scale);
-    }
-    if all || has("--fig13") {
-        exp::fig13(scale);
-    }
-    if all || has("--fig14") {
-        exp::fig14(scale);
-    }
-    if all || has("--table1") {
-        exp::table1(scale);
-    }
-    if all || has("--table2") || has("--table3") {
-        exp::table2_3(scale);
-    }
-    if all || has("--table4") {
-        exp::table4(scale);
-    }
-    if all || has("--table5") {
-        exp::table5(scale);
-    }
-    if all || has("--table6") || has("--table7") {
-        exp::table6_7(scale);
-    }
-    if all || has("--ext-structures") {
-        exp::ext_structures(scale);
-    }
-    if all || has("--ext-tau") {
-        exp::ext_tau(scale);
-    }
-    // in --check mode each selected bench *gates* instead of recording;
-    // a single failed gate turns the whole invocation red
-    let checking = has("--check");
+    // a single red gate turns the whole invocation red, but every
+    // selected bench still runs and leaves its report
     let mut all_checks_passed = true;
-
-    if all || has("--serving") {
-        if checking {
-            all_checks_passed &= serving::serving_check();
-        } else {
-            serving::serving(scale);
+    for bench in harness::REGISTRY {
+        if let Some(ctx) = invocation.ctx_for(bench) {
+            all_checks_passed &= harness::run(bench, &ctx);
         }
     }
-    if all || has("--cpu-kernel") {
-        // `--smoke` (and `--quick`, for consistency with every other
-        // experiment) shrinks the sweep to the CI-gate size: correctness
-        // + regime selection asserted, timings recorded not asserted,
-        // output routed to the gitignored BENCH_cpu_kernel_smoke.json.
-        // Only the full run enforces the >= 2x sparse/dense speedup bars
-        // and refreshes the checked-in BENCH_cpu_kernel.json baseline.
-        let smoke = has("--smoke") || has("--quick");
-        if checking {
-            all_checks_passed &= cpu_kernel::cpu_kernel_check(smoke);
-        } else {
-            cpu_kernel::cpu_kernel(smoke);
-        }
-    }
-    if all || has("--mutations") {
-        // the live-mutation workload: delta shards, tombstones and
-        // compaction under interleaved searches, audited against a
-        // from-scratch rebuild. `--smoke`/`--quick` routes the CI-sized
-        // run to the gitignored BENCH_mutations_smoke.json; only the
-        // full run refreshes the checked-in BENCH_mutations.json.
-        let smoke = has("--smoke") || has("--quick");
-        if checking {
-            all_checks_passed &= mutations::mutations_check(smoke);
-        } else {
-            mutations::mutations(smoke);
-        }
-    }
-    if has("--net") {
-        // the network load generator: real genie-client connections
-        // against a loopback NetServer, sky-bench-style server/full
-        // latency split across mixes, pipeline depths and churn.
-        // Deliberately not part of --all (it spins sockets + threads);
-        // `--smoke`/`--quick` routes the CI-sized run to the gitignored
-        // BENCH_net_smoke.json, and `--smoke --check` runs the live
-        // smoke plus a structural audit of the checked-in
-        // BENCH_net.json. Only the full run refreshes that baseline.
-        let smoke = has("--smoke") || has("--quick");
-        if checking {
-            all_checks_passed &= net::net_check(smoke);
-        } else {
-            net::net(smoke);
-        }
-    }
-    if has("--placement") {
-        // the skew-aware placement workload: skewed corpus on a
-        // heterogeneous fleet (CPU + throttled sims), static broadcast
-        // vs the learning placement loop. Deliberately not part of
-        // --all (the throttle spins real wall-clock); `--smoke` routes
-        // the CI-sized run to the gitignored BENCH_placement_smoke.json
-        // and `--quick` to BENCH_placement_quick.json; only the full
-        // run refreshes the checked-in BENCH_placement.json.
-        let smoke = has("--smoke");
-        let quick = has("--quick");
-        if checking {
-            all_checks_passed &= placement::placement_check(smoke || quick);
-        } else {
-            placement::placement(smoke, quick && !smoke);
-        }
-    }
-    if has("--durability") {
-        // the kill-and-restart durability gate: spawns the real
-        // genie-server binary with --data-dir, SIGKILLs it mid-load,
-        // restarts, and gates on acked recovery + answer identity.
-        // Deliberately not part of --all (it spawns processes and
-        // binds sockets); needs `cargo build --bin genie-server`
-        // first. `--smoke`/`--quick` routes the CI-sized run to the
-        // gitignored BENCH_durability_smoke.json; only the full run
-        // refreshes the checked-in BENCH_durability.json.
-        let smoke = has("--smoke") || has("--quick");
-        if checking {
-            all_checks_passed &= durability::durability_check(smoke);
-        } else {
-            durability::durability(smoke);
-        }
-    }
-    if has("--serving-smoke") {
-        // deliberately not part of --all: a fixed-size CI gate that
-        // exercises the live serving loop with both wave triggers
-        if checking {
-            all_checks_passed &= serving::serving_smoke_check(shards);
-        } else {
-            serving::serving_smoke(shards);
-        }
-    }
-
     if !all_checks_passed {
         eprintln!("perf-regression check FAILED — see CHECK_*.json for the banded verdicts");
         std::process::exit(1);

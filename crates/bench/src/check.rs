@@ -23,12 +23,16 @@
 //! self-test in CI demonstrates (`GENIE_BENCH_INJECT_REGRESSION=1`
 //! must make this gate fail).
 //!
-//! Every check writes a machine-readable report
-//! (`CHECK_cpu_kernel.json` / `CHECK_serving.json`, gitignored; CI
-//! uploads them as artifacts) recording trials, medians, MADs, bands
-//! and verdicts, so a red gate in CI is diagnosable from the artifact
-//! alone.
+//! Every check writes a machine-readable report (`CHECK_<bench>*.json`,
+//! gitignored; CI uploads them as artifacts) recording trials, medians,
+//! MADs, bands and verdicts, so a red gate in CI is diagnosable from the
+//! artifact alone. Which gates a bench has, how many trials it runs and
+//! where the report lands is the [harness](crate::harness)'s business;
+//! this module is only the arithmetic.
 
+use std::path::Path;
+
+use crate::harness::{Cell, Col, Table};
 use crate::json::Json;
 
 /// Median of a sample (mean-of-middle-two for even sizes).
@@ -79,6 +83,19 @@ pub struct GateVerdict {
 /// relative floor.
 pub const SLACK_MADS: f64 = 3.0;
 
+/// The one place a boolean-per-trial becomes a gate: each trial scores
+/// 1 when the invariant held and the median must reach 1. The harness
+/// separately fails a check in which *any* trial broke an invariant, so
+/// a two-of-three majority cannot hide a flaky structural failure.
+pub fn indicator(name: String, held: &[bool]) -> GateRow {
+    GateRow {
+        name,
+        baseline: 1.0,
+        trials: held.iter().map(|&ok| ok as u64 as f64).collect(),
+        floor: 1.0,
+    }
+}
+
 /// Judge one metric: median of the trials against the banded floor.
 pub fn judge(row: GateRow) -> GateVerdict {
     let med = median(&row.trials);
@@ -93,93 +110,83 @@ pub fn judge(row: GateRow) -> GateVerdict {
     }
 }
 
+/// The gate row schema: the printed verdict table and the report's
+/// `gates` entries.
+const GATES: Table<GateVerdict> = Table {
+    id: Some(("name", "gate", 46)),
+    cols: &[
+        Col::shown("baseline", "baseline", Cell::Fixed3, |v| {
+            v.row.baseline.into()
+        }),
+        Col::json("floor", |v| v.row.floor.into()),
+        Col::json("trials", |v| {
+            Json::Arr(v.row.trials.iter().map(|&t| t.into()).collect())
+        }),
+        Col::shown("median", "median", Cell::Fixed3, |v| v.median.into()),
+        Col::shown("mad", "mad", Cell::Fixed3, |v| v.mad.into()),
+        Col::shown("threshold", "threshold", Cell::Fixed3, |v| {
+            v.threshold.into()
+        }),
+        Col::shown("pass", "pass", Cell::Plain, |v| v.pass.into()),
+    ],
+};
+
 /// Print the verdict table, write the machine-readable report to
-/// `report_path`, and return whether every row passed.
-pub fn report(check_name: &str, verdicts: &[GateVerdict], report_path: &str) -> bool {
-    let widths = [34, 10, 10, 10, 10, 6];
-    crate::row(
-        &[
-            "gate".into(),
-            "baseline".into(),
-            "median".into(),
-            "mad".into(),
-            "threshold".into(),
-            "ok".into(),
-        ],
-        &widths,
-    );
-    for v in verdicts {
-        crate::row(
-            &[
-                v.row.name.clone(),
-                format!("{:.3}", v.row.baseline),
-                format!("{:.3}", v.median),
-                format!("{:.3}", v.mad),
-                format!("{:.3}", v.threshold),
-                if v.pass { "yes" } else { "NO" }.into(),
-            ],
-            &widths,
-        );
+/// `report_path` (`CHECK_<check name>.json`), and return whether every
+/// row passed.
+pub fn report(verdicts: &[GateVerdict], report_path: &Path) -> bool {
+    let stem = report_path.file_stem().expect("a report is a file");
+    let check_name = stem.to_string_lossy();
+    let check_name = check_name.trim_start_matches("CHECK_");
+    // a red row must be findable by name: `<row>/<invariant>` is unique
+    // by construction, and a bench that breaks that is a harness bug
+    let mut names: Vec<&str> = verdicts.iter().map(|v| v.row.name.as_str()).collect();
+    names.sort_unstable();
+    if let Some(dup) = names.windows(2).find(|w| w[0] == w[1]) {
+        panic!("check {check_name} has two gates named {:?}", dup[0]);
     }
+    GATES.header();
+    let gates = verdicts.iter().map(|v| GATES.row(v.row.name.as_str(), v));
+    let gates: Vec<Json> = gates.collect();
 
     let all_pass = verdicts.iter().all(|v| v.pass);
     let doc = Json::obj(vec![
-        ("check", Json::str(check_name)),
-        ("slack_mads", Json::num(SLACK_MADS)),
-        ("pass", Json::Bool(all_pass)),
-        (
-            "gates",
-            Json::arr(
-                verdicts
-                    .iter()
-                    .map(|v| {
-                        Json::obj(vec![
-                            ("name", Json::str(v.row.name.clone())),
-                            ("baseline", Json::num(v.row.baseline)),
-                            ("floor", Json::num(v.row.floor)),
-                            (
-                                "trials",
-                                Json::arr(v.row.trials.iter().map(|&t| Json::num(t)).collect()),
-                            ),
-                            ("median", Json::num(v.median)),
-                            ("mad", Json::num(v.mad)),
-                            ("threshold", Json::num(v.threshold)),
-                            ("pass", Json::Bool(v.pass)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("check", check_name.into()),
+        ("slack_mads", SLACK_MADS.into()),
+        ("pass", all_pass.into()),
+        ("gates", gates.into()),
     ]);
+    let shown = report_path.display();
     doc.write_to_file(report_path)
-        .unwrap_or_else(|e| panic!("cannot write {report_path}: {e}"));
+        .unwrap_or_else(|e| panic!("cannot write {shown}: {e}"));
     println!(
-        "check report written to {report_path} — {}",
+        "check report written to {shown} — {}",
         if all_pass { "PASS" } else { "FAIL" }
     );
     all_pass
 }
 
 /// Load a checked-in baseline, or explain exactly what to run.
-pub fn load_baseline(path: &str) -> Json {
+pub fn load_baseline(path: &Path) -> Json {
+    let shown = path.display();
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("cannot read baseline {path}: {e} — run the bench without --check to create it")
+        panic!("cannot read baseline {shown}: {e} — run the bench without --check to create it")
     });
-    Json::parse(&text).unwrap_or_else(|e| panic!("corrupt baseline {path}: {e}"))
+    Json::parse(&text).unwrap_or_else(|e| panic!("corrupt baseline {shown}: {e}"))
 }
 
-/// Find the row of `rows` whose `key` field equals `value`.
-pub fn find_row<'a>(rows: &'a [Json], key: &str, value: &str) -> &'a Json {
-    rows.iter()
-        .find(|r| r.get(key).and_then(Json::as_str) == Some(value))
-        .unwrap_or_else(|| panic!("baseline has no row with {key} == {value:?}"))
-}
-
-/// Read a required numeric field out of a baseline row.
+/// Read a required numeric field out of a row.
 pub fn field(row: &Json, name: &str) -> f64 {
     row.get(name)
         .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("baseline row missing numeric field {name:?}"))
+        .unwrap_or_else(|| panic!("row missing numeric field {name:?}"))
+}
+
+/// Read a required boolean field out of a row.
+pub fn flag(row: &Json, name: &str) -> bool {
+    row.get(name)
+        .and_then(Json::as_bool)
+        .unwrap_or_else(|| panic!("row missing boolean field {name:?}"))
 }
 
 /// True when the injected-regression self-test hook is armed. The
@@ -257,12 +264,19 @@ mod tests {
             trials: vec![2.4, 2.6, 2.5],
             floor: 0.6,
         });
-        let path = std::env::temp_dir().join("genie_check_report_test.json");
-        let path = path.to_str().unwrap();
-        assert!(report("unit_test", &[v], path));
-        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let path = std::env::temp_dir().join("CHECK_unit_test.json");
+        assert!(report(&[v], &path));
+        let doc = load_baseline(&path);
         assert_eq!(doc.get("check").and_then(Json::as_str), Some("unit_test"));
         assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    #[should_panic(expected = "two gates named")]
+    fn report_refuses_two_gates_with_one_name() {
+        let twice = || judge(indicator("row/invariant".into(), &[true]));
+        let path = std::env::temp_dir().join("CHECK_unit_test_dup.json");
+        report(&[twice(), twice()], &path);
     }
 }

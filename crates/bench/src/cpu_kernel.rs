@@ -17,19 +17,13 @@
 //!
 //! Every timed query is first checked bit-identical against
 //! [`kernel::reference_search_one`], so the sweep can never report a
-//! speedup for wrong answers. Alongside the human table the run emits a
-//! machine-readable baseline — `BENCH_cpu_kernel.json` (full run,
-//! checked in) or `BENCH_cpu_kernel_smoke.json` (`--smoke`, the CI
-//! gate's artifact) — so future PRs have a perf trajectory to diff
-//! against instead of re-reading tables out of CI logs.
+//! speedup for wrong answers.
 //!
-//! `--check` (see [`crate::check`]) re-runs the sweep several times
-//! and gates each row's **speedup ratio** — not raw microseconds, so
-//! the gate is portable across hosts — against the checked-in
-//! baseline with a median ± MAD noise band, exiting nonzero on
-//! regression. `GENIE_BENCH_INJECT_REGRESSION=1` spins ~200 µs per
-//! query inside the timed kernel loops, which collapses every speedup
-//! and must make the gate fail (CI asserts exactly that).
+//! What is gated is each row's **speedup ratio** — not raw
+//! microseconds, so the gate is portable across hosts — and the regime
+//! each workload finalises in. `GENIE_BENCH_INJECT_REGRESSION=1` spins
+//! ~200 µs per query inside the timed kernel loops, which collapses
+//! every speedup and must make the gate fail (CI asserts exactly that).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,14 +31,17 @@ use std::time::Instant;
 use genie_core::backend::kernel::{self, KernelStatsSnapshot};
 use genie_core::backend::{CpuBackend, SearchBackend};
 use genie_core::exec::elapsed_us;
-use genie_core::index::{IndexBuilder, InvertedIndex};
+use genie_core::index::InvertedIndex;
 use genie_core::model::{Object, Query, QueryItem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::check::{self, GateRow};
+use crate::check::{self, field};
+use crate::harness::{
+    smoke_or_quick, Band, Bench, Cell, Col, Ctx, Invariant, Mode, Run, Section, Table,
+};
 use crate::json::Json;
-use crate::row;
+use crate::workloads::index_of;
 
 const K: usize = 10;
 
@@ -90,12 +87,6 @@ fn synth(
     (objects, queries)
 }
 
-fn index_of(objects: &[Object]) -> Arc<InvertedIndex> {
-    let mut b = IndexBuilder::new();
-    b.add_objects(objects.iter());
-    Arc::new(b.build(None))
-}
-
 struct SweepRow {
     name: &'static str,
     n: usize,
@@ -118,17 +109,6 @@ impl SweepRow {
     }
 }
 
-fn diff(after: KernelStatsSnapshot, before: KernelStatsSnapshot) -> KernelStatsSnapshot {
-    KernelStatsSnapshot {
-        queries: after.queries - before.queries,
-        sparse_finalize: after.sparse_finalize - before.sparse_finalize,
-        dense_finalize: after.dense_finalize - before.dense_finalize,
-        parallel_queries: after.parallel_queries - before.parallel_queries,
-        postings_scanned: after.postings_scanned - before.postings_scanned,
-        candidates: after.candidates - before.candidates,
-    }
-}
-
 /// A workload with its index built, backend warm, and answers already
 /// verified bit-identical against the seed path — ready for (repeated)
 /// timing. The split from [`measure`] lets `--check` run several
@@ -148,7 +128,6 @@ fn prepare(workload: Workload) -> Prepared {
 
     // correctness gate before any timing: the kernel may never be
     // credited with a speedup for different answers
-    let before = cpu.kernel_stats();
     for q in &workload.queries {
         let expected = kernel::reference_search_one(&index, q, K);
         let out = cpu.search_batch(&bindex, std::slice::from_ref(q), K);
@@ -159,7 +138,8 @@ fn prepare(workload: Workload) -> Prepared {
             workload.name
         );
     }
-    let stats = diff(cpu.kernel_stats(), before);
+    // `cpu` is this workload's own backend: its counters are the sweep's
+    let stats = cpu.kernel_stats();
 
     Prepared {
         workload,
@@ -222,35 +202,45 @@ fn measure(p: &Prepared, reps: usize) -> SweepRow {
     }
 }
 
-fn json_row(r: &SweepRow) -> Json {
-    Json::obj(vec![
-        ("workload", Json::str(r.name)),
-        ("n", Json::int(r.n as u64)),
-        ("queries", Json::int(r.queries as u64)),
-        ("k", Json::int(K as u64)),
-        ("postings_per_query", Json::num(r.postings_per_query)),
-        ("candidates_per_query", Json::num(r.candidates_per_query)),
-        ("seed_dense_us_per_query", Json::num(r.seed_us)),
-        ("kernel_us_per_query", Json::num(r.kernel_us)),
-        ("kernel_batch_us_per_query", Json::num(r.batch_us)),
-        ("speedup_single_query", Json::num(r.speedup())),
-        ("sparse_finalize", Json::int(r.stats.sparse_finalize)),
-        ("dense_finalize", Json::int(r.stats.dense_finalize)),
-        ("parallel_queries", Json::int(r.stats.parallel_queries)),
-    ])
-}
-
-/// Workload scale for one mode: `(n, num_queries, reps)`.
-fn scale(smoke: bool) -> (usize, usize, usize) {
-    if smoke {
-        (8_000, 32, 2)
-    } else {
-        (100_000, 64, 4)
-    }
-}
+const TABLE: Table<SweepRow> = Table {
+    id: Some(("workload", "workload", 8)),
+    cols: &[
+        Col::shown("n", "n", Cell::Plain, |r| r.n.into()),
+        Col::json("queries", |r| r.queries.into()),
+        Col::json("k", |_| K.into()),
+        Col::shown("postings_per_query", "postings/q", Cell::Plain, |r| {
+            r.postings_per_query.into()
+        }),
+        Col::shown("candidates_per_query", "matched/q", Cell::Plain, |r| {
+            r.candidates_per_query.into()
+        }),
+        Col::shown("seed_dense_us_per_query", "seed(us)", Cell::Fixed1, |r| {
+            r.seed_us.into()
+        }),
+        Col::shown("kernel_us_per_query", "kernel(us)", Cell::Fixed1, |r| {
+            r.kernel_us.into()
+        }),
+        Col::shown(
+            "kernel_batch_us_per_query",
+            "batch(us)",
+            Cell::Fixed1,
+            |r| r.batch_us.into(),
+        ),
+        Col::shown("speedup_single_query", "speedup", Cell::Times, |r| {
+            r.speedup().into()
+        }),
+        Col::shown("sparse_finalize", "sparse", Cell::Plain, |r| {
+            r.stats.sparse_finalize.into()
+        }),
+        Col::shown("dense_finalize", "dense", Cell::Plain, |r| {
+            r.stats.dense_finalize.into()
+        }),
+        Col::json("parallel_queries", |r| r.stats.parallel_queries.into()),
+    ],
+};
 
 /// The three selectivity regimes at scale `n`, identical between the
-/// baseline run and `--check` trials so their speedups are comparable.
+/// baseline run and check trials so their speedups are comparable.
 fn build_workloads(n: usize, num_queries: usize) -> [Workload; 3] {
     let workload = |name, universe, items, item_width, seed| {
         let (objects, queries) = synth(n, 8, universe, items, item_width, num_queries, seed);
@@ -267,37 +257,6 @@ fn build_workloads(n: usize, num_queries: usize) -> [Workload; 3] {
         workload("mid", (n / 25) as u32, 6, 2, 22),
         // more postings than objects: must fall back to the dense sweep
         workload("dense", 50, 4, 8, 33),
-    ]
-}
-
-/// Short git revision for baseline provenance ("unknown" outside a
-/// work tree, e.g. from an unpacked source artifact).
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Logical CPUs visible to the process (what `std::thread` can use),
-/// alongside `threads` (what the backend actually spawns).
-fn host_parallelism() -> u64 {
-    std::thread::available_parallelism()
-        .map(|p| p.get() as u64)
-        .unwrap_or(1)
-}
-
-/// Shared provenance fields for both bench JSONs.
-pub fn meta_fields(threads: usize) -> Vec<(&'static str, Json)> {
-    vec![
-        ("threads", Json::int(threads as u64)),
-        ("host_parallelism", Json::int(host_parallelism())),
-        ("git_revision", Json::str(git_revision())),
     ]
 }
 
@@ -324,251 +283,155 @@ fn merge_dense_throughput() -> f64 {
     (LANE * REPS) as f64 / elapsed_us(started)
 }
 
-/// Run the sweep. `smoke` shrinks the workloads to a CI-sized gate that
-/// asserts correctness and regime selection (timings are recorded, not
-/// asserted — CI machines are noisy); the full run additionally asserts
-/// the acceptance bar: >= 2x single-query speedup on the sparse AND
-/// dense workloads at `n >= 100k`, plus vector-class `merge_dense`
-/// throughput.
-pub fn cpu_kernel(smoke: bool) {
-    let (n, num_queries, reps) = scale(smoke);
-    let threads = CpuBackend::new().capabilities().devices;
-    println!(
-        "\n=== CPU kernel sweep — seed dense path vs sparse-aware kernel \
-         (n = {n}, k = {K}, {threads} host thread(s)) ==="
+/// The acceptance bar a *recorded full-scale* baseline must meet: >= 2x
+/// single-query speedup on the sparse AND dense workloads at
+/// `n >= 100k`, plus vector-class `merge_dense` throughput. Smoke
+/// timings are recorded, not asserted — CI machines are noisy — and a
+/// check gates the ratios against the baseline instead.
+fn assert_acceptance_bar(rows: &[SweepRow], merge_throughput: f64) {
+    let (sparse, dense) = (&rows[0], &rows[2]);
+    assert!(
+        sparse.n >= 100_000,
+        "the acceptance bar is defined at n >= 100k"
     );
-
-    let workloads = build_workloads(n, num_queries);
-
-    let widths = [8, 9, 12, 12, 11, 11, 11, 9, 14];
-    row(
-        &[
-            "workload".into(),
-            "n".into(),
-            "postings/q".into(),
-            "matched/q".into(),
-            "seed(us)".into(),
-            "kernel(us)".into(),
-            "batch(us)".into(),
-            "speedup".into(),
-            "finalize".into(),
-        ],
-        &widths,
+    assert!(
+        sparse.speedup() >= 2.0,
+        "sparse single-query speedup fell below the 2x acceptance bar: {:.2}x",
+        sparse.speedup()
     );
-    let mut rows = Vec::new();
-    for w in workloads {
-        let r = measure(&prepare(w), reps);
-        row(
-            &[
-                r.name.into(),
-                r.n.to_string(),
-                format!("{:.0}", r.postings_per_query),
-                format!("{:.0}", r.candidates_per_query),
-                format!("{:.1}", r.seed_us),
-                format!("{:.1}", r.kernel_us),
-                format!("{:.1}", r.batch_us),
-                format!("{:.1}x", r.speedup()),
-                format!("{}sp/{}de", r.stats.sparse_finalize, r.stats.dense_finalize),
+    assert!(
+        dense.speedup() >= 2.0,
+        "dense single-query speedup fell below the 2x acceptance bar \
+         (is the lane-split sweep still vectorised?): {:.2}x",
+        dense.speedup()
+    );
+    // a de-vectorised merge_dense (scalar add + bookkeeping per count)
+    // measures well under this floor on any host this bar is refreshed on
+    assert!(
+        merge_throughput >= 1_000.0,
+        "merge_dense throughput {merge_throughput:.0} counts/us is scalar-class, \
+         not vector-class — check the autovectorizer kept movdqu/paddd"
+    );
+}
+
+/// `--cpu-kernel [--smoke]`: build and verify the three workloads once,
+/// then time them per trial. A check repeats the timing at 2 reps per
+/// trial; a full recording takes 4.
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
+    let smoke = ctx.mode == Mode::Smoke;
+    let recording_full = !smoke && !ctx.checking;
+    let (n, num_queries) = if smoke { (8_000, 32) } else { (100_000, 64) };
+    let reps = if recording_full { 4 } else { 2 };
+    println!("seed dense path vs sparse-aware kernel, n = {n}, k = {K}");
+    let prepared = build_workloads(n, num_queries).map(prepare);
+    Box::new(move || {
+        TABLE.header();
+        let measured: Vec<SweepRow> = prepared.iter().map(|p| measure(p, reps)).collect();
+        let rows: Vec<Json> = measured.iter().map(|r| TABLE.row(r.name, r)).collect();
+        let merge_throughput = merge_dense_throughput();
+        println!("merge_dense throughput: {merge_throughput:.0} counts/us");
+        if recording_full {
+            assert_acceptance_bar(&measured, merge_throughput);
+        }
+
+        let config = kernel::KernelConfig::default();
+        let kernel_config = Json::obj(vec![
+            (
+                "dense_postings_per_object",
+                config.dense_postings_per_object.into(),
+            ),
+            (
+                "dense_touched_fraction",
+                config.dense_touched_fraction.into(),
+            ),
+            ("parallel_min_postings", config.parallel_min_postings.into()),
+            ("dense_lanes", config.dense_lanes.into()),
+        ]);
+        Run {
+            head: vec![("smoke", smoke.into())],
+            body: vec![
+                ("kernel_config", kernel_config),
+                ("merge_dense_counts_per_us", merge_throughput.into()),
+                ("rows", rows.into()),
             ],
-            &widths,
-        );
-        rows.push(r);
-    }
-
-    // regime selection must hold at any scale: selective queries
-    // finalise sparse, saturating ones fall back to the dense sweep
-    let sparse = &rows[0];
-    let dense = &rows[2];
-    assert!(
-        sparse.stats.dense_finalize == 0 && sparse.stats.sparse_finalize > 0,
-        "selective workload must stay on the sparse path: {:?}",
-        sparse.stats
-    );
-    assert!(
-        dense.stats.sparse_finalize == 0 && dense.stats.dense_finalize > 0,
-        "saturating workload must fall back to the dense sweep: {:?}",
-        dense.stats
-    );
-
-    let path = if smoke {
-        "BENCH_cpu_kernel_smoke.json"
-    } else {
-        "BENCH_cpu_kernel.json"
-    };
-    let merge_throughput = merge_dense_throughput();
-    println!("merge_dense throughput: {merge_throughput:.0} counts/us");
-
-    let config = genie_core::backend::kernel::KernelConfig::default();
-    let mut fields = vec![
-        ("bench", Json::str("cpu_kernel")),
-        ("smoke", Json::Bool(smoke)),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.extend(vec![
-        (
-            "kernel_config",
-            Json::obj(vec![
-                (
-                    "dense_postings_per_object",
-                    Json::num(config.dense_postings_per_object),
-                ),
-                (
-                    "dense_touched_fraction",
-                    Json::num(config.dense_touched_fraction),
-                ),
-                (
-                    "parallel_min_postings",
-                    Json::int(config.parallel_min_postings),
-                ),
-                ("dense_lanes", Json::int(config.dense_lanes as u64)),
-            ]),
-        ),
-        ("merge_dense_counts_per_us", Json::num(merge_throughput)),
-        ("rows", Json::arr(rows.iter().map(json_row).collect())),
-    ]);
-    let doc = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    doc.write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("baseline written to {path}");
-
-    if !smoke {
-        assert!(
-            sparse.n >= 100_000,
-            "the acceptance bar is defined at n >= 100k"
-        );
-        assert!(
-            sparse.speedup() >= 2.0,
-            "sparse single-query speedup fell below the 2x acceptance bar: {:.2}x",
-            sparse.speedup()
-        );
-        assert!(
-            dense.speedup() >= 2.0,
-            "dense single-query speedup fell below the 2x acceptance bar \
-             (is the lane-split sweep still vectorised?): {:.2}x",
-            dense.speedup()
-        );
-        // vector-class merge throughput: a de-vectorised merge_dense
-        // (scalar add + bookkeeping per count) measures well under
-        // this floor on any host this bar is refreshed on
-        assert!(
-            merge_throughput >= 1_000.0,
-            "merge_dense throughput {merge_throughput:.0} counts/us is scalar-class, \
-             not vector-class — check the autovectorizer kept movdqu/paddd"
-        );
-    }
+        }
+    })
 }
 
-/// The `--cpu-kernel --check` gate: `trials` re-runs of the sweep on
-/// freshly built workloads, gating each row's single-query speedup —
-/// a host-portable ratio — against the checked-in full baseline with
-/// a median ± MAD band. Returns true when every gate passed.
-///
-/// The relative floor is 0.5 for a full-scale check; `--smoke` runs
-/// 12.5x-smaller workloads, so the floor is per-row: the sparse
-/// speedup grows with `n` (the seed path is `O(n)` per query, the
-/// kernel is `O(postings + matched)`; a 100k-object baseline of ~38x
-/// is legitimately ~5-6x at n = 8k), so its smoke floor is 0.08, mid
-/// 0.25, and dense — whose both paths are `O(n)`-dominated, making
-/// the ratio nearly scale-invariant — keeps 0.5. The injected
-/// regression (~200 µs/query) still lands one to two orders of
-/// magnitude below every floor. Regime selection is asserted at exact
-/// equality — the adaptive predictor's sparse/dense split is
-/// scale-invariant by construction.
-pub fn cpu_kernel_check(smoke: bool) -> bool {
-    let baseline = check::load_baseline("BENCH_cpu_kernel.json");
-    let base_rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .expect("baseline has no rows array");
+fn workload_is(row: &Json, name: &str) -> bool {
+    row.get("workload").and_then(Json::as_str) == Some(name)
+}
 
-    let (n, num_queries, _) = scale(smoke);
-    let (trials, reps) = if smoke { (3, 2) } else { (5, 2) };
-    let floor = |name: &str| -> f64 {
-        if !smoke {
-            0.5
-        } else {
-            match name {
-                "sparse" => 0.08,
-                "mid" => 0.25,
-                _ => 0.5,
+const SECTIONS: &[Section] = &[
+    Section {
+        at: Some("rows"),
+        name: "",
+        // regime selection must hold at any scale: selective queries
+        // finalise sparse, saturating ones fall back to the dense sweep
+        invariants: &[Invariant::new("regime_selection", |row, _| {
+            let (sparse, dense) = (field(row, "sparse_finalize"), field(row, "dense_finalize"));
+            if workload_is(row, "sparse") {
+                dense == 0.0 && sparse > 0.0
+            } else {
+                sparse == 0.0 && dense > 0.0
             }
-        }
-    };
-    println!(
-        "\n=== CPU kernel check — {trials} trials at n = {n} vs checked-in \
-         BENCH_cpu_kernel.json ==="
-    );
-
-    let prepared: Vec<Prepared> = build_workloads(n, num_queries)
-        .into_iter()
-        .map(prepare)
-        .collect();
-
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); prepared.len()];
-    let mut merges: Vec<f64> = Vec::new();
-    for t in 0..trials {
-        for (i, p) in prepared.iter().enumerate() {
-            let r = measure(p, reps);
-            println!(
-                "trial {}/{trials} {}: seed {:.1} us, kernel {:.1} us, {:.2}x",
-                t + 1,
-                r.name,
-                r.seed_us,
-                r.kernel_us,
-                r.speedup()
-            );
-            speedups[i].push(r.speedup());
-        }
-        merges.push(merge_dense_throughput());
-    }
-
-    let mut verdicts = Vec::new();
-    for (i, p) in prepared.iter().enumerate() {
-        let base_row = check::find_row(base_rows, "workload", p.workload.name);
-        verdicts.push(check::judge(GateRow {
-            name: format!("{}/speedup_single_query", p.workload.name),
-            baseline: check::field(base_row, "speedup_single_query"),
-            trials: speedups[i].clone(),
-            floor: floor(p.workload.name),
-        }));
-        // regime selection is structural, not noisy: the fraction of
-        // queries finalised on each path must not fall below the
-        // baseline's (deterministic single trial, so the MAD term is
-        // zero and the band has zero width). A sparse row flipping to
-        // the dense sweep drops its sparse_finalize fraction from 1.0
-        // and goes red here even if the timing gates stay green.
-        let base_queries = check::field(base_row, "queries");
-        for metric in ["sparse_finalize", "dense_finalize"] {
-            let fresh = match metric {
-                "sparse_finalize" => p.stats.sparse_finalize as f64,
-                _ => p.stats.dense_finalize as f64,
-            } / num_queries as f64;
-            verdicts.push(check::judge(GateRow {
-                name: format!("{}/{metric}_fraction", p.workload.name),
-                baseline: check::field(base_row, metric) / base_queries,
-                trials: vec![fresh],
-                floor: 1.0,
-            }));
-        }
-    }
-    verdicts.push(check::judge(GateRow {
-        name: "merge_dense/counts_per_us".into(),
-        baseline: check::field(&baseline, "merge_dense_counts_per_us"),
-        trials: merges,
-        // absolute-throughput gate, so give cross-host headroom; a
+        })
+        .when(|row| !workload_is(row, "mid"))],
+        bands: &[
+            // `--smoke` runs 12.5x-smaller workloads, so its floor is
+            // per-row: the sparse speedup grows with `n` (the seed path
+            // is `O(n)` per query, the kernel `O(postings + matched)`; a
+            // 100k-object baseline of ~38x is legitimately ~5-6x at
+            // n = 8k), mid less so, and dense — whose both paths are
+            // `O(n)`-dominated, making the ratio nearly scale-invariant —
+            // keeps the full-scale 0.5. The injected regression still
+            // lands one to two orders of magnitude below every floor.
+            Band {
+                name: "speedup_single_query",
+                value: |row| field(row, "speedup_single_query"),
+                floor: |mode, row| match (mode, row) {
+                    (Mode::Smoke, "sparse") => 0.08,
+                    (Mode::Smoke, "mid") => 0.25,
+                    _ => 0.5,
+                },
+            },
+            // the fraction of queries finalised on each path must not
+            // fall below the baseline's; it is deterministic, so the MAD
+            // term is zero and the band has zero width. A sparse row
+            // flipping to the dense sweep drops its sparse fraction from
+            // 1.0 and goes red here even if the timing gates stay green.
+            Band {
+                name: "sparse_finalize_fraction",
+                value: |row| field(row, "sparse_finalize") / field(row, "queries"),
+                floor: |_, _| 1.0,
+            },
+            Band {
+                name: "dense_finalize_fraction",
+                value: |row| field(row, "dense_finalize") / field(row, "queries"),
+                floor: |_, _| 1.0,
+            },
+        ],
+    },
+    Section {
+        at: None,
+        name: "merge_dense",
+        invariants: &[],
+        // absolute throughput, so give cross-host headroom; a
         // de-vectorised merge is ~4-8x slower and still trips it
-        floor: 0.25,
-    }));
+        bands: &[Band {
+            name: "counts_per_us",
+            value: |doc| field(doc, "merge_dense_counts_per_us"),
+            floor: |_, _| 0.25,
+        }],
+    },
+];
 
-    let path = if smoke {
-        "CHECK_cpu_kernel_smoke.json"
-    } else {
-        "CHECK_cpu_kernel.json"
-    };
-    check::report("cpu_kernel", &verdicts, path)
-}
+pub const BENCH: Bench = Bench {
+    name: "cpu_kernel",
+    flag: "--cpu-kernel",
+    in_all: true,
+    mode: smoke_or_quick,
+    trials: |mode| if mode == Mode::Full { 5 } else { 3 },
+    sections: |_| SECTIONS,
+    setup,
+};

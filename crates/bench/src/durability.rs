@@ -19,28 +19,26 @@
 //! * **checkpoint hygiene** — a graceful shutdown folds the journal
 //!   into a snapshot, and the next start replays zero events.
 //!
-//! All gates are structural booleans (they hold on any host at any
-//! speed); recovery wall-clock is recorded for trend reading, never
-//! gated.
+//! All invariants are structural booleans (they hold on any host at
+//! any speed); recovery wall-clock is recorded for trend reading, never
+//! gated. The runner additionally asserts, cycle by cycle, that no acked
+//! insert vanished and no unsent object appeared — a failed assert there
+//! names the cycle, which a document-level boolean cannot.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use genie_client::{keyword_of, Client};
-use genie_core::backend::CpuBackend;
-use genie_core::index::IndexBuilder;
 use genie_core::model::{Object, Query, QueryItem};
 use genie_net::frame::Request;
-use genie_service::{GenieService, QueryScheduler, ServiceConfig};
 
-use crate::check::{self, GateRow};
-use crate::cpu_kernel::meta_fields;
+use crate::check::{field, flag};
+use crate::harness::{smoke_or_quick, Bench, Cell, Col, Ctx, Invariant, Mode, Run, Section, Table};
 use crate::json::Json;
-use crate::{ms, row};
+use crate::net::Truth;
 
 /// One run's shape.
 #[derive(Debug, Clone, Copy)]
@@ -254,6 +252,15 @@ fn spawn_server(bin: &Path, corpus: &Path, data_dir: &Path) -> Server {
 }
 
 impl Server {
+    /// This boot's row in the report table.
+    fn row(&self, name: String) -> BootRow {
+        BootRow {
+            name,
+            boot: self.boot.clone(),
+            boot_ms: self.boot_ms,
+        }
+    }
+
     /// SIGKILL — no drain, no checkpoint, mid-whatever-it-was-doing.
     fn kill(mut self) {
         self.child.kill().expect("SIGKILL delivers");
@@ -345,33 +352,10 @@ fn identity_probe(
     collection: u64,
     mirror: &[Object],
     queries: &[Query],
-    k: usize,
 ) -> (usize, bool) {
-    let mut b = IndexBuilder::new();
-    b.add_objects(mirror.iter());
-    let index = Arc::new(b.build(None));
-    let truth = Arc::new(
-        GenieService::start_empty(
-            QueryScheduler::single(Arc::new(CpuBackend::new())),
-            ServiceConfig::default(),
-        )
-        .expect("config is valid"),
-    );
-    let truth_col = truth.add_collection("mirror", &index).expect("fits");
-    let mut ok = true;
-    for q in queries {
-        let wire = client
-            .search(collection, k as u32, q.clone())
-            .expect("wire search serves");
-        let expected = truth
-            .submit_to(truth_col, q.clone(), k)
-            .wait()
-            .expect("mirror search serves");
-        if wire.hits != expected.hits || wire.audit_threshold != expected.audit_threshold {
-            ok = false;
-        }
-    }
-    (queries.len(), ok)
+    let truth = Truth::over(mirror);
+    let agree = |query| truth.agrees(client, collection, query);
+    (queries.len(), queries.iter().all(agree))
 }
 
 /// Run the full kill-and-restart cycle against a real `genie-server`.
@@ -392,18 +376,13 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
     let mut inflight_recovered = 0usize;
     let mut identity_probes = 0usize;
     let mut identity_ok = true;
-    let mut lengths_ok = true;
     let mut snapshot_recovery_used = false;
 
     let mut server = spawn_server(&bin, &corpus, &data_dir);
     assert_eq!(server.boot.recovered_collections, 0, "first boot is empty");
     assert_eq!(server.boot.serving_len, workload.corpus_n);
     let collection = server.boot.collection;
-    boots.push(BootRow {
-        name: "boot".into(),
-        boot: server.boot.clone(),
-        boot_ms: server.boot_ms,
-    });
+    boots.push(server.row("boot".into()));
 
     for cycle in 0..workload.cycles {
         let client = Client::connect(server.boot.addr.as_str()).expect("client connects");
@@ -449,14 +428,9 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
         server = spawn_server(&bin, &corpus, &data_dir);
         assert_eq!(server.boot.recovered_collections, 1, "corpus recovers");
         assert_eq!(server.boot.collection, collection, "stable collection id");
-        if server.boot.snapshot_gen > 0 {
-            snapshot_recovery_used = true;
-        }
+        snapshot_recovery_used |= server.boot.snapshot_gen > 0;
         let survivors = server.boot.serving_len;
         let floor = mirror.len();
-        if survivors < floor || survivors > floor + inflight.len() {
-            lengths_ok = false;
-        }
         assert!(
             survivors >= floor,
             "cycle {cycle}: an acked insert vanished: {survivors} < {floor}"
@@ -473,18 +447,14 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
             inflight_recovered += 1;
         }
         seq += survivors - floor;
-        boots.push(BootRow {
-            name: format!("kill{}", cycle + 1),
-            boot: server.boot.clone(),
-            boot_ms: server.boot_ms,
-        });
+        boots.push(server.row(format!("kill{}", cycle + 1)));
 
         // fold the replayed delta over the wire, then the identity
         // gate: wire answers == fresh in-process index over the mirror
         let client = Client::connect(server.boot.addr.as_str()).expect("client reconnects");
         client.compact(collection).expect("remote compaction runs");
         let queries = probe_queries(seq);
-        let (probes, ok) = identity_probe(&client, collection, &mirror, &queries, workload.k);
+        let (probes, ok) = identity_probe(&client, collection, &mirror, &queries);
         identity_probes += probes;
         identity_ok &= ok;
         assert!(
@@ -502,20 +472,13 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
     );
     let server = spawn_server(&bin, &corpus, &data_dir);
     let clean_restart_replayed = server.boot.events_replayed;
-    if server.boot.serving_len != mirror.len() {
-        lengths_ok = false;
-    }
-    if server.boot.snapshot_gen > 0 {
-        snapshot_recovery_used = true;
-    }
-    boots.push(BootRow {
-        name: "clean".into(),
-        boot: server.boot.clone(),
-        boot_ms: server.boot_ms,
-    });
+    // the per-cycle counts were asserted above, naming the cycle
+    let lengths_ok = server.boot.serving_len == mirror.len();
+    snapshot_recovery_used |= server.boot.snapshot_gen > 0;
+    boots.push(server.row("clean".into()));
     let client = Client::connect(server.boot.addr.as_str()).expect("client connects");
     let queries = probe_queries(seq);
-    let (probes, ok) = identity_probe(&client, collection, &mirror, &queries, workload.k);
+    let (probes, ok) = identity_probe(&client, collection, &mirror, &queries);
     identity_probes += probes;
     identity_ok &= ok;
     drop(client);
@@ -535,263 +498,129 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
 }
 
 // ---------------------------------------------------------------------
-// Recording, printing, gating
+// The bench definition
 // ---------------------------------------------------------------------
 
-fn report_json(report: &DurabilityReport, workload: DurabilityWorkload, smoke: bool) -> Json {
-    let rows: Vec<Json> = report
-        .boots
-        .iter()
-        .map(|b| {
-            Json::obj(vec![
-                ("name", Json::str(&b.name)),
-                ("recovered", Json::int(b.boot.recovered_collections as u64)),
-                ("snapshot_gen", Json::int(b.boot.snapshot_gen)),
-                ("replayed", Json::int(b.boot.events_replayed as u64)),
-                ("skipped", Json::int(b.boot.events_skipped as u64)),
-                ("torn_bytes", Json::int(b.boot.torn_tail_bytes as u64)),
-                ("serving_len", Json::int(b.boot.serving_len as u64)),
-                ("boot_ms", Json::num(b.boot_ms)),
-            ])
-        })
-        .collect();
-    let threads = {
-        use genie_core::backend::SearchBackend;
-        CpuBackend::new().capabilities().devices
-    };
-    let mut fields = vec![
-        ("bench", Json::str("durability")),
-        ("smoke", Json::Bool(smoke)),
-        ("corpus_n", Json::int(report.corpus_n as u64)),
-        ("cycles", Json::int(workload.cycles as u64)),
-        ("acked_inserts", Json::int(report.acked_inserts as u64)),
-        (
-            "inflight_recovered",
-            Json::int(report.inflight_recovered as u64),
-        ),
-        ("identity_probes", Json::int(report.identity_probes as u64)),
-        ("identity_ok", Json::Bool(report.identity_ok)),
-        ("lengths_ok", Json::Bool(report.lengths_ok)),
-        (
-            "snapshot_recovery_used",
-            Json::Bool(report.snapshot_recovery_used),
-        ),
-        (
-            "clean_restart_replayed",
-            Json::int(report.clean_restart_replayed as u64),
-        ),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.push(("rows", Json::arr(rows)));
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+const BOOTS: Table<BootRow> = Table {
+    id: Some(("name", "boot", 8)),
+    cols: &[
+        Col::shown("recovered", "recovered", Cell::Plain, |b| {
+            b.boot.recovered_collections.into()
+        }),
+        Col::shown("snapshot_gen", "snapshot gen", Cell::Plain, |b| {
+            b.boot.snapshot_gen.into()
+        }),
+        Col::shown("replayed", "replayed", Cell::Plain, |b| {
+            b.boot.events_replayed.into()
+        }),
+        Col::shown("skipped", "skipped", Cell::Plain, |b| {
+            b.boot.events_skipped.into()
+        }),
+        Col::json("torn_bytes", |b| b.boot.torn_tail_bytes.into()),
+        Col::shown("serving_len", "serving len", Cell::Plain, |b| {
+            b.boot.serving_len.into()
+        }),
+        Col::shown("boot_ms", "boot ms", Cell::Fixed3, |b| b.boot_ms.into()),
+    ],
+};
 
-fn print_report(report: &DurabilityReport) {
-    let widths = [8, 10, 13, 9, 9, 12, 9];
-    row(
-        &[
-            "boot".into(),
-            "recovered".into(),
-            "snapshot gen".into(),
-            "replayed".into(),
-            "skipped".into(),
-            "serving len".into(),
-            "boot ms".into(),
-        ],
-        &widths,
-    );
-    for b in &report.boots {
-        row(
-            &[
-                b.name.clone(),
-                b.boot.recovered_collections.to_string(),
-                b.boot.snapshot_gen.to_string(),
-                b.boot.events_replayed.to_string(),
-                b.boot.events_skipped.to_string(),
-                b.boot.serving_len.to_string(),
-                ms(b.boot_ms * 1e3),
-            ],
-            &widths,
-        );
-    }
-    println!(
-        "{} acked insert(s), {} in-flight survivor(s), identity {} over {} probe(s), \
-         clean restart replayed {}",
-        report.acked_inserts,
-        report.inflight_recovered,
-        if report.identity_ok { "OK" } else { "DIVERGED" },
-        report.identity_probes,
-        report.clean_restart_replayed
-    );
-}
-
-fn smoke_workload() -> DurabilityWorkload {
-    DurabilityWorkload {
-        corpus_n: 120,
-        cycles: 1,
-        inserts_per_cycle: 16,
-        inflight_at_kill: 3,
-        k: 10,
-    }
-}
-
-/// `repro --durability [--smoke]`: run the kill-and-restart cycle and
-/// record the baseline. The full run refreshes the checked-in
-/// `BENCH_durability.json`; `--smoke` routes to the gitignored
-/// `BENCH_durability_smoke.json`.
-pub fn durability(smoke: bool) {
-    println!("\n=== Durability — kill-and-restart against a real genie-server ===");
+/// `--durability [--smoke]`: one kill-and-restart run. Not part of
+/// `--all` (it spawns processes and binds sockets); needs
+/// `cargo build --bin genie-server` first.
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
+    let smoke = ctx.mode == Mode::Smoke;
     let workload = if smoke {
-        smoke_workload()
+        DurabilityWorkload {
+            corpus_n: 120,
+            cycles: 1,
+            inserts_per_cycle: 16,
+            inflight_at_kill: 3,
+            k: 10,
+        }
     } else {
         DurabilityWorkload::default()
     };
-    let report = run_kill_restart(workload);
-    print_report(&report);
-    assert!(
-        report.identity_ok,
-        "recovered answers must match the mirror"
-    );
-    assert!(
-        report.lengths_ok,
-        "every restart must serve the reconciled count"
-    );
-    assert_eq!(
-        report.clean_restart_replayed, 0,
-        "checkpoint folds the journal"
-    );
-    assert!(
-        report.snapshot_recovery_used,
-        "at least one boot must recover through a snapshot"
-    );
-
-    let path = if smoke {
-        "BENCH_durability_smoke.json"
-    } else {
-        "BENCH_durability.json"
-    };
-    report_json(&report, workload, smoke)
-        .write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("baseline written to {path}");
+    Box::new(move || {
+        let report = run_kill_restart(workload);
+        BOOTS.header();
+        let rows = report.boots.iter().map(|b| BOOTS.row(b.name.as_str(), b));
+        let rows: Vec<Json> = rows.collect();
+        println!(
+            "{} acked insert(s), {} in-flight survivor(s), identity {} over {} probe(s), \
+             clean restart replayed {}",
+            report.acked_inserts,
+            report.inflight_recovered,
+            if report.identity_ok { "OK" } else { "DIVERGED" },
+            report.identity_probes,
+            report.clean_restart_replayed
+        );
+        Run {
+            head: vec![
+                ("smoke", smoke.into()),
+                ("corpus_n", report.corpus_n.into()),
+                ("cycles", workload.cycles.into()),
+                ("acked_inserts", report.acked_inserts.into()),
+                ("inflight_recovered", report.inflight_recovered.into()),
+                ("identity_probes", report.identity_probes.into()),
+                ("identity_ok", report.identity_ok.into()),
+                ("lengths_ok", report.lengths_ok.into()),
+                (
+                    "snapshot_recovery_used",
+                    report.snapshot_recovery_used.into(),
+                ),
+                (
+                    "clean_restart_replayed",
+                    report.clean_restart_replayed.into(),
+                ),
+            ],
+            body: vec![("rows", rows.into())],
+        }
+    })
 }
 
-/// `repro --durability --check`: fresh trials of the full cycle, every
-/// gate structural (booleans that hold on any host); `--smoke --check`
-/// runs the live CI-sized cycle plus a structural audit of the
-/// checked-in `BENCH_durability.json`.
-pub fn durability_check(smoke: bool) -> bool {
-    if smoke {
-        return durability_smoke_check();
-    }
-    const TRIALS: usize = 2;
-    println!("\n=== Durability check — {TRIALS} kill-and-restart trials ===");
-    let reports: Vec<DurabilityReport> = (0..TRIALS)
-        .map(|t| {
-            println!("trial {}/{TRIALS} ...", t + 1);
-            run_kill_restart(DurabilityWorkload::default())
-        })
-        .collect();
-    let gate = |name: &str, per_trial: Vec<bool>| {
-        check::judge(GateRow {
-            name: name.into(),
-            baseline: 1.0,
-            trials: per_trial.into_iter().map(|b| b as u64 as f64).collect(),
-            floor: 1.0,
-        })
-    };
-    let verdicts = vec![
-        gate(
-            "durability/identity_after_sigkill",
-            reports.iter().map(|r| r.identity_ok).collect(),
-        ),
-        gate(
-            "durability/acked_inserts_all_recovered",
-            reports.iter().map(|r| r.lengths_ok).collect(),
-        ),
-        gate(
-            "durability/snapshot_recovery_used",
-            reports.iter().map(|r| r.snapshot_recovery_used).collect(),
-        ),
-        gate(
-            "durability/clean_restart_replays_zero",
-            reports
-                .iter()
-                .map(|r| r.clean_restart_replayed == 0)
-                .collect(),
-        ),
-    ];
-    check::report("durability", &verdicts, "CHECK_durability.json")
-}
+const SECTIONS: &[Section] = &[
+    Section {
+        at: None,
+        name: "durability",
+        invariants: &[
+            // recovered answers match the mirror, hit for hit
+            Invariant::new("identity_after_sigkill", |doc, _| flag(doc, "identity_ok")),
+            // every restart served exactly the reconciled count
+            Invariant::new("acked_inserts_all_recovered", |doc, _| {
+                flag(doc, "lengths_ok")
+            }),
+            Invariant::new("snapshot_recovery_used", |doc, _| {
+                flag(doc, "snapshot_recovery_used")
+            }),
+            // a graceful shutdown's checkpoint folds the journal
+            Invariant::new("clean_restart_replays_zero", |doc, _| {
+                field(doc, "clean_restart_replayed") == 0.0
+            }),
+        ],
+        bands: &[],
+    },
+    Section {
+        at: Some("rows"),
+        name: "",
+        // the first boot finds an empty data dir; every later one must
+        // find the collection
+        invariants: &[Invariant::new("recovers_collection", |row, _| {
+            let first = row.get("name").and_then(Json::as_str) == Some("boot");
+            field(row, "recovered") == if first { 0.0 } else { 1.0 }
+        })],
+        bands: &[],
+    },
+];
 
-/// The CI smoke gate: a live small kill-and-restart cycle (hard
-/// asserts inside), then a structural audit of the checked-in
-/// `BENCH_durability.json` so a stale or hand-mangled baseline fails
-/// without a full-scale re-run.
-pub fn durability_smoke_check() -> bool {
-    println!("\n=== Durability smoke (CI): kill-and-restart, one cycle ===");
-    let report = run_kill_restart(smoke_workload());
-    print_report(&report);
-    assert!(
-        report.identity_ok,
-        "recovered answers must match the mirror"
-    );
-    assert!(
-        report.lengths_ok,
-        "every restart must serve the reconciled count"
-    );
-    assert_eq!(
-        report.clean_restart_replayed, 0,
-        "checkpoint folds the journal"
-    );
-
-    let baseline = check::load_baseline("BENCH_durability.json");
-    let mut verdicts = Vec::new();
-    let mut structural = |name: String, ok: bool| {
-        verdicts.push(check::judge(GateRow {
-            name,
-            baseline: 1.0,
-            trials: vec![ok as u64 as f64],
-            floor: 1.0,
-        }));
-    };
-    structural(
-        "baseline/identity_ok".into(),
-        baseline.get("identity_ok") == Some(&Json::Bool(true)),
-    );
-    structural(
-        "baseline/lengths_ok".into(),
-        baseline.get("lengths_ok") == Some(&Json::Bool(true)),
-    );
-    structural(
-        "baseline/snapshot_recovery_used".into(),
-        baseline.get("snapshot_recovery_used") == Some(&Json::Bool(true)),
-    );
-    structural(
-        "baseline/clean_restart_replayed_zero".into(),
-        check::field(&baseline, "clean_restart_replayed") == 0.0,
-    );
-    let rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("baseline has no rows array"));
-    structural("baseline/rows_nonempty".into(), !rows.is_empty());
-    structural(
-        "baseline/clean_boot_recovers_collection".into(),
-        check::field(check::find_row(rows, "name", "clean"), "recovered") == 1.0,
-    );
-    structural(
-        "live/smoke_cycle_passed".into(),
-        report.identity_ok && report.lengths_ok,
-    );
-
-    check::report("durability_smoke", &verdicts, "CHECK_durability_smoke.json")
-}
+pub const BENCH: Bench = Bench {
+    name: "durability",
+    flag: "--durability",
+    in_all: false,
+    mode: smoke_or_quick,
+    trials: |mode| if mode == Mode::Full { 2 } else { 1 },
+    sections: |_| SECTIONS,
+    setup,
+};
 
 #[cfg(test)]
 mod tests {

@@ -32,6 +32,28 @@ use crate::workloads::{
 };
 use crate::{ms, row};
 
+/// The flags selecting one experiment (the first is the documented one)
+/// and the function printing it.
+pub type Experiment = (&'static [&'static str], fn(Scale));
+
+/// Every experiment `repro` can regenerate.
+pub const ALL: &[Experiment] = &[
+    (&["--fig8"], |_| fig8()),
+    (&["--fig9"], fig9),
+    (&["--fig10"], fig10),
+    (&["--fig11"], fig11),
+    (&["--fig12"], fig12),
+    (&["--fig13"], fig13),
+    (&["--fig14"], fig14),
+    (&["--table1"], table1),
+    (&["--table2", "--table3"], table2_3),
+    (&["--table4"], table4),
+    (&["--table5"], table5),
+    (&["--table6", "--table7"], table6_7),
+    (&["--ext-structures"], ext_structures),
+    (&["--ext-tau"], ext_tau),
+];
+
 /// The direct domain path the accuracy experiments measure: encode a
 /// batch of typed specs with the domain adapter, run one raw
 /// `search_batch` on `backend` at candidate count `k_candidates`,

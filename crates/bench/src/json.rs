@@ -11,8 +11,8 @@
 
 use std::fmt::Write as _;
 
-/// One JSON value. Build objects with [`Json::obj`] and arrays with
-/// [`Json::arr`]; keys keep their insertion order so output is
+/// One JSON value. Build objects with [`Json::obj`] and leaves with
+/// `.into()`; keys keep their insertion order so output is
 /// deterministic run to run. [`Json::parse`] reads a baseline back so
 /// `--check` runs can diff fresh measurements against it.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,22 +37,6 @@ impl Json {
         )
     }
 
-    pub fn arr(items: Vec<Json>) -> Json {
-        Json::Arr(items)
-    }
-
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    pub fn num(n: f64) -> Json {
-        Json::Num(n)
-    }
-
-    pub fn int(n: u64) -> Json {
-        Json::Num(n as f64)
-    }
-
     /// Render with two-space indentation (stable, diff-friendly).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -62,7 +46,7 @@ impl Json {
     }
 
     /// Render to `path`, replacing any previous baseline.
-    pub fn write_to_file(&self, path: &str) -> std::io::Result<()> {
+    pub fn write_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.render())
     }
 
@@ -178,6 +162,26 @@ impl Json {
         }
     }
 }
+
+/// `value.into()` for the leaves a bench row is made of.
+macro_rules! json_from {
+    ($($t:ty => $make:expr),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                $make(v)
+            }
+        }
+    )*};
+}
+json_from!(
+    bool => Json::Bool,
+    f64 => Json::Num,
+    u64 => |v| Json::Num(v as f64),
+    usize => |v| Json::Num(v as f64),
+    &str => |v: &str| Json::Str(v.into()),
+    String => Json::Str,
+    Vec<Json> => Json::Arr
+);
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
@@ -316,9 +320,9 @@ mod tests {
     #[test]
     fn renders_nested_structures_deterministically() {
         let v = Json::obj(vec![
-            ("name", Json::str("cpu_kernel")),
-            ("rows", Json::arr(vec![Json::int(1), Json::num(2.5)])),
-            ("empty", Json::arr(vec![])),
+            ("name", "cpu_kernel".into()),
+            ("rows", Json::Arr(vec![Json::Num(1.0), Json::Num(2.5)])),
+            ("empty", Json::Arr(vec![])),
             ("nested", Json::obj(vec![("ok", Json::Bool(true))])),
         ]);
         let out = v.render();
@@ -332,10 +336,10 @@ mod tests {
 
     #[test]
     fn escapes_strings_and_nulls_non_finite_numbers() {
-        let v = Json::arr(vec![
-            Json::str("a\"b\\c\nd\u{1}"),
-            Json::num(f64::NAN),
-            Json::num(f64::INFINITY),
+        let v = Json::Arr(vec![
+            "a\"b\\c\nd\u{1}".into(),
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
             Json::Null,
         ]);
         let out = v.render();
@@ -346,20 +350,20 @@ mod tests {
     #[test]
     fn parse_round_trips_what_render_emits() {
         let v = Json::obj(vec![
-            ("bench", Json::str("cpu_kernel")),
+            ("bench", "cpu_kernel".into()),
             ("smoke", Json::Bool(false)),
-            ("threads", Json::int(8)),
+            ("threads", Json::Num(8.0)),
             (
                 "rows",
-                Json::arr(vec![Json::obj(vec![
-                    ("workload", Json::str("sparse")),
-                    ("speedup_single_query", Json::num(8.25)),
-                    ("negative", Json::num(-0.5)),
+                Json::Arr(vec![Json::obj(vec![
+                    ("workload", "sparse".into()),
+                    ("speedup_single_query", Json::Num(8.25)),
+                    ("negative", Json::Num(-0.5)),
                     ("nothing", Json::Null),
                 ])]),
             ),
-            ("escaped", Json::str("a\"b\\c\nd\u{1}")),
-            ("empty_arr", Json::arr(vec![])),
+            ("escaped", "a\"b\\c\nd\u{1}".into()),
+            ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::obj(vec![])),
         ]);
         let parsed = Json::parse(&v.render()).unwrap();

@@ -1,8 +1,7 @@
 //! # genie-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's §VI on the scaled
-//! synthetic workloads (see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured outcomes).
+//! Two things live here. The paper side regenerates every table and
+//! figure of the paper's §VI on the scaled synthetic workloads:
 //!
 //! * [`workloads`] — the five dataset bundles (OCR/SIFT/DBLP/Tweets/
 //!   Adult stand-ins) in match-count form plus the raw data the LSH and
@@ -10,40 +9,80 @@
 //! * [`runners`] — uniform "run method X on bundle Y, return its time"
 //!   wrappers around GENIE and all baselines;
 //! * [`experiments`] — one function per table/figure, printing the same
-//!   rows/series the paper reports;
-//! * [`serving`] — the always-on serving workload: concurrent
-//!   submitters against a `GenieService`, reporting p50/p95/p99 request
-//!   latency and achieved batch occupancy vs `max_queue_delay`;
-//! * [`net`] — the network-serving load generator: real `genie-client`
-//!   connections against a loopback `NetServer`, sky-bench-style
-//!   server-vs-full latency percentiles across workload mixes,
-//!   pipeline depths and a connection-churn phase;
-//! * [`durability`] — the kill-and-restart durability gate: a real
-//!   `genie-server --data-dir` process SIGKILLed mid-load, restarted,
-//!   and gated on acked-batch recovery and wire-vs-mirror answer
-//!   identity;
-//! * [`placement`] — the skew-aware placement workload: a skewed corpus
-//!   on a heterogeneous fleet (CPU + throttled sims), static broadcast
-//!   vs the learning placement loop (online per-backend cost model,
-//!   hot-shard detection, background rebalancing) converging p95 down;
-//! * [`cpu_kernel`] — the host counting-kernel sweep: seed dense path
-//!   vs the sparse-aware scratch kernel across selectivity regimes;
-//! * [`json`] — the machine-readable baseline writer/parser behind
-//!   `BENCH_cpu_kernel.json` / `BENCH_serving.json`, the perf
-//!   trajectory future PRs diff against;
-//! * [`check`] — the `--check` perf-regression gate: re-runs a
-//!   workload several times, forms median ± MAD noise bands per gated
-//!   metric, and exits nonzero if any row regresses beyond its band
-//!   vs the checked-in baseline.
+//!   rows/series the paper reports ([`experiments::ALL`] is the index).
 //!
 //! Device-side methods report *simulated* time (the cost model of
 //! `gpu-sim`); host-side methods report wall-clock. Comparisons across
-//! the two are shape-level, exactly as scoped in DESIGN.md.
+//! the two are shape-level only (ROADMAP.md, "Architecture").
+//!
+//! The trajectory side records and gates this repo's own performance
+//! baselines. Six benches — [`serving`], [`net`], [`placement`],
+//! [`durability`], [`mutations`], [`cpu_kernel`] — are *definitions*
+//! registered with one [`harness`]; their module docs say only why the
+//! workload has the shape it has. What follows is the one normative
+//! description of everything they share.
+//!
+//! ## Modes and files
+//!
+//! | mode  | selected by                          | records                    | checks into                 |
+//! |-------|--------------------------------------|----------------------------|-----------------------------|
+//! | full  | the bench's flag alone               | `BENCH_<name>.json` (checked in) | `CHECK_<name>.json`   |
+//! | quick | `--quick`, serving and placement only | `BENCH_<name>_quick.json` | — (a check never runs quick) |
+//! | smoke | `--smoke` (or `--quick` elsewhere); `--serving-smoke` | `BENCH_<name>_smoke.json` | `CHECK_<name>_smoke.json` |
+//!
+//! Only the full files are checked in; every other output is
+//! gitignored and uploaded by CI as an artifact. `--serving-smoke
+//! --shards N` (N > 1) reports to `CHECK_serving_smoke_shards<N>.json`.
+//! Every document starts with `bench`, ends its header with the
+//! provenance block (`threads`, `host_parallelism`, `git_revision`) and
+//! keeps its rows in named sections.
+//!
+//! ## One row, rendered once
+//!
+//! A row is described by a [`harness::Table`]: per field its JSON key
+//! and value and, if it shows in the printed table, its title, width
+//! and format. The printed line and the JSON object come from that one
+//! list. Array rows are named by their first field (`depth=16`,
+//! `delay_ms=2`, `sparse`); a single-object section by its bench.
+//!
+//! ## The three uses of an invariant
+//!
+//! A bench lists named [`harness::Invariant`]s per section — structural,
+//! dimensionless facts such as "every reply received". The harness
+//! applies the same list in three places:
+//!
+//! 1. **recording** — a row that breaks one fails the run (the row is
+//!    printed, nothing is written);
+//! 2. **check trials** — each becomes one indicator gate
+//!    `<row>/<invariant>` scoring 1 per trial it held in, and a check in
+//!    which any trial broke one is red whatever the median says;
+//! 3. **baseline audit** — a smoke check, and `cargo test`, apply the
+//!    list to the checked-in `BENCH_<name>.json` itself as gates
+//!    `baseline/<row>/<invariant>` (plus `baseline/<section>/nonempty`),
+//!    so a stale or hand-mangled baseline fails without a full re-run.
+//!
+//! An invariant may be guarded ("only when the row shows it"): the guard
+//! reads the baseline's row in a full-scale check and the row itself
+//! everywhere else.
+//!
+//! ## The band
+//!
+//! Numeric gates ([`harness::Band`], `<row>/<band>`) are restricted to
+//! dimensionless metrics — speedup ratios, occupancy, fractions —
+//! because raw microseconds are host property. A band passes when
+//!
+//! ```text
+//! median(trials) >= floor * baseline - SLACK_MADS * MAD(trials)
+//! ```
+//!
+//! ([`check::judge`]; the floor is per bench, mode and row). A smoke
+//! check also leaves its first trial as `BENCH_<name>_smoke.json`.
 
 pub mod check;
 pub mod cpu_kernel;
 pub mod durability;
 pub mod experiments;
+pub mod harness;
 pub mod json;
 pub mod mutations;
 pub mod net;

@@ -7,27 +7,25 @@
 //! the surviving objects would.
 //!
 //! Like the serving bench, raw microseconds are recorded for trend
-//! reading but never gated; the `--check` gates are dimensionless
-//! indicators (tickets resolved, compactions fired, debt folded,
-//! answers equal to the rebuild) that hold on any host.
+//! reading but never gated; the invariants are dimensionless indicators
+//! (tickets resolved, every batch committed, compactions fired, debt
+//! folded, answers equal to the rebuild) that hold on any host and at
+//! any scale — which is why the smoke workload can be checked against
+//! the full-scale baseline.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use genie_core::backend::{CpuBackend, SearchBackend};
-use genie_core::index::IndexBuilder;
+use genie_core::backend::CpuBackend;
 use genie_core::model::{Object, ObjectId};
-use genie_service::{
-    percentile_us, GenieService, MutationStatus, QueryScheduler, SchedulerConfig, ServiceConfig,
-    ServiceStats,
-};
+use genie_service::{GenieService, MutationStatus, QueryScheduler, ServiceConfig, ServiceStats};
 
-use crate::check::{self, GateRow};
-use crate::cpu_kernel::meta_fields;
-use crate::json::Json;
-use crate::workloads::{sift_bundle, MatchData, Scale};
-use crate::{ms, row};
+use crate::check::{field, flag};
+use crate::harness::{
+    smoke_or_quick, Bench, Cell, Col, Ctx, Invariant, Latency, Mode, Run, Section, Table,
+};
+use crate::workloads::{index_of, sift_bundle, MatchData, Scale};
 
 /// One mutation run's shape.
 #[derive(Debug, Clone, Copy)]
@@ -51,10 +49,10 @@ pub struct MutationWorkload {
 /// What one mutation run measured.
 #[derive(Debug, Clone)]
 pub struct MutationReport {
-    pub mutate_p50_us: f64,
-    pub mutate_p95_us: f64,
-    pub search_p50_us: f64,
-    pub search_p95_us: f64,
+    /// Wall-clock of one mutation batch.
+    pub mutate: Latency,
+    /// Search latency under the accumulated debt.
+    pub search: Latency,
     pub searches_expected: usize,
     pub searches_resolved: usize,
     /// Every compared query answered exactly like a from-scratch
@@ -71,13 +69,8 @@ fn service_for(
     shards: usize,
     compact_after: usize,
 ) -> (GenieService, genie_service::CollectionId) {
-    let mut b = IndexBuilder::new();
-    b.add_objects(objects.iter());
-    let index = Arc::new(b.build(None));
-    let scheduler = QueryScheduler::new(
-        vec![Arc::new(CpuBackend::new()) as Arc<dyn genie_core::backend::SearchBackend>],
-        SchedulerConfig::default(),
-    );
+    let index = index_of(objects);
+    let scheduler = QueryScheduler::single(Arc::new(CpuBackend::new()));
     let service = GenieService::start_empty(
         scheduler,
         ServiceConfig {
@@ -185,13 +178,9 @@ pub fn run_mutation_workload(data: &MatchData, workload: MutationWorkload) -> Mu
     }
     let stats = service.stats();
 
-    mutate_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    search_us.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     MutationReport {
-        mutate_p50_us: percentile_us(&mutate_us, 0.50),
-        mutate_p95_us: percentile_us(&mutate_us, 0.95),
-        search_p50_us: percentile_us(&search_us, 0.50),
-        search_p95_us: percentile_us(&search_us, 0.95),
+        mutate: Latency::of(mutate_us),
+        search: Latency::of(search_us),
         searches_expected: expected,
         searches_resolved: resolved,
         equivalent_to_rebuild: equivalent,
@@ -223,12 +212,70 @@ fn debt_probe(data: &MatchData, initial: usize, debt: usize, k: usize) -> (f64, 
         ticket.wait().expect("search serves");
         latencies.push(submitted.elapsed().as_secs_f64() * 1e6);
     }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (percentile_us(&latencies, 0.50), service.stats())
+    (Latency::of(latencies).p50_us, service.stats())
 }
 
-fn workload_for(smoke: bool) -> MutationWorkload {
-    if smoke {
+fn mutation_data(smoke: bool) -> MatchData {
+    let (data, _) = sift_bundle(
+        Scale {
+            n: if smoke { 1_000 } else { 5_000 },
+            num_queries: 256,
+        },
+        8,
+        77,
+    );
+    data
+}
+
+const RUN: Table<MutationReport> = Table {
+    id: None,
+    cols: &[
+        Col::shown("mutate_p50_us", "mutate p50", Cell::Ms, |r| {
+            r.mutate.p50_us.into()
+        }),
+        Col::shown("mutate_p95_us", "mutate p95", Cell::Ms, |r| {
+            r.mutate.p95_us.into()
+        }),
+        Col::shown("search_p50_us", "search p50", Cell::Ms, |r| {
+            r.search.p50_us.into()
+        }),
+        Col::shown("search_p95_us", "search p95", Cell::Ms, |r| {
+            r.search.p95_us.into()
+        }),
+        Col::json("searches_expected", |r| r.searches_expected.into()),
+        Col::json("searches_resolved", |r| r.searches_resolved.into()),
+        Col::shown("equivalent_to_rebuild", "rebuild==", Cell::Plain, |r| {
+            r.equivalent_to_rebuild.into()
+        }),
+        Col::json("final_live", |r| r.final_status.live.into()),
+        Col::json("final_delta", |r| r.final_status.delta.into()),
+        Col::json("final_tombstones", |r| r.final_status.tombstones.into()),
+        Col::json("base_shards", |r| r.final_status.base_shards.into()),
+        Col::json("mutation_batches", |r| r.stats.mutation_batches.into()),
+        Col::json("inserted", |r| r.stats.inserted.into()),
+        Col::json("deleted", |r| r.stats.deleted.into()),
+        Col::shown("compactions", "compactions", Cell::Plain, |r| {
+            r.stats.compactions.into()
+        }),
+        Col::json("stale_compactions", |r| r.stats.stale_compactions.into()),
+    ],
+};
+
+const DEBT: Table<(f64, ServiceStats)> = Table {
+    id: Some(("debt", "debt", 8)),
+    cols: &[
+        Col::shown("p50_us", "p50(ms)", Cell::Ms, |(p50, _)| (*p50).into()),
+        Col::shown("shard_runs", "shard runs", Cell::Plain, |(_, stats)| {
+            stats.shard_runs.into()
+        }),
+    ],
+};
+
+/// `--mutations [--smoke]`: interleaved mutate/search phases, then the
+/// debt-size sweep.
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
+    let smoke = ctx.mode == Mode::Smoke;
+    let workload = if smoke {
         MutationWorkload {
             initial: 512,
             batches: 8,
@@ -250,251 +297,67 @@ fn workload_for(smoke: bool) -> MutationWorkload {
             shards: 4,
             compact_after: 128,
         }
-    }
-}
-
-fn mutation_data(smoke: bool) -> MatchData {
-    let (data, _) = sift_bundle(
-        Scale {
-            n: if smoke { 1_000 } else { 5_000 },
-            num_queries: 256,
-        },
-        8,
-        77,
-    );
-    data
-}
-
-fn report_json(report: &MutationReport) -> Json {
-    Json::obj(vec![
-        ("mutate_p50_us", Json::num(report.mutate_p50_us)),
-        ("mutate_p95_us", Json::num(report.mutate_p95_us)),
-        ("search_p50_us", Json::num(report.search_p50_us)),
-        ("search_p95_us", Json::num(report.search_p95_us)),
-        (
-            "searches_expected",
-            Json::int(report.searches_expected as u64),
-        ),
-        (
-            "searches_resolved",
-            Json::int(report.searches_resolved as u64),
-        ),
-        (
-            "equivalent_to_rebuild",
-            Json::Bool(report.equivalent_to_rebuild),
-        ),
-        ("final_live", Json::int(report.final_status.live as u64)),
-        ("final_delta", Json::int(report.final_status.delta as u64)),
-        (
-            "final_tombstones",
-            Json::int(report.final_status.tombstones as u64),
-        ),
-        (
-            "base_shards",
-            Json::int(report.final_status.base_shards as u64),
-        ),
-        ("mutation_batches", Json::int(report.stats.mutation_batches)),
-        ("inserted", Json::int(report.stats.inserted)),
-        ("deleted", Json::int(report.stats.deleted)),
-        ("compactions", Json::int(report.stats.compactions)),
-        (
-            "stale_compactions",
-            Json::int(report.stats.stale_compactions),
-        ),
-    ])
-}
-
-/// The structural assertions both the recording run and every check
-/// trial must satisfy — a mutation run that loses a ticket, diverges
-/// from the rebuild, or never compacts is broken regardless of timing.
-fn assert_run_sane(report: &MutationReport, workload: &MutationWorkload) {
-    assert_eq!(
-        report.searches_resolved, report.searches_expected,
-        "every search under mutation must resolve"
-    );
-    assert!(
-        report.equivalent_to_rebuild,
-        "mutated collection diverged from the from-scratch rebuild"
-    );
-    assert_eq!(
-        report.stats.mutation_batches, workload.batches as u64,
-        "every batch must commit"
-    );
-    assert!(
-        report.stats.compactions >= 1,
-        "the final explicit compaction (at least) must fold: {:?}",
-        report.stats
-    );
-    assert_eq!(report.final_status.delta, 0, "debt must fold");
-    assert_eq!(report.final_status.tombstones, 0, "tombstones must fold");
-}
-
-/// Mutation experiment: interleaved mutate/search phases plus a
-/// debt-size sweep. Emits `BENCH_mutations.json` (full run, checked
-/// in) or `BENCH_mutations_smoke.json` (CI smoke, gitignored).
-pub fn mutations(smoke: bool) {
-    let workload = workload_for(smoke);
+    };
     let data = mutation_data(smoke);
-    println!(
-        "\n=== Live mutations — {} batches of +{}/-{} over n = {}, {} shard(s) ===",
-        workload.batches,
-        workload.inserts_per_batch,
-        workload.deletes_per_batch,
-        workload.initial,
-        workload.shards
-    );
-    let report = run_mutation_workload(&data, workload);
-    assert_run_sane(&report, &workload);
-    let widths = [13, 13, 13, 13, 12, 12];
-    row(
-        &[
-            "mutate p50".into(),
-            "mutate p95".into(),
-            "search p50".into(),
-            "search p95".into(),
-            "compactions".into(),
-            "rebuild==".into(),
-        ],
-        &widths,
-    );
-    row(
-        &[
-            ms(report.mutate_p50_us),
-            ms(report.mutate_p95_us),
-            ms(report.search_p50_us),
-            ms(report.search_p95_us),
-            report.stats.compactions.to_string(),
-            report.equivalent_to_rebuild.to_string(),
-        ],
-        &widths,
-    );
+    Box::new(move || {
+        let run = RUN.object(&run_mutation_workload(&data, workload));
 
-    println!("\n=== Debt sweep — search p50 vs uncompacted delta size ===");
-    let widths = [8, 11, 12];
-    row(
-        &["debt".into(), "p50(ms)".into(), "shard runs".into()],
-        &widths,
-    );
-    let mut debt_rows = Vec::new();
-    for debt in [0usize, 64, 256] {
-        let (p50, stats) = debt_probe(&data, workload.initial, debt, workload.k);
-        debt_rows.push(Json::obj(vec![
-            ("debt", Json::int(debt as u64)),
-            ("p50_us", Json::num(p50)),
-            ("shard_runs", Json::int(stats.shard_runs)),
-        ]));
-        row(
-            &[debt.to_string(), ms(p50), stats.shard_runs.to_string()],
-            &widths,
-        );
-    }
-
-    let path = if smoke {
-        "BENCH_mutations_smoke.json"
-    } else {
-        "BENCH_mutations.json"
-    };
-    let threads = CpuBackend::new().capabilities().devices;
-    let mut fields = vec![
-        ("bench", Json::str("mutations")),
-        ("smoke", Json::Bool(smoke)),
-        ("initial", Json::int(workload.initial as u64)),
-        ("batches", Json::int(workload.batches as u64)),
-        (
-            "inserts_per_batch",
-            Json::int(workload.inserts_per_batch as u64),
-        ),
-        (
-            "deletes_per_batch",
-            Json::int(workload.deletes_per_batch as u64),
-        ),
-        ("shards", Json::int(workload.shards as u64)),
-        ("compact_after", Json::int(workload.compact_after as u64)),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.extend(vec![
-        ("run", report_json(&report)),
-        ("debt_sweep", Json::arr(debt_rows)),
-    ]);
-    let doc = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    doc.write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nbaseline written to {path}");
+        println!("\n--- search p50 vs uncompacted delta size ---");
+        DEBT.header();
+        let debts = [0usize, 64, 256].map(|debt| {
+            let probe = debt_probe(&data, workload.initial, debt, workload.k);
+            DEBT.row(debt, &probe)
+        });
+        Run {
+            head: vec![
+                ("smoke", smoke.into()),
+                ("initial", workload.initial.into()),
+                ("batches", workload.batches.into()),
+                ("inserts_per_batch", workload.inserts_per_batch.into()),
+                ("deletes_per_batch", workload.deletes_per_batch.into()),
+                ("shards", workload.shards.into()),
+                ("compact_after", workload.compact_after.into()),
+            ],
+            body: vec![("run", run), ("debt_sweep", Vec::from(debts).into())],
+        }
+    })
 }
 
-/// The `--mutations --check` gate: several fresh runs vs the
-/// checked-in `BENCH_mutations.json`, gating only dimensionless
-/// structural indicators — every search resolved, answers equal the
-/// from-scratch rebuild, compactions fired and folded all debt. Raw
-/// latencies are host property and are recorded, not gated. In smoke
-/// mode the (smaller) smoke workload runs but gates against the same
-/// checked-in full baseline: every gated indicator is scale-invariant.
-pub fn mutations_check(smoke: bool) -> bool {
-    let baseline = check::load_baseline("BENCH_mutations.json");
-    let base_run = baseline.get("run").expect("baseline has a run object");
-    let trials = if smoke { 2 } else { 3 };
-    println!("\n=== Mutations check — {trials} trials vs checked-in BENCH_mutations.json ===");
-    let workload = workload_for(smoke);
-    let data = mutation_data(smoke);
+/// A mutation run that loses a ticket, drops a batch, diverges from the
+/// rebuild, or never folds its debt is broken regardless of timing.
+const SECTIONS: &[Section] = &[Section {
+    at: Some("run"),
+    name: "mutations",
+    invariants: &[
+        Invariant::new("all_searches_resolved", |run, _| {
+            field(run, "searches_resolved") == field(run, "searches_expected")
+        }),
+        Invariant::new("equivalent_to_rebuild", |run, _| {
+            flag(run, "equivalent_to_rebuild")
+        }),
+        Invariant::new("every_batch_committed", |run, doc| {
+            field(run, "mutation_batches") == field(doc, "batches")
+        }),
+        // the final explicit compaction (at least) must fold
+        Invariant::new("compactions_fired", |run, _| {
+            field(run, "compactions") >= 1.0
+        }),
+        Invariant::new("debt_folded", |run, _| {
+            field(run, "final_delta") == 0.0 && field(run, "final_tombstones") == 0.0
+        }),
+    ],
+    bands: &[],
+}];
 
-    let mut reports = Vec::new();
-    for t in 0..trials {
-        println!("trial {}/{trials} ...", t + 1);
-        let report = run_mutation_workload(&data, workload);
-        assert_run_sane(&report, &workload);
-        reports.push(report);
-    }
-
-    let mut verdicts = Vec::new();
-    let indicator = |name: &str, baseline_ok: bool, ok: Vec<bool>| GateRow {
-        name: name.into(),
-        baseline: baseline_ok as u64 as f64,
-        trials: ok.into_iter().map(|b| b as u64 as f64).collect(),
-        floor: 1.0,
-    };
-    verdicts.push(check::judge(indicator(
-        "mutations/all_searches_resolved",
-        check::field(base_run, "searches_resolved") == check::field(base_run, "searches_expected"),
-        reports
-            .iter()
-            .map(|r| r.searches_resolved == r.searches_expected)
-            .collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "mutations/equivalent_to_rebuild",
-        base_run
-            .get("equivalent_to_rebuild")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-        reports.iter().map(|r| r.equivalent_to_rebuild).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "mutations/compactions_fired",
-        check::field(base_run, "compactions") >= 1.0,
-        reports.iter().map(|r| r.stats.compactions >= 1).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "mutations/debt_folded",
-        check::field(base_run, "final_delta") == 0.0
-            && check::field(base_run, "final_tombstones") == 0.0,
-        reports
-            .iter()
-            .map(|r| r.final_status.delta == 0 && r.final_status.tombstones == 0)
-            .collect(),
-    )));
-
-    let path = if smoke {
-        "CHECK_mutations_smoke.json"
-    } else {
-        "CHECK_mutations.json"
-    };
-    check::report("mutations", &verdicts, path)
-}
+pub const BENCH: Bench = Bench {
+    name: "mutations",
+    flag: "--mutations",
+    in_all: true,
+    mode: smoke_or_quick,
+    trials: |mode| if mode == Mode::Full { 3 } else { 2 },
+    sections: |_| SECTIONS,
+    setup,
+};
 
 #[cfg(test)]
 mod tests {

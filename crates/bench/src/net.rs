@@ -10,10 +10,10 @@
 //! separately, the way sky-bench does, so protocol overhead and
 //! serving time are attributable apart.
 //!
-//! The `--check` gates are structural and dimensionless (every reply
-//! received, zero transport errors, pipelining actually batching,
-//! wire results identical to in-process results); raw latencies are
-//! recorded for trend reading, never gated.
+//! The invariants are structural and dimensionless (every reply
+//! received, zero transport errors, pipelining actually batching, the
+//! latency split ordered, wire results identical to in-process
+//! results); raw latencies are recorded for trend reading, never gated.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,18 +21,17 @@ use std::time::Duration;
 
 use genie_client::Client;
 use genie_core::backend::CpuBackend;
-use genie_core::index::IndexBuilder;
+use genie_core::model::{Object, Query};
 use genie_net::frame::{Request, Response};
 use genie_net::server::{NetServer, NetStats, ServerConfig};
-use genie_service::{
-    percentile_us, GenieService, QueryScheduler, SchedulerConfig, ServiceConfig, ServiceStats,
-};
+use genie_service::{GenieService, QueryScheduler, ServiceConfig, ServiceStats};
 
-use crate::check::{self, GateRow};
-use crate::cpu_kernel::meta_fields;
+use crate::check::{field, flag};
+use crate::harness::{
+    smoke_or_quick, Bench, Cell, Col, Ctx, Invariant, Latency, Mode, Run, Section, Table,
+};
 use crate::json::Json;
-use crate::workloads::{sift_bundle, MatchData, Scale};
-use crate::{ms, row};
+use crate::workloads::{index_of, sift_bundle, MatchData, Scale};
 
 /// Request mixes the load generator cycles through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,12 +102,10 @@ pub struct NetReport {
     pub replies: usize,
     /// Replies that were typed Error frames (0 in a healthy run).
     pub remote_errors: usize,
-    pub server_p50_us: f64,
-    pub server_p95_us: f64,
-    pub server_p99_us: f64,
-    pub full_p50_us: f64,
-    pub full_p95_us: f64,
-    pub full_p99_us: f64,
+    /// Send → first response byte.
+    pub server: Latency,
+    /// Send → response decoded.
+    pub full: Latency,
     /// Mean queries per executed service micro-batch — pipelined
     /// connections must push this above 1.
     pub batch_occupancy: f64,
@@ -119,13 +116,8 @@ pub struct NetReport {
 /// Stand up a loopback server over `data` and drive `workload`
 /// through real client connections.
 pub fn run_net_workload(data: &MatchData, workload: NetWorkload) -> NetReport {
-    let mut b = IndexBuilder::new();
-    b.add_objects(data.objects.iter());
-    let index = Arc::new(b.build(None));
-    let scheduler = QueryScheduler::new(
-        vec![Arc::new(CpuBackend::new()) as Arc<dyn genie_core::backend::SearchBackend>],
-        SchedulerConfig::default(),
-    );
+    let index = index_of(&data.objects);
+    let scheduler = QueryScheduler::single(Arc::new(CpuBackend::new()));
     let service = Arc::new(
         GenieService::start_empty(
             scheduler,
@@ -217,89 +209,110 @@ pub fn run_net_workload(data: &MatchData, workload: NetWorkload) -> NetReport {
     drop(handle); // shuts down + drains before we read the final stats
     let stats = service.stats();
 
-    let mut server_us: Vec<f64> = tallies.iter().flat_map(|t| t.server_us.clone()).collect();
-    let mut full_us: Vec<f64> = tallies.iter().flat_map(|t| t.full_us.clone()).collect();
-    server_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    full_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let server_us: Vec<f64> = tallies.iter().flat_map(|t| t.server_us.clone()).collect();
+    let full_us: Vec<f64> = tallies.iter().flat_map(|t| t.full_us.clone()).collect();
     NetReport {
         total_requests: workload.connections * workload.requests_per_connection,
         replies: full_us.len(),
         remote_errors: tallies.iter().map(|t| t.remote_errors).sum(),
-        server_p50_us: percentile_us(&server_us, 0.50),
-        server_p95_us: percentile_us(&server_us, 0.95),
-        server_p99_us: percentile_us(&server_us, 0.99),
-        full_p50_us: percentile_us(&full_us, 0.50),
-        full_p95_us: percentile_us(&full_us, 0.95),
-        full_p99_us: percentile_us(&full_us, 0.99),
+        server: Latency::of(server_us),
+        full: Latency::of(full_us),
         batch_occupancy: stats.mean_batch_occupancy(),
         net,
         stats,
     }
 }
 
-/// Wire-vs-in-process identity probe: one loopback server, the same
-/// queries asked through a client and through `submit_to`, hits and
-/// audit thresholds compared exactly. Returns whether every query
-/// agreed.
-pub fn identity_probe(data: &MatchData, probes: usize) -> bool {
-    let mut b = IndexBuilder::new();
-    b.add_objects(data.objects.iter());
-    let index = Arc::new(b.build(None));
-    let service = Arc::new(
-        GenieService::start_empty(
-            QueryScheduler::single(Arc::new(CpuBackend::new())),
-            ServiceConfig::default(),
-        )
-        .expect("config is valid"),
-    );
-    let collection = service
-        .add_collection("probe", &index)
-        .expect("host index always fits");
-    let handle = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
-        .expect("loopback bind");
-    let client = Client::connect(handle.addr()).expect("client connects");
-    for i in 0..probes {
-        let query = data.queries[i % data.queries.len()].clone();
-        let wire = client
-            .search(collection, 10, query.clone())
-            .expect("wire search");
-        let truth = service
-            .submit_to(collection, query, 10)
-            .wait()
-            .expect("in-process search");
-        if wire.hits != truth.hits || wire.audit_threshold != truth.audit_threshold {
-            return false;
+/// The in-process side of an identity probe: `objects` served by a
+/// default single-CPU service, the reference a wire answer must equal.
+pub(crate) struct Truth {
+    pub service: Arc<GenieService>,
+    pub collection: u64,
+}
+
+impl Truth {
+    pub(crate) fn over(objects: &[Object]) -> Self {
+        let scheduler = QueryScheduler::single(Arc::new(CpuBackend::new()));
+        let service = GenieService::start_empty(scheduler, ServiceConfig::default());
+        let service = Arc::new(service.expect("config is valid"));
+        let collection = service
+            .add_collection("truth", &index_of(objects))
+            .expect("host index always fits");
+        Self {
+            service,
+            collection,
         }
     }
-    true
+
+    /// `query` asked through `client` and through `submit_to`: hits and
+    /// audit threshold must agree exactly.
+    pub(crate) fn agrees(&self, client: &Client, wire_collection: u64, query: &Query) -> bool {
+        const K: usize = 10;
+        let wire = client
+            .search(wire_collection, K as u32, query.clone())
+            .expect("wire search serves");
+        let truth = self
+            .service
+            .submit_to(self.collection, query.clone(), K)
+            .wait()
+            .expect("in-process search serves");
+        wire.hits == truth.hits && wire.audit_threshold == truth.audit_threshold
+    }
 }
 
-fn net_json_row(name: &str, report: &NetReport) -> Json {
-    Json::obj(vec![
-        ("name", Json::str(name)),
-        ("requests", Json::int(report.total_requests as u64)),
-        ("replies", Json::int(report.replies as u64)),
-        ("remote_errors", Json::int(report.remote_errors as u64)),
-        ("server_p50_us", Json::num(report.server_p50_us)),
-        ("server_p95_us", Json::num(report.server_p95_us)),
-        ("server_p99_us", Json::num(report.server_p99_us)),
-        ("full_p50_us", Json::num(report.full_p50_us)),
-        ("full_p95_us", Json::num(report.full_p95_us)),
-        ("full_p99_us", Json::num(report.full_p99_us)),
-        ("batch_occupancy", Json::num(report.batch_occupancy)),
-        ("frames_in", Json::int(report.net.frames_in)),
-        ("frames_out", Json::int(report.net.frames_out)),
-        ("protocol_errors", Json::int(report.net.protocol_errors)),
-        ("io_drops", Json::int(report.net.io_drops)),
-        ("slow_reader_drops", Json::int(report.net.slow_reader_drops)),
-        ("accepted", Json::int(report.net.accepted)),
-        ("waves", Json::int(report.stats.waves)),
-        ("mutation_batches", Json::int(report.stats.mutation_batches)),
-    ])
+/// Wire-vs-in-process identity probe: one loopback server, the same
+/// `probes` queries asked over the wire and in process. Returns whether
+/// every query agreed.
+pub fn identity_probe(data: &MatchData, probes: usize) -> bool {
+    let truth = Truth::over(&data.objects);
+    let server = Arc::clone(&truth.service);
+    let handle =
+        NetServer::spawn(server, "127.0.0.1:0", ServerConfig::default()).expect("loopback bind");
+    let client = Client::connect(handle.addr()).expect("client connects");
+    let mut queries = data.queries.iter().cycle().take(probes);
+    queries.all(|query| truth.agrees(&client, truth.collection, query))
 }
 
-/// The sweep grid both the recorder and the checker walk: every row is
-/// `(row name, workload)`.
+const TABLE: Table<NetReport> = Table {
+    id: Some(("name", "workload", 18)),
+    cols: &[
+        Col::shown("requests", "requests", Cell::Plain, |r| {
+            r.total_requests.into()
+        }),
+        Col::shown("replies", "replies", Cell::Plain, |r| r.replies.into()),
+        Col::shown("remote_errors", "errors", Cell::Plain, |r| {
+            r.remote_errors.into()
+        }),
+        Col::shown("server_p50_us", "srv p50", Cell::Ms, |r| {
+            r.server.p50_us.into()
+        }),
+        Col::json("server_p95_us", |r| r.server.p95_us.into()),
+        Col::shown("server_p99_us", "srv p99", Cell::Ms, |r| {
+            r.server.p99_us.into()
+        }),
+        Col::shown("full_p50_us", "full p50", Cell::Ms, |r| {
+            r.full.p50_us.into()
+        }),
+        Col::json("full_p95_us", |r| r.full.p95_us.into()),
+        Col::shown("full_p99_us", "full p99", Cell::Ms, |r| {
+            r.full.p99_us.into()
+        }),
+        Col::shown("batch_occupancy", "occupancy", Cell::Fixed1, |r| {
+            r.batch_occupancy.into()
+        }),
+        Col::json("frames_in", |r| r.net.frames_in.into()),
+        Col::json("frames_out", |r| r.net.frames_out.into()),
+        Col::json("protocol_errors", |r| r.net.protocol_errors.into()),
+        Col::json("io_drops", |r| r.net.io_drops.into()),
+        Col::json("slow_reader_drops", |r| r.net.slow_reader_drops.into()),
+        Col::json("accepted", |r| r.net.accepted.into()),
+        Col::json("waves", |r| r.stats.waves.into()),
+        Col::json("mutation_batches", |r| r.stats.mutation_batches.into()),
+    ],
+};
+
+/// The sweep grid: pipeline depths, workload mixes, and a churn phase
+/// that re-dials four times per connection.
 fn sweep(requests_per_connection: usize) -> Vec<(String, NetWorkload)> {
     let base = NetWorkload {
         requests_per_connection,
@@ -341,309 +354,89 @@ fn net_data(scale: Scale) -> MatchData {
     data
 }
 
-const FULL_REQUESTS: usize = 120;
-const SMOKE_REQUESTS: usize = 32;
-
-fn print_report(name: &str, report: &NetReport, widths: &[usize]) {
-    row(
-        &[
-            name.into(),
-            ms(report.server_p50_us),
-            ms(report.server_p99_us),
-            ms(report.full_p50_us),
-            ms(report.full_p99_us),
-            format!("{:.1}", report.batch_occupancy),
-            format!("{}/{}", report.replies, report.total_requests),
-            report.remote_errors.to_string(),
-        ],
-        widths,
-    );
-}
-
-/// `repro --net [--smoke]`: the pipeline-depth sweep, the workload-mix
-/// sweep and the churn phase, plus the identity probe. The full run
-/// refreshes the checked-in `BENCH_net.json`; `--smoke` routes to the
-/// gitignored `BENCH_net_smoke.json`.
-pub fn net(smoke: bool) {
-    println!("\n=== Network serving — loopback genie-client load generator ===");
-    let scale = if smoke {
-        Scale {
+/// `--net [--smoke]`: every sweep row, then the identity probe. Not part
+/// of `--all` (it spins sockets and threads).
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
+    let smoke = ctx.mode == Mode::Smoke;
+    let (scale, requests) = if smoke {
+        let scale = Scale {
             n: 400,
             num_queries: 64,
-        }
+        };
+        (scale, 32)
     } else {
-        Scale::default()
+        (Scale::default(), 120)
     };
     let data = net_data(scale);
-    let requests = if smoke { SMOKE_REQUESTS } else { FULL_REQUESTS };
-    let widths = [18, 9, 9, 9, 9, 11, 10, 7];
-    row(
-        &[
-            "workload".into(),
-            "srv p50".into(),
-            "srv p99".into(),
-            "full p50".into(),
-            "full p99".into(),
-            "occupancy".into(),
-            "replies".into(),
-            "errors".into(),
-        ],
-        &widths,
-    );
-    let mut rows = Vec::new();
-    for (name, workload) in sweep(requests) {
-        let report = run_net_workload(&data, workload);
-        assert_eq!(
-            report.replies, report.total_requests,
-            "{name}: every request must be answered"
-        );
-        assert_eq!(
-            report.remote_errors, 0,
-            "{name}: healthy runs see no error frames"
-        );
-        assert_eq!(
-            report.net.protocol_errors, 0,
-            "{name}: no protocol errors on loopback"
-        );
-        print_report(&name, &report, &widths);
-        rows.push(net_json_row(&name, &report));
-    }
-
-    let identity_ok = identity_probe(&data, 16);
-    assert!(identity_ok, "wire results must equal in-process results");
-    println!("identity probe: wire == in-process on 16 queries");
-
-    let path = if smoke {
-        "BENCH_net_smoke.json"
-    } else {
-        "BENCH_net.json"
-    };
-    let threads = {
-        use genie_core::backend::SearchBackend;
-        CpuBackend::new().capabilities().devices
-    };
-    let mut fields = vec![
-        ("bench", Json::str("net")),
-        ("n", Json::int(data.objects.len() as u64)),
-        ("query_pool", Json::int(data.queries.len() as u64)),
-        ("smoke", Json::Bool(smoke)),
-        (
-            "connections",
-            Json::int(NetWorkload::default().connections as u64),
-        ),
-        ("requests_per_connection", Json::int(requests as u64)),
-        ("identity_ok", Json::Bool(identity_ok)),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.push(("rows", Json::arr(rows)));
-    let doc = Json::Obj(
-        fields
+    Box::new(move || {
+        TABLE.header();
+        let rows = sweep(requests)
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    doc.write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("baseline written to {path}");
-}
-
-/// The `--net --check` gate: fresh trials of every baseline row vs
-/// `BENCH_net.json`, gating only structural/dimensionless facts:
-///
-/// * **completeness** — every request answered (exact);
-/// * **cleanliness** — zero protocol errors, io drops and error frames
-///   (exact);
-/// * **pipelining** — rows the baseline shows batching (occupancy > 1)
-///   must still batch;
-/// * **identity** — wire results equal in-process results.
-///
-/// Latencies are recorded in the baseline for trend reading, not gated.
-pub fn net_check(smoke: bool) -> bool {
-    if smoke {
-        return net_smoke_check();
-    }
-    let baseline = check::load_baseline("BENCH_net.json");
-    const TRIALS: usize = 3;
-    println!("\n=== Net check — {TRIALS} trials vs checked-in BENCH_net.json ===");
-    let data = net_data(Scale::default());
-
-    let grid = sweep(FULL_REQUESTS);
-    let mut trials: Vec<Vec<NetReport>> = Vec::new();
-    for t in 0..TRIALS {
-        println!("trial {}/{TRIALS} ...", t + 1);
-        trials.push(
-            grid.iter()
-                .map(|(_, w)| run_net_workload(&data, *w))
-                .collect(),
-        );
-    }
-
-    let rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("baseline has no rows array — re-run --net to refresh"));
-    let mut verdicts = Vec::new();
-    for (i, (name, _)) in grid.iter().enumerate() {
-        let base = check::find_row(rows, "name", name);
-        let reports: Vec<&NetReport> = trials.iter().map(|t| &t[i]).collect();
-        verdicts.push(check::judge(GateRow {
-            name: format!("{name}/all_replies_received"),
-            baseline: 1.0,
-            trials: reports
-                .iter()
-                .map(|r| (r.replies == r.total_requests) as u64 as f64)
-                .collect(),
-            floor: 1.0,
-        }));
-        verdicts.push(check::judge(GateRow {
-            name: format!("{name}/zero_transport_errors"),
-            baseline: 1.0,
-            trials: reports
-                .iter()
-                .map(|r| {
-                    (r.remote_errors == 0 && r.net.protocol_errors == 0 && r.net.io_drops == 0)
-                        as u64 as f64
-                })
-                .collect(),
-            floor: 1.0,
-        }));
-        if check::field(base, "batch_occupancy") > 1.0 {
-            verdicts.push(check::judge(GateRow {
-                name: format!("{name}/pipelining_batches"),
-                baseline: 1.0,
-                trials: reports
-                    .iter()
-                    .map(|r| (r.batch_occupancy > 1.0) as u64 as f64)
-                    .collect(),
-                floor: 1.0,
-            }));
+            .map(|(name, workload)| TABLE.row(name, &run_net_workload(&data, workload)));
+        let rows: Vec<Json> = rows.collect();
+        let identity_ok = identity_probe(&data, 16);
+        println!("identity probe: wire == in-process on 16 queries: {identity_ok}");
+        Run {
+            head: vec![
+                ("n", data.objects.len().into()),
+                ("query_pool", data.queries.len().into()),
+                ("smoke", smoke.into()),
+                ("connections", NetWorkload::default().connections.into()),
+                ("requests_per_connection", requests.into()),
+                ("identity_ok", identity_ok.into()),
+            ],
+            body: vec![("rows", rows.into())],
         }
-        verdicts.push(check::judge(GateRow {
-            name: format!("{name}/latency_split_ordered"),
-            baseline: 1.0,
-            trials: reports
-                .iter()
-                .map(|r| (r.server_p50_us <= r.full_p50_us) as u64 as f64)
-                .collect(),
-            floor: 1.0,
-        }));
-    }
-    verdicts.push(check::judge(GateRow {
-        name: "identity/wire_equals_in_process".into(),
-        baseline: 1.0,
-        trials: (0..TRIALS)
-            .map(|_| identity_probe(&data, 16) as u64 as f64)
-            .collect(),
-        floor: 1.0,
-    }));
-
-    check::report("net", &verdicts, "CHECK_net.json")
+    })
 }
 
-/// CI smoke: a small live run of every sweep row with hard asserts,
-/// then a structural audit of the *checked-in* `BENCH_net.json` (rows
-/// present, every row complete and clean, the deep-pipeline row
-/// batching, the identity probe recorded green) — catching a stale or
-/// hand-mangled baseline without a full-scale re-run.
-pub fn net_smoke_check() -> bool {
-    net_smoke();
-
-    let baseline = check::load_baseline("BENCH_net.json");
-    let mut verdicts = Vec::new();
-    let mut structural = |name: String, ok: bool| {
-        verdicts.push(check::judge(GateRow {
-            name,
-            baseline: 1.0,
-            trials: vec![ok as u64 as f64],
-            floor: 1.0,
-        }));
-    };
-
-    let rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("baseline has no rows array"));
-    structural("baseline/rows_nonempty".into(), !rows.is_empty());
-    for row in rows {
-        let name = row.get("name").and_then(Json::as_str).unwrap_or("?");
-        structural(
-            format!("baseline/{name}_all_replies"),
-            check::field(row, "replies") == check::field(row, "requests"),
-        );
-        structural(
-            format!("baseline/{name}_clean"),
-            check::field(row, "protocol_errors") == 0.0
-                && check::field(row, "remote_errors") == 0.0,
-        );
-        structural(
-            format!("baseline/{name}_latency_split"),
-            check::field(row, "server_p50_us") <= check::field(row, "full_p50_us"),
-        );
-    }
-    let deep = check::find_row(rows, "name", "depth=16");
-    structural(
-        "baseline/depth16_pipelining_batches".into(),
-        check::field(deep, "batch_occupancy") > 1.0,
-    );
-    structural(
-        "baseline/identity_ok".into(),
-        baseline.get("identity_ok") == Some(&Json::Bool(true)),
-    );
-
-    check::report("net_smoke", &verdicts, "CHECK_net_smoke.json")
-}
-
-/// The live CI smoke body: every sweep row at smoke scale with hard
-/// asserts (completeness, cleanliness, deep-pipeline batching), plus
-/// the identity probe.
-pub fn net_smoke() {
-    println!("\n=== Net smoke (CI): loopback load generator, all sweep rows ===");
-    let data = net_data(Scale {
-        n: 400,
-        num_queries: 64,
-    });
-    let widths = [18, 9, 9, 9, 9, 11, 10, 7];
-    row(
-        &[
-            "workload".into(),
-            "srv p50".into(),
-            "srv p99".into(),
-            "full p50".into(),
-            "full p99".into(),
-            "occupancy".into(),
-            "replies".into(),
-            "errors".into(),
+const SECTIONS: &[Section] = &[
+    Section {
+        at: Some("rows"),
+        name: "",
+        invariants: &[
+            Invariant::new("all_replies_received", |row, _| {
+                field(row, "replies") == field(row, "requests")
+            }),
+            Invariant::new("zero_transport_errors", |row, _| {
+                let zero = |counter| field(row, counter) == 0.0;
+                zero("remote_errors") && zero("protocol_errors") && zero("io_drops")
+            }),
+            // the deep pipeline must batch across requests at any scale;
+            // the other rows wherever the reference shows it
+            Invariant::new("pipelining_batches", |row, _| {
+                field(row, "batch_occupancy") > 1.0
+            })
+            .when(|shown| {
+                shown.get("name").and_then(Json::as_str) == Some("depth=16")
+                    || field(shown, "batch_occupancy") > 1.0
+            }),
+            Invariant::new("latency_split_ordered", |row, _| {
+                let server = field(row, "server_p50_us");
+                server > 0.0 && server <= field(row, "full_p50_us")
+            }),
         ],
-        &widths,
-    );
-    for (name, workload) in sweep(SMOKE_REQUESTS) {
-        let report = run_net_workload(&data, workload);
-        assert_eq!(
-            report.replies, report.total_requests,
-            "{name}: every request must be answered"
-        );
-        assert_eq!(report.remote_errors, 0, "{name}: no error frames");
-        assert_eq!(report.net.protocol_errors, 0, "{name}: no protocol errors");
-        assert_eq!(report.net.io_drops, 0, "{name}: no io drops on loopback");
-        assert!(
-            report.server_p50_us > 0.0 && report.server_p50_us <= report.full_p50_us,
-            "{name}: the latency split must be ordered"
-        );
-        if name == "depth=16" {
-            assert!(
-                report.batch_occupancy > 1.0,
-                "{name}: deep pipelining must batch across requests: {:?}",
-                report.stats
-            );
-        }
-        print_report(&name, &report, &widths);
-    }
-    assert!(
-        identity_probe(&data, 16),
-        "wire results must equal in-process results"
-    );
-    println!("identity probe OK; net smoke OK");
-}
+        bands: &[],
+    },
+    Section {
+        at: None,
+        name: "identity",
+        invariants: &[Invariant::new("wire_equals_in_process", |doc, _| {
+            flag(doc, "identity_ok")
+        })],
+        bands: &[],
+    },
+];
+
+pub const BENCH: Bench = Bench {
+    name: "net",
+    flag: "--net",
+    in_all: false,
+    mode: smoke_or_quick,
+    trials: |mode| if mode == Mode::Full { 3 } else { 1 },
+    sections: |_| SECTIONS,
+    setup,
+};
 
 #[cfg(test)]
 mod tests {
@@ -669,8 +462,8 @@ mod tests {
         assert_eq!(report.replies, 36);
         assert_eq!(report.remote_errors, 0);
         assert_eq!(report.net.protocol_errors, 0);
-        assert!(report.server_p50_us > 0.0);
-        assert!(report.server_p50_us <= report.full_p50_us);
+        assert!(report.server.p50_us > 0.0);
+        assert!(report.server.p50_us <= report.full.p50_us);
         assert!(report.stats.mutation_batches > 0, "the mix must mutate");
     }
 

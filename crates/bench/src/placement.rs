@@ -8,11 +8,12 @@
 //! p95 down by routing shards off the throttled devices.
 //!
 //! As with the other service benches, raw microseconds are recorded
-//! for trend reading but never gated; the `--check` gates are
-//! dimensionless indicators (every request resolved, answers identical
-//! to broadcast, the detector and rebalancer fired, the cost model
-//! separated the fleet, placed p95 beat broadcast p95) that hold on
-//! any host — the ~1.5 ms/query throttle dwarfs host noise by design.
+//! for trend reading but never gated; the invariants are dimensionless
+//! indicators (every request resolved, answers identical to broadcast,
+//! the detector and rebalancer fired, the cost model separated the
+//! fleet, placed p95 beat broadcast p95) that hold on any host — the
+//! ~1.5 ms/query throttle dwarfs host noise by design, which is also why
+//! the smoke workload can be checked against the full-scale baseline.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,14 +23,14 @@ use genie_core::exec::SearchOutput;
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query};
 use genie_service::{
-    percentile_us, CollectionId, GenieService, QueryScheduler, SchedulerConfig, ServiceConfig,
+    BackendHealth, CollectionId, GenieService, QueryScheduler, SchedulerConfig, ServiceConfig,
     ServiceStats,
 };
 
-use crate::check::{self, GateRow};
-use crate::cpu_kernel::meta_fields;
+use crate::check::{field, flag};
+use crate::harness::{Bench, Cell, Col, Ctx, Invariant, Latency, Mode, Run, Section, Table};
 use crate::json::Json;
-use crate::{ms, row};
+use crate::ms;
 
 /// The keyword carried by every hot-shard object (and by ~80% of the
 /// query stream): all of its postings live in shard 0.
@@ -104,10 +105,10 @@ pub struct PlacementWorkload {
 /// What one placement run measured.
 #[derive(Debug, Clone)]
 pub struct PlacementReport {
-    pub broadcast_p50_us: f64,
-    pub broadcast_p95_us: f64,
-    pub placed_p50_us: f64,
-    pub placed_p95_us: f64,
+    /// Measured-phase latency under static broadcast dispatch.
+    pub broadcast: Latency,
+    /// Measured-phase latency on the converged plan.
+    pub placed: Latency,
     /// p95 of each convergence phase of the placed scenario, in order —
     /// the "p95 converges down" trajectory.
     pub phase_p95_us: Vec<f64>,
@@ -126,9 +127,9 @@ pub struct PlacementReport {
     pub converged: bool,
     /// Final placement (per base shard, assigned backend indexes).
     pub placement: Vec<Vec<usize>>,
-    /// `(name, queries, learned_base_us, learned_us_per_posting,
-    /// cost_observations)` per fleet backend, in fleet order.
-    pub backends: Vec<(String, u64, f64, f64, u64)>,
+    /// The placed service's per-backend health (queries served, learned
+    /// cost model), in fleet order.
+    pub backends: Vec<BackendHealth>,
     pub placed_stats: ServiceStats,
 }
 
@@ -168,198 +169,148 @@ fn query_for(j: usize) -> Query {
 /// to route around.
 const K_SPREAD: usize = 4;
 
-fn service_for(
-    workload: &PlacementWorkload,
-    rebalance_window: usize,
-) -> (GenieService, CollectionId) {
-    let throttle = Duration::from_micros(workload.throttle_us);
-    let fleet: Vec<Arc<dyn SearchBackend>> = vec![
-        Arc::new(CpuBackend::new()),
-        Arc::new(ThrottledSim::new(throttle)),
-        Arc::new(ThrottledSim::new(throttle)),
-    ];
-    // one micro-batch per (collection, k) group per wave: every wave
-    // splits into K_SPREAD batches across the fleet, so the throttled
-    // devices actually serve under broadcast — both to drag latency
-    // (the baseline being beaten) and to feed the online cost model
-    // the observations rebalancing decides from
-    let scheduler = QueryScheduler::new(
-        fleet,
-        SchedulerConfig {
-            max_batch_queries: (workload.wave_size / K_SPREAD).max(1),
-            ..SchedulerConfig::default()
-        },
-    );
-    let service = GenieService::start_empty(
-        scheduler,
-        ServiceConfig {
-            max_queue_delay: Duration::from_millis(1),
-            dispatchers: 1,
-            cache_capacity: 0, // repeated hot queries must execute, not memoise
-            compact_after: 0,
-            rebalance_window,
-            skew_threshold: workload.skew_threshold,
-            ..Default::default()
-        },
-    )
-    .expect("config is valid");
-    let collection = service
-        .add_collection_sharded("skewed", &skewed_corpus(workload), workload.shards)
-        .expect("corpus always fits");
-    (service, collection)
+/// One scenario: a service over the skewed corpus, the position it has
+/// reached in the shared query stream, and its request tally.
+struct Scenario<'a> {
+    workload: &'a PlacementWorkload,
+    service: GenieService,
+    collection: CollectionId,
+    cursor: usize,
+    expected: usize,
+    resolved: usize,
 }
 
-/// Drive `waves` waves of `wave_size` requests starting at query
-/// cursor `at`, appending per-request latencies to `latencies`.
-/// Returns `(expected, resolved)` request counts.
-fn drive_waves(
-    service: &GenieService,
-    collection: CollectionId,
-    workload: &PlacementWorkload,
-    at: &mut usize,
-    waves: usize,
-    latencies: &mut Vec<f64>,
-) -> (usize, usize) {
-    let mut expected = 0;
-    let mut resolved = 0;
-    for _ in 0..waves {
-        let tickets: Vec<_> = (0..workload.wave_size)
-            .map(|i| {
-                let q = query_for(*at);
-                *at += 1;
-                expected += 1;
-                // cycle k so the burst forms one multi-batch wave (see
-                // K_SPREAD); answers are audited at workload.k alone
-                service.submit_to(collection, q, workload.k + (i % K_SPREAD))
-            })
-            .collect();
-        for ticket in tickets {
-            let submitted = ticket.submitted_at();
-            if ticket.wait().is_ok() {
-                resolved += 1;
-                latencies.push(submitted.elapsed().as_secs_f64() * 1e6);
-            }
+impl<'a> Scenario<'a> {
+    /// `rebalance_window == 0` disables the placement loop (broadcast).
+    fn new(workload: &'a PlacementWorkload, rebalance_window: usize) -> Self {
+        let throttle = Duration::from_micros(workload.throttle_us);
+        let fleet: Vec<Arc<dyn SearchBackend>> = vec![
+            Arc::new(CpuBackend::new()),
+            Arc::new(ThrottledSim::new(throttle)),
+            Arc::new(ThrottledSim::new(throttle)),
+        ];
+        // one micro-batch per (collection, k) group per wave: every wave
+        // splits into K_SPREAD batches across the fleet, so the throttled
+        // devices actually serve under broadcast — both to drag latency
+        // (the baseline being beaten) and to feed the online cost model
+        // the observations rebalancing decides from
+        let scheduler = QueryScheduler::new(
+            fleet,
+            SchedulerConfig {
+                max_batch_queries: (workload.wave_size / K_SPREAD).max(1),
+                ..SchedulerConfig::default()
+            },
+        );
+        let service = GenieService::start_empty(
+            scheduler,
+            ServiceConfig {
+                max_queue_delay: Duration::from_millis(1),
+                dispatchers: 1,
+                cache_capacity: 0, // repeated hot queries must execute, not memoise
+                compact_after: 0,
+                rebalance_window,
+                skew_threshold: workload.skew_threshold,
+                ..Default::default()
+            },
+        )
+        .expect("config is valid");
+        let collection = service
+            .add_collection_sharded("skewed", &skewed_corpus(workload), workload.shards)
+            .expect("corpus always fits");
+        Self {
+            workload,
+            service,
+            collection,
+            cursor: 0,
+            expected: 0,
+            resolved: 0,
         }
     }
-    (expected, resolved)
-}
 
-fn assigns_any_sim(placement: &[Vec<usize>]) -> bool {
-    // fleet order is fixed: backend 0 is the CPU, 1 and 2 the sims
-    placement
-        .iter()
-        .any(|backends| backends.iter().any(|&b| b != 0))
+    /// Drive `waves` waves of `wave_size` requests from the cursor on;
+    /// returns the per-request latencies of those that resolved.
+    fn drive(&mut self, waves: usize) -> Vec<f64> {
+        let mut latencies = Vec::new();
+        for _ in 0..waves {
+            let tickets: Vec<_> = (0..self.workload.wave_size)
+                .map(|i| {
+                    let q = query_for(self.cursor);
+                    self.cursor += 1;
+                    self.expected += 1;
+                    // cycle k so the burst forms one multi-batch wave (see
+                    // K_SPREAD); answers are audited at workload.k alone
+                    let k = self.workload.k + (i % K_SPREAD);
+                    self.service.submit_to(self.collection, q, k)
+                })
+                .collect();
+            for ticket in tickets {
+                let submitted = ticket.submitted_at();
+                if ticket.wait().is_ok() {
+                    self.resolved += 1;
+                    latencies.push(submitted.elapsed().as_secs_f64() * 1e6);
+                }
+            }
+        }
+        latencies
+    }
+
+    fn placement(&self) -> Vec<Vec<usize>> {
+        self.service
+            .collection_placement(self.collection)
+            .expect("collection is registered")
+    }
+
+    /// The rebalancer has applied a plan and it routes no shard to a
+    /// throttled device (fleet order is fixed: backend 0 is the CPU).
+    fn routed_around_sims(&self) -> bool {
+        let on_cpu_only = |backends: &Vec<usize>| backends.iter().all(|&b| b == 0);
+        self.service.stats().rebalances >= 1 && self.placement().iter().all(on_cpu_only)
+    }
 }
 
 /// Run `workload`: a static-broadcast scenario and a placement-enabled
 /// scenario over the same skewed corpus and query stream, then audit
 /// that placement changed only the latency.
 pub fn run_placement_workload(workload: &PlacementWorkload) -> PlacementReport {
-    let mut expected = 0;
-    let mut resolved = 0;
+    let measured_waves = workload.measured_requests.div_ceil(workload.wave_size);
 
     // --- scenario 1: static broadcast (rebalancing disabled) ---
-    let (broadcast, bcast_col) = service_for(workload, 0);
-    let mut cursor = 0usize;
-    let mut scratch = Vec::new();
-    let (e, r) = drive_waves(
-        &broadcast,
-        bcast_col,
-        workload,
-        &mut cursor,
-        workload.warmup_waves,
-        &mut scratch,
-    );
-    expected += e;
-    resolved += r;
-    let mut bcast_lat = Vec::new();
-    let measured_waves = workload.measured_requests.div_ceil(workload.wave_size);
-    let (e, r) = drive_waves(
-        &broadcast,
-        bcast_col,
-        workload,
-        &mut cursor,
-        measured_waves,
-        &mut bcast_lat,
-    );
-    expected += e;
-    resolved += r;
-    bcast_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let mut bcast = Scenario::new(workload, 0);
+    bcast.drive(workload.warmup_waves);
+    let bcast_lat = bcast.drive(measured_waves);
 
     // --- scenario 2: placement loop on, same corpus and stream ---
-    let (placed, placed_col) = service_for(workload, workload.rebalance_window);
-    let mut cursor = 0usize;
-    let mut phase_p95 = Vec::new();
-    let mut first = Vec::new();
-    let (e, r) = drive_waves(
-        &placed,
-        placed_col,
-        workload,
-        &mut cursor,
-        workload.warmup_waves,
-        &mut first,
-    );
-    expected += e;
-    resolved += r;
-    first.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    phase_p95.push(percentile_us(&first, 0.95));
+    let mut placed = Scenario::new(workload, workload.rebalance_window);
+    let mut phase_p95 = vec![Latency::of(placed.drive(workload.warmup_waves)).p95_us];
     // keep serving phases until the plan routes around the throttled
     // devices (each phase feeds the detector window and the online
     // cost model, so convergence is self-reinforcing) or we give up
     let mut converged = false;
     for _ in 0..workload.max_phases {
-        let placement = placed
-            .collection_placement(placed_col)
-            .expect("collection is registered");
-        if placed.stats().rebalances >= 1 && !assigns_any_sim(&placement) {
+        if placed.routed_around_sims() {
             converged = true;
             break;
         }
-        let mut phase = Vec::new();
-        let (e, r) = drive_waves(
-            &placed,
-            placed_col,
-            workload,
-            &mut cursor,
-            workload.phase_waves,
-            &mut phase,
-        );
-        expected += e;
-        resolved += r;
-        phase.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        phase_p95.push(percentile_us(&phase, 0.95));
+        phase_p95.push(Latency::of(placed.drive(workload.phase_waves)).p95_us);
         // the detector hands plans to the background rebalancer; give
         // it a beat before deciding the phase did not converge
         let deadline = Instant::now() + Duration::from_millis(500);
-        while Instant::now() < deadline {
-            let placement = placed
-                .collection_placement(placed_col)
-                .expect("collection is registered");
-            if placed.stats().rebalances >= 1 && !assigns_any_sim(&placement) {
-                break;
-            }
+        while Instant::now() < deadline && !placed.routed_around_sims() {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    let placement = placed
-        .collection_placement(placed_col)
-        .expect("collection is registered");
-    converged = converged || (placed.stats().rebalances >= 1 && !assigns_any_sim(&placement));
+    converged |= placed.routed_around_sims();
+    let placement = placed.placement();
 
     // measured phase on the converged plan
-    let mut placed_lat = Vec::new();
-    let (e, r) = drive_waves(
-        &placed,
-        placed_col,
-        workload,
-        &mut cursor,
-        measured_waves,
-        &mut placed_lat,
+    let placed_latency = Latency::of(placed.drive(measured_waves));
+    phase_p95.push(placed_latency.p95_us);
+    let (expected, resolved) = (
+        bcast.expected + placed.expected,
+        bcast.resolved + placed.resolved,
     );
-    expected += e;
-    resolved += r;
-    placed_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    phase_p95.push(percentile_us(&placed_lat, 0.95));
+    let (broadcast, bcast_col) = (bcast.service, bcast.collection);
+    let (placed, placed_col) = (placed.service, placed.collection);
 
     // --- audit: placement changed the latency, not one answer ---
     let mut answers_identical = true;
@@ -399,9 +350,8 @@ pub fn run_placement_workload(workload: &PlacementWorkload) -> PlacementReport {
             }
         })
         .unwrap_or(0.0);
-    let per_query = |h: &genie_service::BackendHealth| {
-        h.cost_model.base_us + h.cost_model.us_per_posting * rep_postings
-    };
+    let per_query =
+        |h: &BackendHealth| h.cost_model.base_us + h.cost_model.us_per_posting * rep_postings;
     let cpu_cost = health
         .iter()
         .find(|h| h.name == "cpu")
@@ -411,24 +361,9 @@ pub fn run_placement_workload(workload: &PlacementWorkload) -> PlacementReport {
         .iter()
         .filter(|h| h.name == "sim-throttled")
         .all(|h| h.cost_observations > 0 && per_query(h) > cpu_cost);
-    let backends = health
-        .iter()
-        .map(|h| {
-            (
-                h.name.to_string(),
-                h.queries,
-                h.cost_model.base_us,
-                h.cost_model.us_per_posting,
-                h.cost_observations,
-            )
-        })
-        .collect();
-
     PlacementReport {
-        broadcast_p50_us: percentile_us(&bcast_lat, 0.50),
-        broadcast_p95_us: percentile_us(&bcast_lat, 0.95),
-        placed_p50_us: percentile_us(&placed_lat, 0.50),
-        placed_p95_us: percentile_us(&placed_lat, 0.95),
+        broadcast: Latency::of(bcast_lat),
+        placed: placed_latency,
         phase_p95_us: phase_p95,
         expected,
         resolved,
@@ -437,7 +372,7 @@ pub fn run_placement_workload(workload: &PlacementWorkload) -> PlacementReport {
         cost_model_learned,
         converged,
         placement,
-        backends,
+        backends: health,
         placed_stats,
     }
 }
@@ -448,299 +383,184 @@ fn workload_for(smoke: bool) -> PlacementWorkload {
     // can drain before the throttled workers' threads wake, or
     // broadcast never actually engages the slow devices and the
     // baseline being beaten is a coin flip of thread-spawn latency
-    if smoke {
-        // the corpus stays full-size: CPU batches must cost more than
-        // a thread spawn or broadcast never engages the sims (smoke
-        // saves time through fewer waves, not a smaller index)
-        PlacementWorkload {
-            objects: 4_096,
-            shards: 4,
-            wave_size: 32,
-            warmup_waves: 12,
-            measured_requests: 128,
-            phase_waves: 8,
-            max_phases: 6,
-            k: 10,
-            throttle_us: 1_500,
-            rebalance_window: 8,
-            skew_threshold: 0.5,
-        }
-    } else {
-        PlacementWorkload {
-            objects: 4_096,
-            shards: 4,
-            wave_size: 64,
-            warmup_waves: 16,
-            measured_requests: 512,
-            phase_waves: 8,
-            max_phases: 8,
-            k: 10,
-            throttle_us: 1_500,
-            rebalance_window: 8,
-            skew_threshold: 0.5,
-        }
+    let full = PlacementWorkload {
+        objects: 4_096,
+        shards: 4,
+        wave_size: 64,
+        warmup_waves: 16,
+        measured_requests: 512,
+        phase_waves: 8,
+        max_phases: 8,
+        k: 10,
+        throttle_us: 1_500,
+        rebalance_window: 8,
+        skew_threshold: 0.5,
+    };
+    if !smoke {
+        return full;
+    }
+    // the corpus stays full-size: CPU batches must cost more than a
+    // thread spawn or broadcast never engages the sims (smoke saves
+    // time through fewer and smaller waves, not a smaller index)
+    PlacementWorkload {
+        wave_size: 32,
+        warmup_waves: 12,
+        measured_requests: 128,
+        max_phases: 6,
+        ..full
     }
 }
 
-/// The structural assertions both the recording run and every check
-/// trial must satisfy — a placement run that loses a request, changes
-/// an answer, never rebalances, never separates the fleet, or fails to
-/// beat broadcast is broken regardless of host timing.
-fn assert_run_sane(report: &PlacementReport) {
-    assert_eq!(
-        report.resolved, report.expected,
-        "every request must resolve"
-    );
-    assert!(
-        report.answers_identical,
-        "placement changed an answer — the invariant the whole layer rests on"
-    );
-    assert!(
-        report.rebalance_fired,
-        "the detector/rebalancer never fired: {:?}",
-        report.placed_stats
-    );
-    assert!(
-        report.cost_model_learned,
-        "the online cost model never separated the throttled devices: {:?}",
-        report.backends
-    );
-    assert!(
-        report.converged,
-        "the plan still routes to throttled devices: {:?}",
-        report.placement
-    );
-    assert!(
-        report.placed_p95_us < report.broadcast_p95_us,
-        "placed p95 ({}) must beat broadcast p95 ({})",
-        report.placed_p95_us,
-        report.broadcast_p95_us
-    );
-}
+const TABLE: Table<PlacementReport> = Table {
+    id: None,
+    cols: &[
+        Col::shown("broadcast_p50_us", "bcast p50", Cell::Ms, |r| {
+            r.broadcast.p50_us.into()
+        }),
+        Col::shown("broadcast_p95_us", "bcast p95", Cell::Ms, |r| {
+            r.broadcast.p95_us.into()
+        }),
+        Col::shown("placed_p50_us", "placed p50", Cell::Ms, |r| {
+            r.placed.p50_us.into()
+        }),
+        Col::shown("placed_p95_us", "placed p95", Cell::Ms, |r| {
+            r.placed.p95_us.into()
+        }),
+        Col::json("phase_p95_us", |r| {
+            Json::Arr(r.phase_p95_us.iter().map(|&v| v.into()).collect())
+        }),
+        Col::json("expected", |r| r.expected.into()),
+        Col::json("resolved", |r| r.resolved.into()),
+        Col::json("answers_identical", |r| r.answers_identical.into()),
+        Col::json("rebalance_fired", |r| r.rebalance_fired.into()),
+        Col::json("cost_model_learned", |r| r.cost_model_learned.into()),
+        Col::shown("converged", "converged", Cell::Plain, |r| {
+            r.converged.into()
+        }),
+        Col::json("placement", |r| {
+            let shard =
+                |backends: &Vec<usize>| Json::Arr(backends.iter().map(|&b| b.into()).collect());
+            Json::Arr(r.placement.iter().map(shard).collect())
+        }),
+        Col::json("backends", |r| {
+            let backend = |h: &BackendHealth| {
+                Json::obj(vec![
+                    ("name", h.name.into()),
+                    ("queries", h.queries.into()),
+                    ("learned_base_us", h.cost_model.base_us.into()),
+                    ("learned_us_per_posting", h.cost_model.us_per_posting.into()),
+                    ("cost_observations", h.cost_observations.into()),
+                ])
+            };
+            Json::Arr(r.backends.iter().map(backend).collect())
+        }),
+        Col::json("placed_shard_runs", |r| {
+            r.placed_stats.placed_shard_runs.into()
+        }),
+        Col::shown("hot_shard_events", "hot events", Cell::Plain, |r| {
+            r.placed_stats.hot_shard_events.into()
+        }),
+        Col::shown("rebalances", "rebalances", Cell::Plain, |r| {
+            r.placed_stats.rebalances.into()
+        }),
+        Col::json("stale_rebalances", |r| {
+            r.placed_stats.stale_rebalances.into()
+        }),
+    ],
+};
 
-fn report_json(report: &PlacementReport) -> Json {
-    Json::obj(vec![
-        ("broadcast_p50_us", Json::num(report.broadcast_p50_us)),
-        ("broadcast_p95_us", Json::num(report.broadcast_p95_us)),
-        ("placed_p50_us", Json::num(report.placed_p50_us)),
-        ("placed_p95_us", Json::num(report.placed_p95_us)),
-        (
-            "phase_p95_us",
-            Json::arr(report.phase_p95_us.iter().map(|&v| Json::num(v)).collect()),
-        ),
-        ("expected", Json::int(report.expected as u64)),
-        ("resolved", Json::int(report.resolved as u64)),
-        ("answers_identical", Json::Bool(report.answers_identical)),
-        ("rebalance_fired", Json::Bool(report.rebalance_fired)),
-        ("cost_model_learned", Json::Bool(report.cost_model_learned)),
-        ("converged", Json::Bool(report.converged)),
-        (
-            "placement",
-            Json::arr(
-                report
-                    .placement
-                    .iter()
-                    .map(|backends| {
-                        Json::arr(backends.iter().map(|&b| Json::int(b as u64)).collect())
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "backends",
-            Json::arr(
-                report
-                    .backends
-                    .iter()
-                    .map(|(name, queries, base, rate, obs)| {
-                        Json::obj(vec![
-                            ("name", Json::str(name)),
-                            ("queries", Json::int(*queries)),
-                            ("learned_base_us", Json::num(*base)),
-                            ("learned_us_per_posting", Json::num(*rate)),
-                            ("cost_observations", Json::int(*obs)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "placed_shard_runs",
-            Json::int(report.placed_stats.placed_shard_runs),
-        ),
-        (
-            "hot_shard_events",
-            Json::int(report.placed_stats.hot_shard_events),
-        ),
-        ("rebalances", Json::int(report.placed_stats.rebalances)),
-        (
-            "stale_rebalances",
-            Json::int(report.placed_stats.stale_rebalances),
-        ),
-    ])
-}
-
-/// Placement experiment: skewed corpus on a heterogeneous fleet,
-/// static broadcast vs the learning placement loop. Emits
-/// `BENCH_placement.json` (full run, checked in),
-/// `BENCH_placement_smoke.json` (CI smoke, gitignored) or
-/// `BENCH_placement_quick.json` (`--quick`, gitignored — quick numbers
-/// are not comparable with the checked-in full-scale baseline).
-pub fn placement(smoke: bool, quick: bool) {
-    let workload = workload_for(smoke || quick);
-    println!(
-        "\n=== Skew-aware placement — n = {}, {} shards, fleet = cpu + 2 sims throttled {} us/query ===",
-        workload.objects, workload.shards, workload.throttle_us
-    );
-    let report = run_placement_workload(&workload);
-    assert_run_sane(&report);
-
-    let widths = [11, 10, 10];
-    row(
-        &["dispatch".into(), "p50(ms)".into(), "p95(ms)".into()],
-        &widths,
-    );
-    row(
-        &[
-            "broadcast".into(),
-            ms(report.broadcast_p50_us),
-            ms(report.broadcast_p95_us),
-        ],
-        &widths,
-    );
-    row(
-        &[
-            "placed".into(),
-            ms(report.placed_p50_us),
-            ms(report.placed_p95_us),
-        ],
-        &widths,
-    );
-    println!(
-        "convergence p95 trajectory (ms): {}",
-        report
-            .phase_p95_us
-            .iter()
-            .map(|&v| ms(v))
-            .collect::<Vec<_>>()
-            .join(" -> ")
-    );
-    println!(
-        "final placement: {:?}  (rebalances {}, hot-shard events {})",
-        report.placement, report.placed_stats.rebalances, report.placed_stats.hot_shard_events
-    );
-    for (name, queries, base, rate, obs) in &report.backends {
+/// `--placement [--smoke|--quick]`: static broadcast vs the learning
+/// placement loop over the same corpus and stream. Not part of `--all`
+/// (the throttle spins real wall-clock). `--quick` runs the smoke
+/// workload but, recording, keeps its numbers apart from CI's.
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
+    let mode = ctx.mode;
+    let workload = workload_for(mode != Mode::Full);
+    Box::new(move || {
         println!(
-            "  backend {name}: {queries} queries, learned {base:.1} us + {rate:.4} us/posting ({obs} observations)"
+            "n = {}, {} shards, fleet = cpu + 2 sims throttled {} us/query",
+            workload.objects, workload.shards, workload.throttle_us
         );
-    }
-
-    let path = if smoke {
-        "BENCH_placement_smoke.json"
-    } else if quick {
-        "BENCH_placement_quick.json"
-    } else {
-        "BENCH_placement.json"
-    };
-    let threads = CpuBackend::new().capabilities().devices;
-    let mut fields = vec![
-        ("bench", Json::str("placement")),
-        ("smoke", Json::Bool(smoke)),
-        ("quick", Json::Bool(quick)),
-        ("objects", Json::int(workload.objects as u64)),
-        ("shards", Json::int(workload.shards as u64)),
-        ("wave_size", Json::int(workload.wave_size as u64)),
-        ("throttle_us", Json::int(workload.throttle_us)),
-        (
-            "rebalance_window",
-            Json::int(workload.rebalance_window as u64),
-        ),
-        ("skew_threshold", Json::num(workload.skew_threshold)),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.push(("run", report_json(&report)));
-    let doc = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    doc.write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nbaseline written to {path}");
-}
-
-/// The `--placement --check` gate: fresh runs vs the checked-in
-/// `BENCH_placement.json`, gating only dimensionless structural
-/// indicators. Raw latencies are host property and are recorded, not
-/// gated — except as the ordering `placed p95 < broadcast p95`, which
-/// the 1.5 ms/query throttle makes host-independent. In smoke mode the
-/// (smaller) smoke workload runs but gates against the same checked-in
-/// full baseline: every gated indicator is scale-invariant.
-pub fn placement_check(smoke: bool) -> bool {
-    let baseline = check::load_baseline("BENCH_placement.json");
-    let base_run = baseline.get("run").expect("baseline has a run object");
-    let trials = if smoke { 2 } else { 3 };
-    println!("\n=== Placement check — {trials} trials vs checked-in BENCH_placement.json ===");
-    let workload = workload_for(smoke);
-
-    let mut reports = Vec::new();
-    for t in 0..trials {
-        println!("trial {}/{trials} ...", t + 1);
         let report = run_placement_workload(&workload);
-        assert_run_sane(&report);
-        reports.push(report);
-    }
-
-    let base_bool = |name: &str| base_run.get(name).and_then(Json::as_bool).unwrap_or(false);
-    let mut verdicts = Vec::new();
-    let indicator = |name: &str, baseline_ok: bool, ok: Vec<bool>| GateRow {
-        name: name.into(),
-        baseline: baseline_ok as u64 as f64,
-        trials: ok.into_iter().map(|b| b as u64 as f64).collect(),
-        floor: 1.0,
-    };
-    verdicts.push(check::judge(indicator(
-        "placement/all_requests_resolved",
-        check::field(base_run, "resolved") == check::field(base_run, "expected"),
-        reports.iter().map(|r| r.resolved == r.expected).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "placement/answers_identical",
-        base_bool("answers_identical"),
-        reports.iter().map(|r| r.answers_identical).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "placement/rebalance_fired",
-        base_bool("rebalance_fired"),
-        reports.iter().map(|r| r.rebalance_fired).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "placement/cost_model_learned",
-        base_bool("cost_model_learned"),
-        reports.iter().map(|r| r.cost_model_learned).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "placement/converged",
-        base_bool("converged"),
-        reports.iter().map(|r| r.converged).collect(),
-    )));
-    verdicts.push(check::judge(indicator(
-        "placement/placed_beats_broadcast_p95",
-        check::field(base_run, "placed_p95_us") < check::field(base_run, "broadcast_p95_us"),
-        reports
-            .iter()
-            .map(|r| r.placed_p95_us < r.broadcast_p95_us)
-            .collect(),
-    )));
-
-    let path = if smoke {
-        "CHECK_placement_smoke.json"
-    } else {
-        "CHECK_placement.json"
-    };
-    check::report("placement", &verdicts, path)
+        let run = TABLE.object(&report);
+        let trajectory: Vec<String> = report.phase_p95_us.iter().map(|&v| ms(v)).collect();
+        println!(
+            "convergence p95 trajectory (ms): {}",
+            trajectory.join(" -> ")
+        );
+        println!("final placement: {:?}", report.placement);
+        for h in &report.backends {
+            println!(
+                "  backend {}: {} queries, learned {:.1} us + {:.4} us/posting ({} observations)",
+                h.name,
+                h.queries,
+                h.cost_model.base_us,
+                h.cost_model.us_per_posting,
+                h.cost_observations
+            );
+        }
+        Run {
+            head: vec![
+                ("smoke", (mode == Mode::Smoke).into()),
+                ("quick", (mode == Mode::Quick).into()),
+                ("objects", workload.objects.into()),
+                ("shards", workload.shards.into()),
+                ("wave_size", workload.wave_size.into()),
+                ("throttle_us", workload.throttle_us.into()),
+                ("rebalance_window", workload.rebalance_window.into()),
+                ("skew_threshold", workload.skew_threshold.into()),
+            ],
+            body: vec![("run", run)],
+        }
+    })
 }
+
+/// A placement run that loses a request, changes an answer, never
+/// rebalances, never separates the fleet, or fails to beat broadcast is
+/// broken regardless of host timing. Latency is gated only as the
+/// ordering `placed p95 < broadcast p95`, which the 1.5 ms/query
+/// throttle makes host-independent.
+const SECTIONS: &[Section] = &[Section {
+    at: Some("run"),
+    name: "placement",
+    invariants: &[
+        Invariant::new("all_requests_resolved", |run, _| {
+            field(run, "resolved") == field(run, "expected")
+        }),
+        // the invariant the whole layer rests on
+        Invariant::new("answers_identical", |run, _| flag(run, "answers_identical")),
+        Invariant::new("rebalance_fired", |run, _| flag(run, "rebalance_fired")),
+        Invariant::new("cost_model_learned", |run, _| {
+            flag(run, "cost_model_learned")
+        }),
+        // the final plan routes nothing to a throttled device
+        Invariant::new("converged", |run, _| flag(run, "converged")),
+        Invariant::new("placed_beats_broadcast_p95", |run, _| {
+            field(run, "placed_p95_us") < field(run, "broadcast_p95_us")
+        }),
+    ],
+    bands: &[],
+}];
+
+pub const BENCH: Bench = Bench {
+    name: "placement",
+    flag: "--placement",
+    in_all: false,
+    // `--quick` has a file of its own when recording; a check has only
+    // the smoke and the full trial counts
+    mode: |flags| {
+        if flags.has("--smoke") || (flags.has("--quick") && flags.has("--check")) {
+            Mode::Smoke
+        } else if flags.has("--quick") {
+            Mode::Quick
+        } else {
+            Mode::Full
+        }
+    },
+    trials: |mode| if mode == Mode::Full { 3 } else { 2 },
+    sections: |_| SECTIONS,
+    setup,
+};
 
 #[cfg(test)]
 mod tests {

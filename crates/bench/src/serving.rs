@@ -8,22 +8,25 @@
 //! cut by the size/deadline triggers. The figure of merit is the
 //! latency a client actually observes (submit → ticket resolution) and
 //! how full the executed micro-batches were.
+//!
+//! Raw latencies are deliberately *not* gated — they are host property,
+//! recorded for trend reading only. What is gated is completeness, the
+//! triggers and cache a baseline row shows firing, and batch occupancy
+//! (floor 0.4: wave cuts on a loaded host shift occupancy, but losing
+//! batching altogether drops it to ~1).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use genie_core::backend::kernel::KernelStatsSnapshot;
-use genie_core::backend::{CpuBackend, SearchBackend};
-use genie_core::index::IndexBuilder;
+use genie_core::backend::CpuBackend;
 use genie_core::model::Query;
-pub use genie_service::percentile_us;
 use genie_service::{GenieService, QueryScheduler, SchedulerConfig, ServiceConfig, ServiceStats};
 
-use crate::check::{self, GateRow};
-use crate::cpu_kernel::meta_fields;
+use crate::check::field;
+use crate::harness::{Band, Bench, Cell, Col, Ctx, Invariant, Latency, Mode, Run, Section, Table};
 use crate::json::Json;
-use crate::workloads::{sift_bundle, MatchData, Scale};
-use crate::{ms, row};
+use crate::workloads::{index_of, sift_bundle, MatchData, Scale};
 
 /// One serving run's shape.
 #[derive(Debug, Clone, Copy)]
@@ -74,10 +77,8 @@ impl Default for ServingWorkload {
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     pub total_requests: usize,
-    /// Client-observed submit→response latency percentiles, µs.
-    pub p50_us: f64,
-    pub p95_us: f64,
-    pub p99_us: f64,
+    /// Client-observed submit→response latency, µs.
+    pub latency: Latency,
     /// Mean queries per executed micro-batch.
     pub batch_occupancy: f64,
     /// The service's aggregate counters at shutdown.
@@ -90,9 +91,7 @@ pub struct ServingReport {
 /// Run `workload` over `data` on a single [`CpuBackend`] service and
 /// measure client-observed latency.
 pub fn run_serving_workload(data: &MatchData, workload: ServingWorkload) -> ServingReport {
-    let mut b = IndexBuilder::new();
-    b.add_objects(data.objects.iter());
-    let index = Arc::new(b.build(None));
+    let index = index_of(&data.objects);
     let backend = Arc::new(CpuBackend::new());
     let scheduler = QueryScheduler::new(
         vec![Arc::clone(&backend) as Arc<dyn genie_core::backend::SearchBackend>],
@@ -120,7 +119,7 @@ pub fn run_serving_workload(data: &MatchData, workload: ServingWorkload) -> Serv
     // piling requests into the admission queue) plus a waiter thread
     // resolving its tickets as responses arrive — so a ticket's latency
     // is submit → client-observed response, not submit → end-of-schedule
-    let mut latencies: Vec<f64> = std::thread::scope(|scope| {
+    let latencies: Vec<f64> = std::thread::scope(|scope| {
         let waiters: Vec<_> = (0..workload.clients)
             .map(|c| {
                 let service = &service;
@@ -158,53 +157,58 @@ pub fn run_serving_workload(data: &MatchData, workload: ServingWorkload) -> Serv
     });
     let stats = service.stats();
     drop(service);
+    // the timing-truncation regression, live on every run
+    assert!(
+        stats.wall_us > 0.0 && stats.stages.host_us > 0.0,
+        "host/wall timings must be strictly positive: {stats:?}"
+    );
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     ServingReport {
         total_requests: latencies.len(),
-        p50_us: percentile_us(&latencies, 0.50),
-        p95_us: percentile_us(&latencies, 0.95),
-        p99_us: percentile_us(&latencies, 0.99),
+        latency: Latency::of(latencies),
         batch_occupancy: stats.mean_batch_occupancy(),
         stats,
         kernel: backend.kernel_stats(),
     }
 }
 
-fn serving_json_row(key: &str, value: u64, report: &ServingReport) -> Json {
-    Json::obj(vec![
-        (key, Json::int(value)),
-        ("requests", Json::int(report.total_requests as u64)),
-        ("p50_us", Json::num(report.p50_us)),
-        ("p95_us", Json::num(report.p95_us)),
-        ("p99_us", Json::num(report.p99_us)),
-        ("batch_occupancy", Json::num(report.batch_occupancy)),
-        ("waves", Json::int(report.stats.waves)),
-        ("size_triggers", Json::int(report.stats.size_triggers)),
-        (
-            "deadline_triggers",
-            Json::int(report.stats.deadline_triggers),
-        ),
-        ("shard_runs", Json::int(report.stats.shard_runs)),
-        ("cache_hits", Json::int(report.stats.cache_hits)),
-        (
-            "predicted_cost_us",
-            Json::num(report.stats.predicted_cost_us),
-        ),
-        ("actual_cost_us", Json::num(report.stats.actual_cost_us)),
-        (
-            "kernel_sparse_finalize",
-            Json::int(report.kernel.sparse_finalize),
-        ),
-        (
-            "kernel_dense_finalize",
-            Json::int(report.kernel.dense_finalize),
-        ),
-        (
-            "kernel_parallel_queries",
-            Json::int(report.kernel.parallel_queries),
-        ),
-    ])
+/// The one serving row schema: every sweep and the smoke share it, led
+/// by the field naming the sweep point.
+const COLS: &[Col<ServingReport>] = &[
+    Col::json("requests", |r| r.total_requests.into()),
+    Col::shown("p50_us", "p50(ms)", Cell::Ms, |r| r.latency.p50_us.into()),
+    Col::shown("p95_us", "p95(ms)", Cell::Ms, |r| r.latency.p95_us.into()),
+    Col::shown("p99_us", "p99(ms)", Cell::Ms, |r| r.latency.p99_us.into()),
+    Col::shown("batch_occupancy", "occupancy", Cell::Fixed1, |r| {
+        r.batch_occupancy.into()
+    }),
+    Col::shown("waves", "waves", Cell::Plain, |r| r.stats.waves.into()),
+    Col::shown("size_triggers", "size", Cell::Plain, |r| {
+        r.stats.size_triggers.into()
+    }),
+    Col::shown("deadline_triggers", "deadline", Cell::Plain, |r| {
+        r.stats.deadline_triggers.into()
+    }),
+    Col::shown("shard_runs", "shard runs", Cell::Plain, |r| {
+        r.stats.shard_runs.into()
+    }),
+    Col::shown("cache_hits", "cache hits", Cell::Plain, |r| {
+        r.stats.cache_hits.into()
+    }),
+    Col::json("predicted_cost_us", |r| r.stats.predicted_cost_us.into()),
+    Col::json("actual_cost_us", |r| r.stats.actual_cost_us.into()),
+    Col::json("kernel_sparse_finalize", |r| {
+        r.kernel.sparse_finalize.into()
+    }),
+    Col::json("kernel_dense_finalize", |r| r.kernel.dense_finalize.into()),
+    Col::json("kernel_parallel_queries", |r| {
+        r.kernel.parallel_queries.into()
+    }),
+];
+
+const fn table(key: &'static str, title: &'static str) -> Table<ServingReport> {
+    let id = Some((key, title, 11));
+    Table { id, cols: COLS }
 }
 
 /// The paced delay-sweep shape: the deadline knob trades per-request
@@ -218,481 +222,268 @@ fn delay_workload(delay_ms: u64) -> ServingWorkload {
     }
 }
 
-fn shard_workload(shards: usize) -> ServingWorkload {
+fn shard_workload(shards: u64) -> ServingWorkload {
     ServingWorkload {
-        shards,
+        shards: shards as usize,
         submit_pacing: Duration::from_micros(300),
         ..Default::default()
     }
 }
 
 /// The burst phase: a fast trickle against a small batch cap under a
-/// generous deadline, with the result cache on and a hot-key mix. This
-/// is the shape that exercises the *size* trigger (arrivals fill
-/// same-`k` groups to the 32-cap long before the 20 ms deadline) and
-/// the result cache (`hot_every > 0` re-asks one query) in the
-/// checked-in baseline — both counters were permanently zero under the
-/// paced sweeps above. The pacing is slight but deliberately nonzero:
-/// the cache is consulted when a wave is *cut*, so a pure closed-loop
-/// flood lands every request in wave 1 before anything is cached and
-/// can never hit; a 200 µs trickle spreads the run across many
-/// size-cut waves, and hot keys re-asked after their first wave
+/// generous deadline, with the result cache on and a hot-key mix (every
+/// `100 / hot_percent`-th request re-asks one query). This is the shape
+/// that exercises the *size* trigger (arrivals fill same-`k` groups to
+/// the 32-cap long before the 20 ms deadline) and the result cache in
+/// the checked-in baseline — both counters were permanently zero under
+/// the paced sweeps above. The pacing is slight but deliberately
+/// nonzero: the cache is consulted when a wave is *cut*, so a pure
+/// closed-loop flood lands every request in wave 1 before anything is
+/// cached and can never hit; a 200 µs trickle spreads the run across
+/// many size-cut waves, and hot keys re-asked after their first wave
 /// resolve from the cache.
-fn burst_workload(hot_every: usize) -> ServingWorkload {
+fn burst_workload(hot_percent: u64) -> ServingWorkload {
     ServingWorkload {
         submit_pacing: Duration::from_micros(200),
         max_batch_queries: 32,
         max_queue_delay: Duration::from_millis(20),
         cache_capacity: 256,
-        hot_every,
+        hot_every: if hot_percent == 0 {
+            0
+        } else {
+            100 / hot_percent as usize
+        },
         ..Default::default()
     }
 }
 
-/// The dataset every serving phase (and `--check` trial) runs over.
-fn serving_data(scale: Scale) -> MatchData {
-    let (data, _) = sift_bundle(
-        Scale {
-            n: scale.n.min(5_000),
-            num_queries: 256,
-        },
-        8,
-        77,
-    );
-    data
+/// The dataset every serving phase (and check trial) runs over.
+fn serving_data(n: usize, num_queries: usize) -> MatchData {
+    sift_bundle(Scale { n, num_queries }, 8, 77).0
 }
 
-/// Serving experiment: p50/p95/p99 request latency and achieved batch
-/// occupancy as `max_queue_delay` sweeps — the batching-vs-latency
-/// trade-off the admission queue exists to expose — plus a hot-key
-/// burst phase exercising the size trigger and the result cache. Emits
-/// the machine-readable `BENCH_serving.json` baseline alongside the
-/// tables.
-pub fn serving(scale: Scale) {
-    println!("\n=== Serving workload — request latency vs max_queue_delay ===");
-    let data = serving_data(scale);
-    let widths = [11, 9, 9, 9, 11, 7, 9];
-    row(
-        &[
-            "delay(ms)".into(),
-            "p50(ms)".into(),
-            "p95(ms)".into(),
-            "p99(ms)".into(),
-            "occupancy".into(),
-            "waves".into(),
-            "size/ddl".into(),
-        ],
-        &widths,
-    );
-    let mut delay_rows = Vec::new();
-    let mut shard_rows = Vec::new();
-    let mut burst_rows = Vec::new();
-    for delay_ms in [1u64, 2, 5, 10] {
-        let report = run_serving_workload(&data, delay_workload(delay_ms));
-        assert!(report.stats.wall_us > 0.0 && report.stats.stages.host_us > 0.0);
-        delay_rows.push(serving_json_row("delay_ms", delay_ms, &report));
-        row(
-            &[
-                delay_ms.to_string(),
-                ms(report.p50_us),
-                ms(report.p95_us),
-                ms(report.p99_us),
-                format!("{:.1}", report.batch_occupancy),
-                report.stats.waves.to_string(),
-                format!(
-                    "{}/{}",
-                    report.stats.size_triggers, report.stats.deadline_triggers
-                ),
-            ],
-            &widths,
-        );
-    }
-
-    println!("\n=== Sharded serving — request latency vs shard count ===");
-    let widths = [7, 9, 9, 9, 11, 7, 11];
-    row(
-        &[
-            "shards".into(),
-            "p50(ms)".into(),
-            "p95(ms)".into(),
-            "p99(ms)".into(),
-            "occupancy".into(),
-            "waves".into(),
-            "shard runs".into(),
-        ],
-        &widths,
-    );
-    for shards in [1usize, 2, 4, 8] {
-        let report = run_serving_workload(&data, shard_workload(shards));
-        assert!(report.stats.wall_us > 0.0);
-        shard_rows.push(serving_json_row("shards", shards as u64, &report));
-        row(
-            &[
-                shards.to_string(),
-                ms(report.p50_us),
-                ms(report.p95_us),
-                ms(report.p99_us),
-                format!("{:.1}", report.batch_occupancy),
-                report.stats.waves.to_string(),
-                report.stats.shard_runs.to_string(),
-            ],
-            &widths,
-        );
-    }
-
-    println!("\n=== Burst serving — hot-key flood, size trigger + result cache ===");
-    let widths = [12, 9, 9, 11, 7, 9, 11];
-    row(
-        &[
-            "hot(%)".into(),
-            "p50(ms)".into(),
-            "p99(ms)".into(),
-            "occupancy".into(),
-            "waves".into(),
-            "size/ddl".into(),
-            "cache hits".into(),
-        ],
-        &widths,
-    );
-    for (hot_percent, hot_every) in [(0u64, 0usize), (25, 4), (50, 2)] {
-        let report = run_serving_workload(&data, burst_workload(hot_every));
-        assert!(report.stats.wall_us > 0.0);
-        // the whole point of this phase: the checked-in baseline must
-        // show both counters actually firing
-        assert!(
-            report.stats.size_triggers >= 1,
-            "a flood against a 32-cap must cut waves by size: {:?}",
-            report.stats
-        );
-        if hot_every > 0 {
-            assert!(
-                report.stats.cache_hits >= 1,
-                "a hot-key mix with the cache on must hit: {:?}",
-                report.stats
-            );
-        }
-        burst_rows.push(serving_json_row("hot_percent", hot_percent, &report));
-        row(
-            &[
-                hot_percent.to_string(),
-                ms(report.p50_us),
-                ms(report.p99_us),
-                format!("{:.1}", report.batch_occupancy),
-                report.stats.waves.to_string(),
-                format!(
-                    "{}/{}",
-                    report.stats.size_triggers, report.stats.deadline_triggers
-                ),
-                report.stats.cache_hits.to_string(),
-            ],
-            &widths,
-        );
-    }
-
+/// `--serving`: latency and occupancy as `max_queue_delay` sweeps — the
+/// batching-vs-latency trade-off the admission queue exists to expose —
+/// then across shard counts, then the hot-key burst phase.
+fn setup(ctx: &Ctx) -> crate::harness::Trial {
     // `--quick` numbers are not comparable with the checked-in
-    // full-scale baseline: route them to a separate (gitignored) file,
-    // and record the effective scale in the document either way
-    let full_scale = scale.n >= Scale::default().n;
-    let path = if full_scale {
-        "BENCH_serving.json"
-    } else {
-        "BENCH_serving_quick.json"
-    };
-    let threads = CpuBackend::new().capabilities().devices;
-    let mut fields = vec![
-        ("bench", Json::str("serving")),
-        ("n", Json::int(data.objects.len() as u64)),
-        ("query_pool", Json::int(data.queries.len() as u64)),
-        ("quick", Json::Bool(!full_scale)),
-    ];
-    fields.extend(meta_fields(threads));
-    fields.extend(vec![
-        (
-            "clients",
-            Json::int(ServingWorkload::default().clients as u64),
-        ),
-        (
-            "requests_per_client",
-            Json::int(ServingWorkload::default().requests_per_client as u64),
-        ),
-        ("delay_sweep", Json::arr(delay_rows)),
-        ("shard_sweep", Json::arr(shard_rows)),
-        ("burst_sweep", Json::arr(burst_rows)),
-    ]);
-    let doc = Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    );
-    doc.write_to_file(path)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nbaseline written to {path}");
-}
-
-/// CI smoke: a tiny dataset driven through the live serving loop with
-/// *both* triggers provably exercised, over `shards` index shards
-/// (`> 1` drives the sharded fan-out + merge dispatcher path). Panics
-/// (failing CI) if a ticket strands, a trigger never fires, a timing
-/// truncates to zero, or — when sharded — the shard fan-out never ran.
-pub fn serving_smoke(shards: usize) {
-    println!("\n=== Serving smoke (CI): tiny dataset, both triggers, {shards} shard(s) ===");
-    let (data, _) = sift_bundle(
-        Scale {
-            n: 400,
-            num_queries: 64,
-        },
-        8,
-        77,
-    );
-
-    // phase 1 — size trigger: a flood against a tiny batch cap under an
-    // unreachable deadline
-    let flood = run_serving_workload(
-        &data,
-        ServingWorkload {
-            clients: 4,
-            requests_per_client: 16,
-            max_batch_queries: 8,
-            // generous enough that size triggers fire first, small
-            // enough that a sub-cap tail can't stall CI for long
-            max_queue_delay: Duration::from_millis(300),
-            shards,
-            ..Default::default()
-        },
-    );
-    assert_eq!(flood.total_requests, 64, "every ticket must resolve");
-    assert!(
-        flood.stats.size_triggers >= 1,
-        "flood under a 30 s deadline must cut waves by size: {:?}",
-        flood.stats
-    );
-
-    // phase 2 — deadline trigger: paced trickle far below the batch cap
-    let trickle = run_serving_workload(
-        &data,
-        ServingWorkload {
-            clients: 2,
-            requests_per_client: 4,
-            submit_pacing: Duration::from_millis(8),
-            max_batch_queries: 1024,
-            max_queue_delay: Duration::from_millis(2),
-            shards,
-            ..Default::default()
-        },
-    );
-    assert_eq!(trickle.total_requests, 8);
-    assert!(
-        trickle.stats.deadline_triggers >= 1,
-        "a trickle can never fill a 1024 batch; the deadline must cut: {:?}",
-        trickle.stats
-    );
-    if shards > 1 {
-        for report in [&flood, &trickle] {
-            assert!(
-                report.stats.shard_runs >= report.stats.waves * shards as u64,
-                "every wave must fan out to one scheduler run per shard: {:?}",
-                report.stats
-            );
-        }
-    }
-
-    // the timing-truncation regression, live
-    for report in [&flood, &trickle] {
-        assert!(
-            report.stats.wall_us > 0.0 && report.stats.stages.host_us > 0.0,
-            "host/wall timings must be strictly positive: {:?}",
-            report.stats
-        );
-        assert!(report.p50_us > 0.0);
-    }
-    println!(
-        "size-trigger flood: {} waves ({} size), occupancy {:.1}; \
-         deadline trickle: {} waves ({} deadline), p50 {:.2} ms",
-        flood.stats.waves,
-        flood.stats.size_triggers,
-        flood.batch_occupancy,
-        trickle.stats.waves,
-        trickle.stats.deadline_triggers,
-        trickle.p50_us / 1000.0
-    );
-    println!("serving smoke OK");
-}
-
-/// One fresh run of every baseline row's workload, returning
-/// `(row_key, occupancy, stats-derived indicators)` keyed exactly like
-/// the baseline arrays so `serving_check` can line trials up.
-fn check_trial(data: &MatchData) -> Vec<(String, ServingReport)> {
-    let mut out = Vec::new();
-    for delay_ms in [1u64, 2, 5, 10] {
-        out.push((
-            format!("delay_ms={delay_ms}"),
-            run_serving_workload(data, delay_workload(delay_ms)),
-        ));
-    }
-    for shards in [1usize, 2, 4, 8] {
-        out.push((
-            format!("shards={shards}"),
-            run_serving_workload(data, shard_workload(shards)),
-        ));
-    }
-    for (hot_percent, hot_every) in [(0u64, 0usize), (25, 4), (50, 2)] {
-        out.push((
-            format!("hot_percent={hot_percent}"),
-            run_serving_workload(data, burst_workload(hot_every)),
-        ));
-    }
-    out
-}
-
-/// Look up the baseline row matching a `key=value` trial key.
-fn baseline_row<'a>(baseline: &'a Json, key: &str) -> &'a Json {
-    let (field_name, value) = key.split_once('=').expect("trial keys are key=value");
-    let sweep = match field_name {
-        "delay_ms" => "delay_sweep",
-        "shards" => "shard_sweep",
-        _ => "burst_sweep",
-    };
-    let rows = baseline
-        .get(sweep)
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("baseline has no {sweep} array — re-run --serving to refresh"));
-    rows.iter()
-        .find(|r| {
-            r.get(field_name)
-                .and_then(Json::as_f64)
-                .is_some_and(|v| v == value.parse::<f64>().unwrap())
-        })
-        .unwrap_or_else(|| panic!("baseline {sweep} has no row {key}"))
-}
-
-/// The `--serving --check` gate: several fresh runs of every baseline
-/// row's workload vs `BENCH_serving.json`, gating
-///
-/// * **completeness** — every submitted ticket resolved (exact);
-/// * **structure** — rows whose baseline shows the size trigger or the
-///   result cache firing must still fire them (indicator gate: the
-///   median trial must be nonzero);
-/// * **occupancy** — mean batch occupancy within a median ± MAD band
-///   of the baseline (floor 0.4: wave cuts on a loaded host shift
-///   occupancy, but losing batching altogether drops it to ~1).
-///
-/// Raw latencies are deliberately *not* gated — they are host property,
-/// recorded for trend reading only. Returns true when every gate held.
-pub fn serving_check() -> bool {
-    let baseline = check::load_baseline("BENCH_serving.json");
-    const TRIALS: usize = 3;
-    println!("\n=== Serving check — {TRIALS} trials vs checked-in BENCH_serving.json ===");
-    let data = serving_data(Scale::default());
-
-    let mut trials: Vec<Vec<(String, ServingReport)>> = Vec::new();
-    for t in 0..TRIALS {
-        println!("trial {}/{TRIALS} ...", t + 1);
-        trials.push(check_trial(&data));
-    }
-
-    let mut verdicts = Vec::new();
-    for (i, (key, _)) in trials[0].iter().enumerate() {
-        let base = baseline_row(&baseline, key);
-        let reports: Vec<&ServingReport> = trials.iter().map(|t| &t[i].1).collect();
-
-        let expected = check::field(base, "requests");
-        verdicts.push(check::judge(GateRow {
-            name: format!("{key}/all_tickets_resolved"),
-            baseline: 1.0,
-            trials: reports
+    // full-scale baseline; the document records which it was
+    let quick = ctx.mode == Mode::Quick;
+    let data = serving_data(if quick { 2_000 } else { 5_000 }, 256);
+    Box::new(move || {
+        let sweep = |title: &str,
+                     table: Table<ServingReport>,
+                     points: &[u64],
+                     workload: fn(u64) -> ServingWorkload| {
+            println!("\n--- {title} ---");
+            table.header();
+            let rows = points
                 .iter()
-                .map(|r| (r.total_requests as f64 == expected) as u64 as f64)
-                .collect(),
-            floor: 1.0,
-        }));
-
-        for counter in ["size_triggers", "cache_hits"] {
-            if check::field(base, counter) > 0.0 {
-                verdicts.push(check::judge(GateRow {
-                    name: format!("{key}/{counter}_nonzero"),
-                    baseline: 1.0,
-                    trials: reports
-                        .iter()
-                        .map(|r| {
-                            let fresh = match counter {
-                                "size_triggers" => r.stats.size_triggers,
-                                _ => r.stats.cache_hits,
-                            };
-                            (fresh > 0) as u64 as f64
-                        })
-                        .collect(),
-                    floor: 1.0,
-                }));
-            }
-        }
-
-        verdicts.push(check::judge(GateRow {
-            name: format!("{key}/batch_occupancy"),
-            baseline: check::field(base, "batch_occupancy"),
-            trials: reports.iter().map(|r| r.batch_occupancy).collect(),
-            floor: 0.4,
-        }));
-    }
-
-    check::report("serving", &verdicts, "CHECK_serving.json")
-}
-
-/// The `--serving-smoke --check` gate for CI: run the live smoke (its
-/// own asserts cover the triggers and sharded fan-out), then validate
-/// the *checked-in* `BENCH_serving.json` still carries the structural
-/// invariants a healthy full run produces — every row resolved all its
-/// tickets, the burst phase fired the size trigger, and the hot-key
-/// rows hit the cache. This catches a stale or hand-mangled baseline
-/// without paying for a full-scale re-run in CI.
-pub fn serving_smoke_check(shards: usize) -> bool {
-    serving_smoke(shards);
-
-    let baseline = check::load_baseline("BENCH_serving.json");
-    let mut verdicts = Vec::new();
-    let mut structural = |name: String, ok: bool| {
-        verdicts.push(check::judge(GateRow {
-            name,
-            baseline: 1.0,
-            trials: vec![ok as u64 as f64],
-            floor: 1.0,
-        }));
-    };
-
-    let clients = check::field(&baseline, "clients");
-    let per_client = check::field(&baseline, "requests_per_client");
-    for sweep in ["delay_sweep", "shard_sweep", "burst_sweep"] {
-        let rows = baseline
-            .get(sweep)
-            .and_then(Json::as_arr)
-            .unwrap_or_else(|| panic!("baseline has no {sweep} array"));
-        structural(format!("baseline/{sweep}_nonempty"), !rows.is_empty());
-        for row in rows {
-            structural(
-                format!("baseline/{sweep}_all_tickets_resolved"),
-                check::field(row, "requests") == clients * per_client,
-            );
-        }
-    }
-    for row in baseline.get("burst_sweep").and_then(Json::as_arr).unwrap() {
-        structural(
-            "baseline/burst_size_triggers_nonzero".into(),
-            check::field(row, "size_triggers") > 0.0,
+                .map(|&point| table.row(point, &run_serving_workload(&data, workload(point))));
+            Json::Arr(rows.collect())
+        };
+        let delay = sweep(
+            "request latency vs max_queue_delay",
+            table("delay_ms", "delay(ms)"),
+            &[1, 2, 5, 10],
+            delay_workload,
         );
-        if check::field(row, "hot_percent") > 0.0 {
-            structural(
-                "baseline/burst_cache_hits_nonzero".into(),
-                check::field(row, "cache_hits") > 0.0,
-            );
+        let shard = sweep(
+            "request latency vs shard count",
+            table("shards", "shards"),
+            &[1, 2, 4, 8],
+            shard_workload,
+        );
+        let burst = sweep(
+            "hot-key burst: size trigger + result cache",
+            table("hot_percent", "hot(%)"),
+            &[0, 25, 50],
+            burst_workload,
+        );
+        let shape = ServingWorkload::default();
+        Run {
+            head: vec![
+                ("n", data.objects.len().into()),
+                ("query_pool", data.queries.len().into()),
+                ("quick", quick.into()),
+            ],
+            body: vec![
+                ("clients", shape.clients.into()),
+                ("requests_per_client", shape.requests_per_client.into()),
+                ("delay_sweep", delay),
+                ("shard_sweep", shard),
+                ("burst_sweep", burst),
+            ],
         }
-    }
-
-    check::report("serving_smoke", &verdicts, "CHECK_serving_smoke.json")
+    })
 }
+
+const ALL_TICKETS_RESOLVED: Invariant = Invariant::new("all_tickets_resolved", |row, doc| {
+    field(row, "requests") == field(doc, "clients") * field(doc, "requests_per_client")
+});
+const SIZE_TRIGGERS: Invariant = Invariant::new("size_triggers_nonzero", |row, _| {
+    field(row, "size_triggers") > 0.0
+});
+const CACHE_HITS: Invariant = Invariant::new("cache_hits_nonzero", |row, _| {
+    field(row, "cache_hits") > 0.0
+});
+const OCCUPANCY: Band = Band {
+    name: "batch_occupancy",
+    value: |row| field(row, "batch_occupancy"),
+    floor: |_, _| 0.4,
+};
+
+const fn sweep_section(key: &'static str, invariants: &'static [Invariant]) -> Section {
+    Section {
+        at: Some(key),
+        name: "",
+        invariants,
+        bands: &[OCCUPANCY],
+    }
+}
+
+/// The paced sweeps fire the size trigger and the cache only by
+/// accident of timing: gate them where the reference row shows them.
+const PACED: &[Invariant] = &[
+    ALL_TICKETS_RESOLVED,
+    SIZE_TRIGGERS.when(|shown| field(shown, "size_triggers") > 0.0),
+    CACHE_HITS.when(|shown| field(shown, "cache_hits") > 0.0),
+];
+const SECTIONS: &[Section] = &[
+    sweep_section("delay_sweep", PACED),
+    sweep_section("shard_sweep", PACED),
+    // the whole point of the burst phase: the baseline must show the
+    // size trigger firing on every row and the cache on every hot one
+    sweep_section(
+        "burst_sweep",
+        &[
+            ALL_TICKETS_RESOLVED,
+            SIZE_TRIGGERS,
+            CACHE_HITS.when(|shown| {
+                field(shown, "hot_percent") > 0.0 || field(shown, "cache_hits") > 0.0
+            }),
+        ],
+    ),
+];
+
+/// The two smoke phases, by row name. Flood: a closed-loop burst against
+/// a tiny batch cap under a deadline generous enough that size triggers
+/// fire first, small enough that a sub-cap tail can't stall CI for
+/// long. Trickle: paced far below the batch cap, so only the deadline
+/// can cut.
+fn smoke_workloads(shards: usize) -> [(&'static str, ServingWorkload); 2] {
+    let flood = ServingWorkload {
+        clients: 4,
+        requests_per_client: 16,
+        max_batch_queries: 8,
+        max_queue_delay: Duration::from_millis(300),
+        shards,
+        ..Default::default()
+    };
+    let trickle = ServingWorkload {
+        clients: 2,
+        requests_per_client: 4,
+        submit_pacing: Duration::from_millis(8),
+        max_batch_queries: 1024,
+        max_queue_delay: Duration::from_millis(2),
+        shards,
+        ..Default::default()
+    };
+    [("flood", flood), ("trickle", trickle)]
+}
+
+/// `--serving-smoke`: a tiny dataset driven through the live serving
+/// loop with *both* triggers provably exercised, over `--shards N` index
+/// shards (`> 1` drives the sharded fan-out + merge dispatcher path).
+fn smoke_setup(ctx: &Ctx) -> crate::harness::Trial {
+    let shards = ctx.shards;
+    let data = serving_data(400, 64);
+    Box::new(move || {
+        let table = table("name", "phase");
+        table.header();
+        let rows = smoke_workloads(shards)
+            .map(|(name, workload)| table.row(name, &run_serving_workload(&data, workload)));
+        Run {
+            head: vec![
+                ("smoke", true.into()),
+                ("shards", shards.into()),
+                ("n", data.objects.len().into()),
+                ("query_pool", data.queries.len().into()),
+            ],
+            body: vec![("rows", Json::Arr(rows.into()))],
+        }
+    })
+}
+
+fn phase_is(row: &Json, name: &str) -> bool {
+    row.get("name").and_then(Json::as_str) == Some(name)
+}
+
+const SMOKE_SECTIONS: &[Section] = &[Section {
+    at: Some("rows"),
+    name: "",
+    invariants: &[
+        Invariant::new("all_tickets_resolved", |row, _| {
+            smoke_workloads(1).iter().any(|(name, w)| {
+                let expected = (w.clients * w.requests_per_client) as f64;
+                phase_is(row, name) && field(row, "requests") == expected
+            })
+        }),
+        Invariant::new("size_trigger_fired", |row, _| {
+            field(row, "size_triggers") >= 1.0
+        })
+        .when(|row| phase_is(row, "flood")),
+        Invariant::new("deadline_trigger_fired", |row, _| {
+            field(row, "deadline_triggers") >= 1.0
+        })
+        .when(|row| phase_is(row, "trickle")),
+        // every wave must fan out to one scheduler run per shard
+        Invariant::new("waves_fan_out_per_shard", |row, doc| {
+            let shards = field(doc, "shards");
+            shards <= 1.0 || field(row, "shard_runs") >= field(row, "waves") * shards
+        }),
+        Invariant::new("latency_positive", |row, _| field(row, "p50_us") > 0.0),
+    ],
+    bands: &[],
+}];
+
+pub const BENCH: Bench = Bench {
+    name: "serving",
+    flag: "--serving",
+    in_all: true,
+    // a check always runs the baseline's scale: quick numbers have
+    // nothing checked in to compare against
+    mode: |flags| {
+        if flags.has("--quick") && !flags.has("--check") {
+            Mode::Quick
+        } else {
+            Mode::Full
+        }
+    },
+    trials: |_| 3,
+    sections: |_| SECTIONS,
+    setup,
+};
+
+/// Deliberately not part of `--all`: a fixed-size CI gate. Its check
+/// audits the same checked-in `BENCH_serving.json` as [`BENCH`]'s.
+pub const SMOKE_BENCH: Bench = Bench {
+    name: "serving",
+    flag: "--serving-smoke",
+    in_all: false,
+    mode: |_| Mode::Smoke,
+    trials: |_| 1,
+    sections: |mode| match mode {
+        Mode::Smoke => SMOKE_SECTIONS,
+        _ => SECTIONS,
+    },
+    setup: smoke_setup,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genie_service::percentile_us;
 
     #[test]
     fn percentiles_are_nearest_rank() {
@@ -725,7 +516,7 @@ mod tests {
             },
         );
         assert_eq!(report.total_requests, 32);
-        assert!(report.p50_us > 0.0 && report.p99_us >= report.p50_us);
+        assert!(report.latency.p50_us > 0.0 && report.latency.p99_us >= report.latency.p50_us);
         assert!(
             report.stats.batches < 32,
             "closed-loop flood must batch across clients: {:?}",

@@ -3,6 +3,9 @@
 //! Sizes default to laptop-scale (tens of thousands of objects instead
 //! of millions); every generator is seeded so runs are reproducible.
 
+use std::sync::Arc;
+
+use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query};
 use genie_datasets::documents::tweets_like;
 use genie_datasets::points::{ocr_like, sift_like};
@@ -24,6 +27,13 @@ pub struct MatchData {
     /// Tight count bound for the c-PQ (number of hash functions /
     /// attributes / query grams).
     pub count_bound: u32,
+}
+
+/// The frozen inverted index over `objects`, as every bench serves it.
+pub fn index_of(objects: &[Object]) -> Arc<InvertedIndex> {
+    let mut b = IndexBuilder::new();
+    b.add_objects(objects.iter());
+    Arc::new(b.build(None))
 }
 
 impl MatchData {

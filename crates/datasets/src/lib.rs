@@ -3,8 +3,8 @@
 //! The paper evaluates on five external multi-gigabyte corpora (OCR,
 //! SIFT, DBLP, Tweets, Adult). None are redistributable here, so every
 //! experiment runs on a seeded generator reproducing the *distributional
-//! shape* the corresponding experiment depends on (see DESIGN.md §1 for
-//! the per-dataset substitution argument):
+//! shape* the corresponding experiment depends on (each generator's
+//! module docs carry its substitution argument):
 //!
 //! * [`points::sift_like`] — clustered Gaussian descriptors (l2 / E2LSH
 //!   experiments);

@@ -379,6 +379,8 @@ impl From<ServiceError> for WireError {
             ServiceError::ShuttingDown => Self::ShuttingDown,
             ServiceError::UnknownCollection(id) => Self::UnknownCollection(id),
             ServiceError::UnknownId(id) => Self::UnknownId(id),
+            // the wire path refuses `k = 0` itself, with this message
+            ServiceError::ZeroK => Self::Service(e.to_string()),
             ServiceError::InvalidShards(e) => Self::InvalidShards(e.to_string()),
             // no wire operation installs placement plans (rebalancing is
             // server-local), so this variant can only surface as a

@@ -365,6 +365,8 @@ pub enum ServiceError {
     /// (it never existed, or was already deleted). Batches are atomic:
     /// nothing was applied.
     UnknownId(ObjectId),
+    /// A search asked for `k = 0` results; it was refused at admission.
+    ZeroK,
     /// A degenerate shard plan was requested.
     InvalidShards(ShardError),
     /// A placement plan does not fit the collection or the fleet (wrong
@@ -390,6 +392,7 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "cannot delete object {id}: not a live id of this collection"
             ),
+            Self::ZeroK => f.write_str("k must be at least 1"),
             Self::InvalidShards(e) => write!(f, "invalid shard plan: {e}"),
             Self::InvalidPlacement(e) => write!(f, "invalid placement: {e}"),
             Self::Persist(e) => write!(f, "persistence failure: {e}"),
@@ -2238,6 +2241,13 @@ impl GenieService {
         let client_id = self.next_client.fetch_add(1, Ordering::Relaxed);
         let submitted_at = Instant::now();
         let reply = Reply(Some(done));
+        if k == 0 {
+            // refused before the queue lock is taken: `QueryRequest::new`
+            // asserts `k >= 1`, and a panic under the lock would poison
+            // the queue for every later submitter
+            reply.send(Err(ServiceError::ZeroK));
+            return (client_id, submitted_at);
+        }
         let refused = {
             let mut q = self.inner.queue.lock().expect("queue lock");
             if q.shutdown {
@@ -2468,6 +2478,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("dispatcher"), "{err}");
+    }
+
+    /// A `k = 0` submit used to panic inside the queue lock and poison
+    /// it: every later submit then died on `.expect("queue lock")`.
+    #[test]
+    fn zero_k_is_refused_and_the_service_keeps_serving() {
+        let (service, cid) = serve_tiny(cpu_scheduler(), ServiceConfig::default());
+        let refused = service.submit_to(cid, Query::from_keywords(&[1]), 0).wait();
+        assert_eq!(refused.unwrap_err(), ServiceError::ZeroK);
+        let served = service
+            .submit_to(cid, Query::from_keywords(&[1]), 1)
+            .wait()
+            .expect("a valid submit after a refused one is served");
+        assert_eq!(served.hits.len(), 1);
+        assert_eq!(service.stats().submitted, 1, "the refusal was never queued");
     }
 
     /// `max_queue_delay = 0` is "cut immediately when non-empty", not a

@@ -6,7 +6,8 @@
 //! repro --fig9 --table1          # selected experiments
 //! repro --quick --all            # smaller workloads (~1 minute)
 //! repro --cpu-kernel --check     # perf-regression gate vs baseline
-//! repro --serving-smoke --check  # CI serving gate + baseline audit
+//! repro --durability --smoke --check  # CI gate + baseline audit
+//! repro --cpu-kernel --placement --durability  # re-record all three
 //! ```
 //!
 //! `--check` flips every selected bench from *recording* its baseline
@@ -41,16 +42,19 @@ fn main() {
             experiment(scale);
         }
     }
-    // a single red gate turns the whole invocation red, but every
-    // selected bench still runs and leaves its report
-    let mut all_checks_passed = true;
+    // a single red gate or refused recording turns the whole invocation
+    // red, but every selected bench still runs and leaves its report
+    let mut all_passed = true;
     for bench in harness::REGISTRY {
         if let Some(ctx) = invocation.ctx_for(bench) {
-            all_checks_passed &= harness::run(bench, &ctx);
+            all_passed &= harness::run(bench, &ctx);
         }
     }
-    if !all_checks_passed {
-        eprintln!("perf-regression check FAILED — see CHECK_*.json for the banded verdicts");
+    if !all_passed {
+        eprintln!(
+            "repro FAILED: a recording was refused (see above) or a perf-regression gate is \
+             red — see CHECK_*.json for the banded verdicts"
+        );
         std::process::exit(1);
     }
 }

@@ -15,13 +15,12 @@
 //! median(trials) >= floor * baseline - slack_mad * MAD(trials)
 //! ```
 //!
-//! where `floor` absorbs host-to-host variation (and, in smoke mode,
-//! the smaller-`n` workloads) and the MAD term absorbs run-to-run
-//! jitter measured *on this host, right now*. A genuine regression —
-//! e.g. the dense path losing its vectorised sweep — moves the median
-//! far below any plausible band, which the injected-regression
-//! self-test in CI demonstrates (`GENIE_BENCH_INJECT_REGRESSION=1`
-//! must make this gate fail).
+//! where `floor` absorbs host-to-host variation and the MAD term
+//! absorbs run-to-run jitter measured *on this host, right now*. A
+//! genuine regression — e.g. the dense path losing its vectorised
+//! sweep — moves the median far below any plausible band, which the
+//! injected-regression self-test in CI demonstrates
+//! (`GENIE_BENCH_INJECT_REGRESSION=1` must make this gate fail).
 //!
 //! Every check writes a machine-readable report (`CHECK_<bench>*.json`,
 //! gitignored; CI uploads them as artifacts) recording trials, medians,

@@ -29,16 +29,19 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use genie_client::{keyword_of, Client};
+use genie_core::backend::CpuBackend;
 use genie_core::model::{Object, Query, QueryItem};
 use genie_net::frame::Request;
+use genie_service::{GenieService, QueryScheduler, ServiceConfig};
 
 use crate::check::{field, flag};
-use crate::harness::{smoke_or_quick, Bench, Cell, Col, Ctx, Invariant, Mode, Run, Section, Table};
+use crate::harness::{Bench, Cell, Col, Ctx, Invariant, Mode, Run, Section, Table};
 use crate::json::Json;
-use crate::net::Truth;
+use crate::workloads::index_of;
 
 /// One run's shape.
 #[derive(Debug, Clone, Copy)]
@@ -344,18 +347,33 @@ fn probe_queries(total_inserts: usize) -> Vec<Query> {
     queries
 }
 
-/// Wire answers vs a fresh in-process index over `mirror`: hits and
-/// audit thresholds must agree exactly. Returns probes compared and
-/// whether all agreed.
+/// Wire answers vs a fresh in-process index over `mirror` (served by a
+/// default single-CPU service): hits and audit thresholds must agree
+/// exactly. Returns probes compared and whether all agreed.
 fn identity_probe(
     client: &Client,
     collection: u64,
     mirror: &[Object],
     queries: &[Query],
 ) -> (usize, bool) {
-    let truth = Truth::over(mirror);
-    let agree = |query| truth.agrees(client, collection, query);
-    (queries.len(), queries.iter().all(agree))
+    const K: usize = 10;
+    let scheduler = QueryScheduler::single(Arc::new(CpuBackend::new()));
+    let truth =
+        GenieService::start_empty(scheduler, ServiceConfig::default()).expect("config is valid");
+    let truth_collection = truth
+        .add_collection("truth", &index_of(mirror))
+        .expect("host index always fits");
+    let agrees = |query: &Query| {
+        let wire = client
+            .search(collection, K as u32, query.clone())
+            .expect("wire search serves");
+        let truth = truth
+            .submit_to(truth_collection, query.clone(), K)
+            .wait()
+            .expect("in-process search serves");
+        wire.hits == truth.hits && wire.audit_threshold == truth.audit_threshold
+    };
+    (queries.len(), queries.iter().all(agrees))
 }
 
 /// Run the full kill-and-restart cycle against a real `genie-server`.
@@ -616,7 +634,6 @@ pub const BENCH: Bench = Bench {
     name: "durability",
     flag: "--durability",
     in_all: false,
-    mode: smoke_or_quick,
     trials: |mode| if mode == Mode::Full { 2 } else { 1 },
     sections: |_| SECTIONS,
     setup,

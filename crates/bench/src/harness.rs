@@ -7,15 +7,14 @@
 //! once and returns a closure running one trial, and per-section lists
 //! of [`Invariant`]s and [`Band`]s over the JSON rows that trial emits.
 //! Everything else lives here: rendering a [`Table`] row once into both
-//! the printed line and the JSON object, the latency summary,
-//! provenance, (bench, mode) → file names, the trial loop, applying the
-//! invariant list to a recording run / the check trials / the checked-in
-//! baseline, and the argument parser `repro` walks the registry with.
+//! the printed line and the JSON object, provenance, (bench, mode) →
+//! file names, the trial loop, applying the invariant list to a
+//! recording run / the check trials / the checked-in baseline, and the
+//! argument parser `repro` walks the registry with.
 
 use std::path::{Path, PathBuf};
 
 use genie_core::backend::{CpuBackend, SearchBackend};
-use genie_service::percentile_us;
 
 use crate::check::{self, GateRow};
 use crate::json::Json;
@@ -26,21 +25,8 @@ use crate::workloads::Scale;
 pub enum Mode {
     /// The checked-in baseline's scale: `BENCH_<name>.json`.
     Full,
-    /// `--quick` where a bench has a mid scale of its own (gitignored
-    /// `BENCH_<name>_quick.json`, never compared against anything).
-    Quick,
     /// The CI-sized run: gitignored `BENCH_<name>_smoke.json`.
     Smoke,
-}
-
-/// `--smoke` and `--quick` both mean the CI-sized run: the mode rule of
-/// every bench without a mid scale of its own.
-pub fn smoke_or_quick(flags: &Invocation) -> Mode {
-    if flags.has("--smoke") || flags.has("--quick") {
-        Mode::Smoke
-    } else {
-        Mode::Full
-    }
 }
 
 /// What one run of a bench is asked to do.
@@ -48,8 +34,6 @@ pub fn smoke_or_quick(flags: &Invocation) -> Mode {
 pub struct Ctx {
     pub mode: Mode,
     pub checking: bool,
-    /// `--shards N` (the serving smoke's shard count; 1 elsewhere).
-    pub shards: usize,
     /// Directory holding the baselines and receiving every output.
     pub dir: PathBuf,
 }
@@ -95,8 +79,8 @@ impl Invariant {
 pub struct Band {
     pub name: &'static str,
     pub value: fn(&Json) -> f64,
-    /// Relative floor for `(mode, row name)`.
-    pub floor: fn(Mode, &str) -> f64,
+    /// Relative floor: the fraction of the baseline the median must reach.
+    pub floor: f64,
 }
 
 /// Where a document keeps some of its rows, and what must hold of them.
@@ -106,7 +90,8 @@ pub struct Section {
     /// one row.
     pub at: Option<&'static str>,
     /// The row name of a single-object section. Array rows are named by
-    /// their first field: its string, or `key=number`.
+    /// their first field — its string, or `key=number` — after this
+    /// prefix, which keeps two arrays with the same first fields apart.
     pub name: &'static str,
     pub invariants: &'static [Invariant],
     pub bands: &'static [Band],
@@ -118,8 +103,6 @@ pub struct Bench {
     pub name: &'static str,
     pub flag: &'static str,
     pub in_all: bool,
-    /// The mode this bench runs in under an invocation's flags.
-    pub mode: fn(&Invocation) -> Mode,
     pub trials: fn(Mode) -> usize,
     /// The schema of the documents this bench emits in `mode`
     /// (`Mode::Full` is the schema of the checked-in baseline).
@@ -129,14 +112,10 @@ pub struct Bench {
 }
 
 /// Every bench `repro` can record or check, in run order.
-pub const REGISTRY: [&Bench; 7] = [
-    &crate::serving::BENCH,
+pub const REGISTRY: [&Bench; 3] = [
     &crate::cpu_kernel::BENCH,
-    &crate::mutations::BENCH,
-    &crate::net::BENCH,
     &crate::placement::BENCH,
     &crate::durability::BENCH,
-    &crate::serving::SMOKE_BENCH,
 ];
 
 // ---------------------------------------------------------------------
@@ -253,26 +232,6 @@ impl<R> Table<R> {
     }
 }
 
-/// The latency summary every runner reports.
-#[derive(Debug, Clone, Copy)]
-pub struct Latency {
-    pub p50_us: f64,
-    pub p95_us: f64,
-    pub p99_us: f64,
-}
-
-impl Latency {
-    /// Nearest-rank percentiles of `samples_us` (order irrelevant).
-    pub fn of(mut samples_us: Vec<f64>) -> Self {
-        samples_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        Self {
-            p50_us: percentile_us(&samples_us, 0.50),
-            p95_us: percentile_us(&samples_us, 0.95),
-            p99_us: percentile_us(&samples_us, 0.99),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Documents: naming, provenance, rows
 // ---------------------------------------------------------------------
@@ -289,27 +248,24 @@ pub struct Paths {
 pub fn paths(name: &str, ctx: &Ctx) -> Paths {
     let suffix = match ctx.mode {
         Mode::Full => "",
-        Mode::Quick => "_quick",
         Mode::Smoke => "_smoke",
-    };
-    // a sharded smoke is a different run: its verdicts must not
-    // overwrite the unsharded run's report
-    let shards = if ctx.shards > 1 {
-        format!("_shards{}", ctx.shards)
-    } else {
-        String::new()
     };
     Paths {
         bench: ctx.dir.join(format!("BENCH_{name}{suffix}.json")),
-        check: ctx.dir.join(format!("CHECK_{name}{suffix}{shards}.json")),
+        check: ctx.dir.join(format!("CHECK_{name}{suffix}.json")),
         baseline: ctx.dir.join(format!("BENCH_{name}.json")),
     }
+}
+
+/// The CPUs this process may run on.
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Who measured this: backend threads, host CPUs, source revision.
 fn provenance() -> Vec<(String, Json)> {
     let threads = CpuBackend::new().capabilities().devices;
-    let host = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let host = host_parallelism();
     // "unknown" outside a work tree, e.g. an unpacked source artifact
     let revision = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -336,6 +292,22 @@ fn document(bench: &Bench, provenance: &[(String, Json)], run: Run) -> Json {
     Json::Obj(fields)
 }
 
+/// Why a full-scale recording to `path` must not happen, if it must
+/// not: a checked-in baseline recorded on a host with more CPUs is
+/// never replaced. Deleting the file is the only override.
+fn downgrade(path: &Path) -> Option<String> {
+    let existing = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    let theirs = existing.get("host_parallelism").and_then(Json::as_f64)?;
+    let ours = host_parallelism();
+    ((ours as f64) < theirs).then(|| {
+        format!(
+            "refusing to downgrade {}: it was recorded with host_parallelism {theirs}, \
+             this host has {ours} — delete the file to record here anyway",
+            path.display()
+        )
+    })
+}
+
 /// The one writer of `BENCH_*.json`.
 fn write_bench(doc: &Json, path: &Path) {
     doc.write_to_file(path)
@@ -360,7 +332,10 @@ fn rows<'a>(section: &Section, doc: &'a Json) -> Vec<(String, &'a Json)> {
         return vec![(section.name.to_string(), doc)];
     };
     match doc.get(key) {
-        Some(Json::Arr(items)) => items.iter().map(|r| (row_name(r), r)).collect(),
+        Some(Json::Arr(items)) => {
+            let named = |r| (format!("{}{}", section.name, row_name(r)), r);
+            items.iter().map(named).collect()
+        }
         Some(object @ Json::Obj(_)) => vec![(section.name.to_string(), object)],
         _ => panic!("document has no {key:?} section — re-record the baseline"),
     }
@@ -448,25 +423,34 @@ pub fn audit_baseline(bench: &Bench, baseline: &Json) -> Vec<(String, bool)> {
 // The two flows
 // ---------------------------------------------------------------------
 
-/// Record or check `bench` as `ctx` asks; `false` only for a red check.
+/// Record or check `bench` as `ctx` asks; `false` for a red check or a
+/// refused recording.
 pub fn run(bench: &Bench, ctx: &Ctx) -> bool {
     if ctx.checking {
-        return check(bench, ctx);
+        check(bench, ctx)
+    } else {
+        record(bench, ctx)
     }
-    record(bench, ctx);
-    true
 }
 
-/// Run one trial and write `BENCH_<name><mode>.json`. Panics — writing
-/// nothing — when a row breaks an invariant.
-pub fn record(bench: &Bench, ctx: &Ctx) {
+/// Run one trial and write `BENCH_<name><mode>.json`. A full-scale
+/// recording over a checked-in baseline from a host with more CPUs is
+/// refused before any work — `false`, nothing run, nothing written.
+/// Panics — writing nothing — when a row breaks an invariant.
+pub fn record(bench: &Bench, ctx: &Ctx) -> bool {
     println!("\n=== {} — recording ({:?}) ===", bench.name, ctx.mode);
+    let path = paths(bench.name, ctx).bench;
+    if let Some(refusal) = downgrade(&path).filter(|_| ctx.mode == Mode::Full) {
+        eprintln!("{refusal}");
+        return false;
+    }
     let doc = document(bench, &provenance(), (bench.setup)(ctx)());
     let broken =
         audit((bench.sections)(ctx.mode), &doc).filter_map(|(name, held)| (!held).then_some(name));
     let broken = broken.collect::<Vec<_>>().join(", ");
     assert!(broken.is_empty(), "{} run broke: {broken}", bench.name);
-    write_bench(&doc, &paths(bench.name, ctx).bench);
+    write_bench(&doc, &path);
+    true
 }
 
 /// Run the mode's trials against the checked-in baseline and write
@@ -518,7 +502,7 @@ pub fn check(bench: &Bench, ctx: &Ctx) -> bool {
                 name: format!("{name}/{}", band.name),
                 baseline: (band.value)(base),
                 trials: fresh.iter().map(|row| (band.value)(row)).collect(),
-                floor: (band.floor)(ctx.mode, &name),
+                floor: band.floor,
             }));
         }
     }
@@ -544,7 +528,6 @@ pub fn check(bench: &Bench, ctx: &Ctx) -> bool {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Invocation {
     flags: Vec<String>,
-    pub shards: usize,
 }
 
 impl Invocation {
@@ -562,12 +545,13 @@ impl Invocation {
     }
 
     /// What `bench` should do under this invocation, if selected.
+    /// `--smoke` and `--quick` both mean the CI-sized run.
     pub fn ctx_for(&self, bench: &Bench) -> Option<Ctx> {
         let selected = self.has(bench.flag) || (self.has("--all") && bench.in_all);
+        let smoke = self.has("--smoke") || self.has("--quick");
         selected.then(|| Ctx {
-            mode: (bench.mode)(self),
+            mode: if smoke { Mode::Smoke } else { Mode::Full },
             checking: self.has("--check"),
-            shards: self.shards,
             dir: PathBuf::new(),
         })
     }
@@ -579,20 +563,10 @@ pub fn usage() -> String {
     for (flags, _) in crate::experiments::ALL {
         out.push_str(&format!(" [{}]", flags[0]));
     }
-    let plain = Invocation {
-        flags: Vec::new(),
-        shards: 1,
-    };
-    let smoke = Invocation {
-        flags: vec!["--smoke".into()],
-        shards: 1,
-    };
     for bench in REGISTRY {
-        let takes_smoke = (bench.mode)(&smoke) != (bench.mode)(&plain);
-        let smoke = if takes_smoke { " [--smoke]" } else { "" };
-        out.push_str(&format!(" [{}{smoke}]", bench.flag));
+        out.push_str(&format!(" [{}]", bench.flag));
     }
-    out + " [--shards N] [--check]"
+    out + " [--smoke] [--check]"
 }
 
 /// Parse `repro`'s arguments. An unknown flag is an error, not a no-op:
@@ -602,24 +576,11 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
         .iter()
         .flat_map(|(flags, _)| flags.iter().copied());
     let selecting: Vec<&str> = experiments.chain(REGISTRY.iter().map(|b| b.flag)).collect();
-    let mut invocation = Invocation {
-        flags: Vec::new(),
-        shards: 1,
-    };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
+    let mut invocation = Invocation { flags: Vec::new() };
+    for arg in args {
         match arg.as_str() {
-            // a malformed count must fail loudly — silently falling back
-            // to 1 would let the CI sharded-smoke gate pass without ever
-            // running the sharded path it exists to test
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => invocation.shards = n,
-                _ => return Err("--shards needs a positive integer".into()),
-            },
-            "--quick" | "--smoke" | "--check" => invocation.flags.push(arg.clone()),
-            flag if flag == "--all" || selecting.contains(&flag) => {
-                invocation.flags.push(arg.clone())
-            }
+            "--quick" | "--smoke" | "--check" | "--all" => invocation.flags.push(arg.clone()),
+            flag if selecting.contains(&flag) => invocation.flags.push(arg.clone()),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -684,7 +645,7 @@ mod tests {
         bands: &[Band {
             name: "speedup",
             value: |row| check::field(row, "speedup"),
-            floor: |_, _| 0.5,
+            floor: 0.5,
         }],
     }];
 
@@ -693,7 +654,6 @@ mod tests {
             name: "fake",
             flag: "--fake",
             in_all: false,
-            mode: smoke_or_quick,
             trials: |_| 2,
             sections: |_| FAKE_SECTIONS,
             setup,
@@ -710,7 +670,6 @@ mod tests {
         Ctx {
             mode,
             checking: false,
-            shards: 1,
             dir,
         }
     }
@@ -803,10 +762,9 @@ mod tests {
         record(&HEALTHY, &ctx);
         ctx.mode = Mode::Smoke;
         ctx.checking = true;
-        ctx.shards = 2;
         assert!(check(&HEALTHY, &ctx));
         assert!(ctx.dir.join("BENCH_fake_smoke.json").exists());
-        let report = check::load_baseline(&ctx.dir.join("CHECK_fake_smoke_shards2.json"));
+        let report = check::load_baseline(&ctx.dir.join("CHECK_fake_smoke.json"));
         for name in [
             "baseline/rows/nonempty",
             "baseline/a/all_replies",
@@ -825,6 +783,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&ctx.dir);
     }
 
+    #[test]
+    fn recording_over_a_baseline_from_a_larger_host_is_refused() {
+        let ctx = ctx("downgrade", Mode::Full);
+        record(&HEALTHY, &ctx);
+        let path = ctx.dir.join("BENCH_fake.json");
+        let ours = check::field(&check::load_baseline(&path), "host_parallelism");
+        let larger = std::fs::read_to_string(&path).unwrap().replacen(
+            &format!("\"host_parallelism\": {ours}"),
+            "\"host_parallelism\": 4096",
+            1,
+        );
+        std::fs::write(&path, &larger).unwrap();
+
+        // refused before the bench is even set up, both values named
+        const NEVER_RUN: Bench = fake(|_| panic!("a refused recording must not run"));
+        assert!(!record(&NEVER_RUN, &ctx));
+        let refusal = downgrade(&path).unwrap();
+        assert!(
+            refusal.contains("4096") && refusal.contains(&format!("has {ours}")),
+            "{refusal}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), larger);
+
+        // only the checked-in baseline is protected, and deleting it is
+        // the override
+        let smoke = Ctx {
+            mode: Mode::Smoke,
+            ..ctx.clone()
+        };
+        std::fs::write(ctx.dir.join("BENCH_fake_smoke.json"), &larger).unwrap();
+        assert!(record(&HEALTHY, &smoke));
+        std::fs::remove_file(&path).unwrap();
+        assert!(record(&HEALTHY, &ctx));
+        let _ = std::fs::remove_dir_all(&ctx.dir);
+    }
+
     /// Every checked-in `BENCH_<name>.json` loads under the harness and
     /// satisfies its bench's invariants — JSON reads only, no workload.
     #[test]
@@ -834,8 +828,10 @@ mod tests {
             let baseline = check::load_baseline(&root.join(format!("BENCH_{}.json", bench.name)));
             let audit = audit_baseline(bench, &baseline);
             assert!(audit.len() > 1, "{}: nothing audited", bench.name);
-            for (name, held) in audit {
+            for (i, (name, held)) in audit.iter().enumerate() {
                 assert!(held, "BENCH_{}.json fails {name}", bench.name);
+                let twice = audit[..i].iter().any(|(earlier, _)| earlier == name);
+                assert!(!twice, "{}: two gates named {name}", bench.name);
             }
         }
     }
@@ -850,7 +846,7 @@ mod tests {
         let usage = usage();
         let documented: Vec<&str> = usage
             .split([' ', '[', ']'])
-            .filter(|word| word.starts_with("--") && *word != "--shards")
+            .filter(|word| word.starts_with("--"))
             .collect();
         assert!(documented.contains(&"--durability") && documented.contains(&"--fig9"));
         for flag in documented {
@@ -859,74 +855,47 @@ mod tests {
         }
         // the undocumented aliases of the merged tables stay accepted
         assert!(parse(&["--table3"]).is_ok() && parse(&["--table7"]).is_ok());
-        assert_eq!(
-            parse(&["--serving-smoke", "--shards", "2"]).unwrap().shards,
-            2
-        );
     }
 
     #[test]
     fn unknown_flags_and_bad_shard_counts_are_rejected() {
         assert!(parse(&["--durabilty", "--smoke", "--check"]).is_err());
-        assert!(parse(&["--net", "extra"]).is_err());
+        assert!(parse(&["--placement", "extra"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["--quick", "--check"]).is_err(), "nothing selected");
-        for bad in [
-            &["--serving-smoke", "--shards"][..],
-            &["--serving-smoke", "--shards", "0"],
-            &["--serving-smoke", "--shards", "two"],
+        // the retired benches' flags: `benchmark/` measures what they did
+        for retired in [
+            "--serving",
+            "--net",
+            "--mutations",
+            "--serving-smoke",
+            "--shards",
         ] {
-            assert_eq!(parse(bad).unwrap_err(), "--shards needs a positive integer");
+            assert_eq!(
+                parse(&["--cpu-kernel", retired]).unwrap_err(),
+                format!("unknown argument {retired:?}")
+            );
         }
+        assert!(parse(&["--cpu-kernel", "--shards", "2"]).is_err());
     }
 
     #[test]
     fn flags_route_each_bench_to_the_parents_mode() {
-        let mode_of = |args: &[&str], flag: &str| {
+        let mode_of = |args: &[&str], bench: &Bench| {
             let invocation = parse(args).unwrap();
-            let bench = REGISTRY.into_iter().find(|b| b.flag == flag).unwrap();
             invocation.ctx_for(bench).map(|ctx| ctx.mode)
         };
-        // --all covers serving, cpu-kernel and mutations only
-        for (flag, covered) in [
-            ("--serving", true),
-            ("--cpu-kernel", true),
-            ("--mutations", true),
-            ("--net", false),
-            ("--placement", false),
-            ("--durability", false),
-            ("--serving-smoke", false),
-        ] {
-            assert_eq!(mode_of(&["--all"], flag).is_some(), covered, "{flag}");
+        for bench in REGISTRY {
+            // --all is the paper experiments plus the cpu-kernel sweep
+            let covered = bench.flag == "--cpu-kernel";
+            assert_eq!(mode_of(&["--all"], bench).is_some(), covered);
+            assert_eq!(mode_of(&[bench.flag], bench), Some(Mode::Full));
+            assert_eq!(mode_of(&[bench.flag, "--check"], bench), Some(Mode::Full));
+            for small in ["--smoke", "--quick"] {
+                assert_eq!(mode_of(&[bench.flag, small], bench), Some(Mode::Smoke));
+                let checked = mode_of(&[bench.flag, small, "--check"], bench);
+                assert_eq!(checked, Some(Mode::Smoke));
+            }
         }
-        assert_eq!(
-            mode_of(&["--all", "--smoke"], "--serving"),
-            Some(Mode::Full)
-        );
-        assert_eq!(
-            mode_of(&["--all", "--quick"], "--serving"),
-            Some(Mode::Quick)
-        );
-        assert_eq!(
-            mode_of(&["--serving", "--quick", "--check"], "--serving"),
-            Some(Mode::Full)
-        );
-        assert_eq!(
-            mode_of(&["--all", "--quick"], "--cpu-kernel"),
-            Some(Mode::Smoke)
-        );
-        assert_eq!(mode_of(&["--net", "--smoke"], "--net"), Some(Mode::Smoke));
-        assert_eq!(
-            mode_of(&["--placement", "--quick"], "--placement"),
-            Some(Mode::Quick)
-        );
-        assert_eq!(
-            mode_of(&["--placement", "--quick", "--check"], "--placement"),
-            Some(Mode::Smoke)
-        );
-        assert_eq!(
-            mode_of(&["--serving-smoke"], "--serving-smoke"),
-            Some(Mode::Smoke)
-        );
     }
 }

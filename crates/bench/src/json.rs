@@ -5,7 +5,7 @@
 //! `crates/shims/serde`), and the baselines only need numbers, strings,
 //! arrays and objects — a ~100-line tree type keeps the JSON honest
 //! (escaped, finite, deterministic key order) without a new dependency.
-//! Files written here (`BENCH_cpu_kernel.json`, `BENCH_serving.json`)
+//! Files written here (`BENCH_cpu_kernel.json`, `BENCH_placement.json`)
 //! are the perf trajectory future PRs diff against, and what CI uploads
 //! as artifacts.
 

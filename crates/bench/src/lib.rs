@@ -16,23 +16,30 @@
 //! the two are shape-level only (ROADMAP.md, "Architecture").
 //!
 //! The trajectory side records and gates this repo's own performance
-//! baselines. Six benches — [`serving`], [`net`], [`placement`],
-//! [`durability`], [`mutations`], [`cpu_kernel`] — are *definitions*
-//! registered with one [`harness`]; their module docs say only why the
-//! workload has the shape it has. What follows is the one normative
-//! description of everything they share.
+//! baselines, for the three things `benchmark/` (the repo's one
+//! end-to-end measuring stick: real sockets, four workloads, audited
+//! replies) has no workload for: [`cpu_kernel`] (a micro-gate with an
+//! injected-regression self-test), [`placement`] (a heterogeneous
+//! throttled fleet) and [`durability`] (SIGKILL of a real
+//! `genie-server`). They are *definitions* registered with one
+//! [`harness`]; their module docs say only why the workload has the
+//! shape it has. What follows is the one normative description of
+//! everything they share.
 //!
 //! ## Modes and files
 //!
-//! | mode  | selected by                          | records                    | checks into                 |
-//! |-------|--------------------------------------|----------------------------|-----------------------------|
-//! | full  | the bench's flag alone               | `BENCH_<name>.json` (checked in) | `CHECK_<name>.json`   |
-//! | quick | `--quick`, serving and placement only | `BENCH_<name>_quick.json` | — (a check never runs quick) |
-//! | smoke | `--smoke` (or `--quick` elsewhere); `--serving-smoke` | `BENCH_<name>_smoke.json` | `CHECK_<name>_smoke.json` |
+//! | mode  | selected by            | records                          | checks into               |
+//! |-------|------------------------|----------------------------------|---------------------------|
+//! | full  | the bench's flag alone | `BENCH_<name>.json` (checked in) | `CHECK_<name>.json`       |
+//! | smoke | `--smoke` or `--quick` | `BENCH_<name>_smoke.json`        | `CHECK_<name>_smoke.json` |
 //!
 //! Only the full files are checked in; every other output is
-//! gitignored and uploaded by CI as an artifact. `--serving-smoke
-//! --shards N` (N > 1) reports to `CHECK_serving_smoke_shards<N>.json`.
+//! gitignored and uploaded by CI as an artifact. `repro --cpu-kernel
+//! --placement --durability` re-records all three at one revision; a
+//! recording never replaces a baseline whose `host_parallelism` is
+//! larger than this host's — that bench is refused before it runs, the
+//! others still record, the process exits nonzero (delete the file to
+//! override).
 //! Every document starts with `bench`, ends its header with the
 //! provenance block (`threads`, `host_parallelism`, `git_revision`) and
 //! keeps its rows in named sections.
@@ -42,8 +49,9 @@
 //! A row is described by a [`harness::Table`]: per field its JSON key
 //! and value and, if it shows in the printed table, its title, width
 //! and format. The printed line and the JSON object come from that one
-//! list. Array rows are named by their first field (`depth=16`,
-//! `delay_ms=2`, `sparse`); a single-object section by its bench.
+//! list. Array rows are named by their first field (`sparse`, `kill1`)
+//! after the section's prefix, if it has one (`smoke/sparse`); a
+//! single-object section by its bench.
 //!
 //! ## The three uses of an invariant
 //!
@@ -75,8 +83,12 @@
 //! median(trials) >= floor * baseline - SLACK_MADS * MAD(trials)
 //! ```
 //!
-//! ([`check::judge`]; the floor is per bench, mode and row). A smoke
-//! check also leaves its first trial as `BENCH_<name>_smoke.json`.
+//! ([`check::judge`]; the floor is per band). The baseline value is
+//! always the same-named row of the same section, so a bench whose
+//! ratios depend on scale records its smoke-scale rows in the baseline
+//! too ([`cpu_kernel`]'s `smoke_rows`) and a smoke check compares like
+//! with like. A smoke check also leaves its first trial as
+//! `BENCH_<name>_smoke.json`.
 
 pub mod check;
 pub mod cpu_kernel;
@@ -84,11 +96,8 @@ pub mod durability;
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod mutations;
-pub mod net;
 pub mod placement;
 pub mod runners;
-pub mod serving;
 pub mod workloads;
 
 /// Format a microsecond quantity as milliseconds with 2 decimals.

@@ -23,12 +23,12 @@ use genie_core::exec::SearchOutput;
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query};
 use genie_service::{
-    BackendHealth, CollectionId, GenieService, QueryScheduler, SchedulerConfig, ServiceConfig,
-    ServiceStats,
+    percentile_us, BackendHealth, CollectionId, GenieService, QueryScheduler, SchedulerConfig,
+    ServiceConfig, ServiceStats,
 };
 
 use crate::check::{field, flag};
-use crate::harness::{Bench, Cell, Col, Ctx, Invariant, Latency, Mode, Run, Section, Table};
+use crate::harness::{Bench, Cell, Col, Ctx, Invariant, Mode, Run, Section, Table};
 use crate::json::Json;
 use crate::ms;
 
@@ -100,6 +100,24 @@ pub struct PlacementWorkload {
     pub rebalance_window: usize,
     /// Postings-share threshold beyond which a shard is hot.
     pub skew_threshold: f64,
+}
+
+/// The latency summary of one measured phase.
+#[derive(Debug, Clone, Copy)]
+pub struct Latency {
+    pub p50_us: f64,
+    pub p95_us: f64,
+}
+
+impl Latency {
+    /// Nearest-rank percentiles of `samples_us` (order irrelevant).
+    pub fn of(mut samples_us: Vec<f64>) -> Self {
+        samples_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        Self {
+            p50_us: percentile_us(&samples_us, 0.50),
+            p95_us: percentile_us(&samples_us, 0.95),
+        }
+    }
 }
 
 /// What one placement run measured.
@@ -469,13 +487,12 @@ const TABLE: Table<PlacementReport> = Table {
     ],
 };
 
-/// `--placement [--smoke|--quick]`: static broadcast vs the learning
-/// placement loop over the same corpus and stream. Not part of `--all`
-/// (the throttle spins real wall-clock). `--quick` runs the smoke
-/// workload but, recording, keeps its numbers apart from CI's.
+/// `--placement [--smoke]`: static broadcast vs the learning placement
+/// loop over the same corpus and stream. Not part of `--all` (the
+/// throttle spins real wall-clock).
 fn setup(ctx: &Ctx) -> crate::harness::Trial {
-    let mode = ctx.mode;
-    let workload = workload_for(mode != Mode::Full);
+    let smoke = ctx.mode == Mode::Smoke;
+    let workload = workload_for(smoke);
     Box::new(move || {
         println!(
             "n = {}, {} shards, fleet = cpu + 2 sims throttled {} us/query",
@@ -501,8 +518,7 @@ fn setup(ctx: &Ctx) -> crate::harness::Trial {
         }
         Run {
             head: vec![
-                ("smoke", (mode == Mode::Smoke).into()),
-                ("quick", (mode == Mode::Quick).into()),
+                ("smoke", smoke.into()),
                 ("objects", workload.objects.into()),
                 ("shards", workload.shards.into()),
                 ("wave_size", workload.wave_size.into()),
@@ -546,17 +562,6 @@ pub const BENCH: Bench = Bench {
     name: "placement",
     flag: "--placement",
     in_all: false,
-    // `--quick` has a file of its own when recording; a check has only
-    // the smoke and the full trial counts
-    mode: |flags| {
-        if flags.has("--smoke") || (flags.has("--quick") && flags.has("--check")) {
-            Mode::Smoke
-        } else if flags.has("--quick") {
-            Mode::Quick
-        } else {
-            Mode::Full
-        }
-    },
     trials: |mode| if mode == Mode::Full { 3 } else { 2 },
     sections: |_| SECTIONS,
     setup,

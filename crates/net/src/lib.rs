@@ -14,8 +14,8 @@
 //!   per-connection reader/writer pairs fronting a service, with
 //!   graceful drain on shutdown.
 //!
-//! The client side lives in the `genie-client` crate; the `repro
-//! --net` benchmark drives both over loopback.
+//! The client side lives in the `genie-client` crate; `benchmark/`'s
+//! wire workloads drive both over loopback.
 
 pub mod frame;
 pub mod protocol;

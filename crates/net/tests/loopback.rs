@@ -22,9 +22,8 @@ fn concurrent_pipelined_clients_match_in_process() {
     let data = objects(300, UNIVERSE, 8, 0x5eed);
     let (service, cid, handle) = start_server(&data, ServerConfig::default());
     let addr = handle.addr();
-    let threads: Vec<_> = (0..4)
+    let bursts: Vec<_> = (0..4)
         .map(|t| {
-            let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 let client = Client::connect(addr).expect("connect");
                 // pipeline a burst: send everything, then resolve
@@ -41,8 +40,35 @@ fn concurrent_pipelined_clients_match_in_process() {
                             .expect("send")
                     })
                     .collect();
-                for (q, pending) in queries.iter().zip(pendings) {
-                    let reply = pending.wait().expect("reply");
+                let replies: Vec<_> = pendings
+                    .into_iter()
+                    .map(|pending| pending.wait().expect("reply"))
+                    .collect();
+                (client, queries, replies)
+            })
+        })
+        .collect();
+    let bursts: Vec<_> = bursts
+        .into_iter()
+        .map(|t| t.join().expect("client thread"))
+        .collect();
+    // a pipelined burst lands inside one admission window: its requests
+    // share micro-batches instead of paying one scheduler run each. So
+    // far the service has served the 4 x 24 wire searches and nothing
+    // else (a wave's stats may land just after its last reply).
+    let served = service.stats();
+    assert!(served.batched_requests <= 4 * 24, "{served:?}");
+    assert!(
+        served.batches < served.batched_requests,
+        "pipelined requests never shared a micro-batch: {served:?}"
+    );
+
+    let threads: Vec<_> = (0..4)
+        .zip(bursts)
+        .map(|(t, (client, queries, replies))| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                for (q, reply) in queries.iter().zip(replies) {
                     let truth = service
                         .submit_to(cid, q.clone(), 10)
                         .wait()

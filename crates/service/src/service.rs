@@ -2450,6 +2450,16 @@ mod tests {
         Arc::new(b.build(None))
     }
 
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(percentile_us(&s, 0.50), 51.0);
+        assert_eq!(percentile_us(&s, 0.95), 95.0);
+        assert_eq!(percentile_us(&s, 0.99), 99.0);
+        assert_eq!(percentile_us(&[], 0.5), 0.0);
+        assert_eq!(percentile_us(&[7.0], 0.99), 7.0);
+    }
+
     /// A service over `scheduler` with [`tiny_index`] registered as its
     /// one collection.
     fn serve_tiny(

@@ -508,6 +508,34 @@ fn mutation_edge_cases() {
     assert!(all.hits.iter().all(|h| h.id != a && h.id != b));
 }
 
+/// The mounted delta shard is one more scheduler run per wave: an
+/// S-shard collection fans a wave out to S runs while frozen, S + 1
+/// from the first insert on, and S again once compaction folds the debt.
+#[test]
+fn delta_shard_adds_one_scheduler_run_per_wave() {
+    const SHARDS: u64 = 3;
+    let toks = |i: u32| vec![format!("w{}", i % 7), "common".to_string()];
+    let db = db();
+    let docs = (0..30).map(toks).collect();
+    let col = db
+        .create_collection_sharded::<DocumentIndex>("debt", (), docs, SHARDS as usize)
+        .unwrap();
+    // one awaited search = one wave; a fresh query each time, so the
+    // result cache never answers in the scheduler's place
+    let mut fresh = 0;
+    let mut runs_of_one_wave = || {
+        let before = db.stats().shard_runs;
+        fresh += 1;
+        col.search(&toks(fresh), 5).unwrap();
+        db.stats().shard_runs - before
+    };
+    assert_eq!(runs_of_one_wave(), SHARDS, "frozen: base shards only");
+    col.insert(toks(100)).unwrap();
+    assert_eq!(runs_of_one_wave(), SHARDS + 1, "the delta shard is mounted");
+    assert!(col.compact().unwrap());
+    assert_eq!(runs_of_one_wave(), SHARDS, "debt folded: base shards only");
+}
+
 /// Background compaction: with a small `compact_after`, mutation debt
 /// is folded without any explicit `compact` call, and answers never
 /// change while it happens.

@@ -858,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_and_bad_shard_counts_are_rejected() {
+    fn unknown_and_retired_flags_are_rejected() {
         assert!(parse(&["--durabilty", "--smoke", "--check"]).is_err());
         assert!(parse(&["--placement", "extra"]).is_err());
         assert!(parse(&[]).is_err());
@@ -880,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn flags_route_each_bench_to_the_parents_mode() {
+    fn smoke_and_quick_select_smoke_mode_for_every_bench() {
         let mode_of = |args: &[&str], bench: &Bench| {
             let invocation = parse(args).unwrap();
             invocation.ctx_for(bench).map(|ctx| ctx.mode)

@@ -143,11 +143,12 @@ pub struct ServiceConfig {
     /// [`compact_collection`](GenieService::compact_collection) calls
     /// still work.
     pub compact_after: usize,
-    /// Hot-shard detector: a shard of a sharded collection is **hot**
-    /// when its share of postings scanned across the observation window
-    /// exceeds this fraction (postings are the device-independent cost
-    /// signal — see [`genie_core::placement`] for the heuristic). A hot
-    /// shard queues a background rebalance of its collection.
+    /// Hot-shard detector: a base shard of a sharded collection is
+    /// **hot** when its share of the base shards' postings scanned
+    /// across the observation window exceeds this fraction (postings
+    /// are the device-independent cost signal — see
+    /// [`genie_core::placement`] for the heuristic). A hot shard queues
+    /// a background rebalance of its collection.
     pub skew_threshold: f64,
     /// Group runs per sliding observation window; detection fires only
     /// on a full window. 0 disables hot-shard detection and automatic
@@ -721,8 +722,8 @@ struct ShardSample {
 /// totals.
 #[derive(Default)]
 struct ShardWindow {
-    /// Newest-last per-run postings samples (one `Vec` per observed
-    /// group run), truncated to
+    /// Newest-last per-run postings samples of the **base** shards
+    /// (one `Vec` per observed group run), truncated to
     /// [`ServiceConfig::rebalance_window`] runs.
     window: VecDeque<Vec<u64>>,
     totals: Vec<ShardRunStats>,
@@ -879,10 +880,14 @@ impl ServiceInner {
             // remember which cache generation this run computes against
             // *while holding the entry lock*: swap_collection cannot
             // invalidate between the generation read and the run
-            let (run, run_generation) = {
+            let (run, run_generation, num_base) = {
                 let entry = entry.read().expect("collection lock");
                 let generation = self.cache.lock().expect("cache lock").generation(cid);
-                (self.run_group(&entry, &requests), generation)
+                (
+                    self.run_group(&entry, &requests),
+                    generation,
+                    entry.base.len(),
+                )
             };
             match run {
                 Ok((responses, report)) => {
@@ -893,7 +898,7 @@ impl ServiceInner {
                     wave_actual_us += report.actual_cost_us;
                     wave_placed_runs += report.placed_runs;
                     wave_stages.accumulate(&report.stages);
-                    self.observe_shard_run(cid, &report.per_shard);
+                    self.observe_shard_run(cid, &report.per_shard, num_base);
                     served_misses += group.len() as u64;
                     let mut cache = self.cache.lock().expect("cache lock");
                     // a swap_collection mid-run bumped the generation:
@@ -1246,11 +1251,18 @@ impl ServiceInner {
 
     /// Fold one fan-out run's per-shard samples into the collection's
     /// lifetime totals and sliding window, and fire the hot-shard
-    /// detector: once the window is full, a shard whose share of the
-    /// windowed postings exceeds `skew_threshold` queues a background
-    /// rebalance. Postings (not microseconds) are the skew signal — see
+    /// detector: once the window is full, a base shard whose share of
+    /// the windowed base postings exceeds `skew_threshold` queues a
+    /// background rebalance. Only the first `num_base` samples vote —
+    /// placement covers base shards, never the delta shard. Postings
+    /// (not microseconds) are the skew signal — see
     /// [`genie_core::placement`] for why.
-    fn observe_shard_run(&self, collection: CollectionId, samples: &[ShardSample]) {
+    fn observe_shard_run(
+        &self,
+        collection: CollectionId,
+        samples: &[ShardSample],
+        num_base: usize,
+    ) {
         let mut stats = self.shard_stats.lock().expect("shard stats lock");
         let state = stats.entry(collection).or_default();
         if state.totals.len() != samples.len() {
@@ -1265,19 +1277,23 @@ impl ServiceInner {
             t.postings += s.postings;
             t.observed_us += s.actual_us;
         }
-        if self.rebalance_window == 0 || samples.len() < 2 {
+        let base = &samples[..num_base.min(samples.len())];
+        if self.rebalance_window == 0 || base.len() < 2 {
             return; // detection disabled, or nothing to place
+        }
+        if state.window.back().is_some_and(|r| r.len() != base.len()) {
+            state.window.clear(); // re-sharded base: older rows describe other shards
         }
         state
             .window
-            .push_back(samples.iter().map(|s| s.postings).collect());
+            .push_back(base.iter().map(|s| s.postings).collect());
         while state.window.len() > self.rebalance_window {
             state.window.pop_front();
         }
         if state.window.len() < self.rebalance_window || state.rebalance_queued {
             return;
         }
-        let mut sums = vec![0u64; samples.len()];
+        let mut sums = vec![0u64; base.len()];
         for row in &state.window {
             for (sum, &p) in sums.iter_mut().zip(row) {
                 *sum += p;
@@ -1338,7 +1354,7 @@ impl ServiceInner {
             let stats = self.shard_stats.lock().expect("shard stats lock");
             let mut rep = 0.0f64;
             if let Some(state) = stats.get(&collection) {
-                for row in state.window.iter().filter(|r| r.len() >= num_base) {
+                for row in state.window.iter().filter(|r| r.len() == num_base) {
                     for (c, &p) in costs.iter_mut().zip(row) {
                         *c += p as f64;
                     }

@@ -381,6 +381,43 @@ fn hot_shard_detection_rebalances_without_changing_answers() {
     );
 }
 
+/// Placement covers base shards only, so the mounted delta shard must
+/// not vote in the hot-shard detector: an unsharded collection with one
+/// pending insert serves two shard runs per wave (base + delta) and the
+/// base holds ~all postings, but there is nothing to place.
+#[test]
+fn delta_shard_does_not_vote_in_the_hot_shard_detector() {
+    let service = fleet_service(
+        2,
+        ServiceConfig {
+            rebalance_window: 32,
+            skew_threshold: 0.6,
+            compact_after: 0,
+            ..test_config()
+        },
+    );
+    let corpus: Vec<Vec<u32>> = (0..64u32).map(|i| vec![0, 1 + i % 4]).collect();
+    let cid = service
+        .add_collection_sharded("unsharded", &index_of(&corpus), 1)
+        .expect("registers");
+    service
+        .mutate_collection(cid, &[], vec![Object { keywords: vec![9] }], &mut |_, _| {})
+        .expect("insert lands in the delta shard");
+
+    let query = Query::from_keywords(&[0]);
+    for _ in 0..100 {
+        let _ = search(&service, cid, &query, 5);
+    }
+    // the lifetime totals keep their documented delta slot
+    assert_eq!(service.shard_stats(cid).expect("known collection").len(), 2);
+    let stats = service.stats();
+    assert_eq!(
+        (stats.hot_shard_events, stats.rebalances),
+        (0, 0),
+        "a one-base-shard collection has nothing to place: {stats:?}"
+    );
+}
+
 /// Placement plans that do not fit the collection or fleet are typed
 /// errors, and unknown collections are typed errors — never panics.
 #[test]

@@ -1,58 +1,41 @@
-//! genie-cli — command-line similarity search over plain-text files,
-//! on the typed `GenieDb` facade.
+//! genie-cli — the client: similarity search over plain-text files on
+//! the typed `GenieDb` facade, and the operator's view of a running
+//! `genie-server`.
 //!
 //! ```text
 //! genie-cli docs  <corpus.txt> --query "<words>"  [-k 5] [--backend sim|cpu|multi]
 //! genie-cli fuzzy <corpus.txt> --query "<string>" [-k 3] [-K 64] [-n 3] [--backend ...]
-//! genie-cli serve <corpus.txt> [--domain docs|fuzzy] [--clients 8] [--requests 32]
-//!                              [--delay-ms 3] [--shards 1] [--mutate 0] [-k 5]
-//!                              [--backend ...]
-//! genie-cli net-serve <corpus.txt> [--listen 127.0.0.1:7007] [--token T] [--backend ...]
 //! genie-cli net-query <addr> [--query "<words>"] [--stats] [-k 5] [--collection 0] [--token T]
+//! genie-cli store-fsck <data-dir>
 //! ```
 //!
 //! `docs` ranks lines by the number of distinct shared words (the
 //! short-document collection); `fuzzy` ranks lines by edit distance via
-//! n-gram filtering plus verification (the sequence collection);
-//! `serve` starts the always-on service over the corpus — indexed under
-//! the `--domain` of choice — and drives it with concurrent submitter
-//! threads (each line doubles as a query), reporting per-request
-//! latency percentiles, wave triggers, batch occupancy and backend
-//! health. `--shards N` splits the served collection across `N` index
-//! shards: every wave fans out to one scheduler run per shard and the
-//! per-shard top-k lists are merged into the global answer
-//! (bit-compatible counts, `AT = MC_k + 1` on the merged list).
-//! `--mutate B` additionally runs a live-mutation workload while the
-//! submitters are searching: `B` batches, each inserting a copy of a
-//! corpus line into the served collection and deleting a previously
-//! inserted copy, all absorbed by the delta shard + tombstone set
-//! without any reindex or downtime; the run ends with an explicit
-//! compaction and a report of the mutation debt before/after.
-//! `--delay-ms 0` cuts a wave as soon as any request is queued. The `--backend` flag picks the execution engine: the
-//! simulated SIMT device (default, prints device counters), the
-//! pure-CPU backend, or a two-device multi-load backend.
+//! n-gram filtering plus verification (the sequence collection). Both
+//! index the file, answer the one query and exit. The `--backend` flag
+//! picks the execution engine: the simulated SIMT device (default,
+//! prints device counters), the pure-CPU backend, or a two-device
+//! multi-load backend.
 //!
-//! `net-serve` exposes the corpus over the genie-net TCP protocol
-//! (each line indexed under the hashed-word convention of
-//! [`genie_client::keyword_of`]) until stdin reaches EOF; `net-query`
-//! connects to such a server — or to the standalone `genie-server`
-//! binary — hashes the query words the same way, and prints the hits
-//! alongside the sky-bench server/full latency split.
+//! `net-query` connects to a `genie-server`, hashes the query words
+//! under the [`genie_client::keyword_of`] convention the server indexed
+//! its corpus with, and prints the hits alongside the sky-bench
+//! server/full latency split; `--stats` prints the remote fleet's
+//! health. `store-fsck` inspects a server `--data-dir` offline.
+//!
+//! This binary never listens and never generates load: `genie-server`
+//! is the one listener, `benchmark/` the one load driver.
 
 use std::process::exit;
 use std::sync::Arc;
 
 use genie::prelude::*;
-use genie::sa::SequenceSearchReport;
 use genie_client::{keyword_of, Client, ClientConfig};
-use genie_net::server::{NetServer, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  genie-cli docs  <corpus.txt> --query \"<words>\"  [-k N] [--backend sim|cpu|multi]\n  \
          genie-cli fuzzy <corpus.txt> --query \"<string>\" [-k N] [-K CANDS] [-n NGRAM] [--backend sim|cpu|multi]\n  \
-         genie-cli serve <corpus.txt> [--domain docs|fuzzy] [--clients N] [--requests M] [--delay-ms D] [--shards S] [--mutate B] [-k N] [--backend sim|cpu|multi]\n  \
-         genie-cli net-serve <corpus.txt> [--listen ADDR] [--token T] [--backend sim|cpu|multi]\n  \
          genie-cli net-query <addr> [--query \"<words>\"] [--stats] [-k N] [--collection C] [--token T]\n  \
          genie-cli store-fsck <data-dir>"
     );
@@ -67,13 +50,6 @@ struct Args {
     big_k: usize,
     ngram: usize,
     backend: String,
-    domain: String,
-    clients: usize,
-    requests: usize,
-    delay_ms: u64,
-    shards: usize,
-    mutate: usize,
-    listen: String,
     token: String,
     collection: u64,
     stats: bool,
@@ -92,13 +68,6 @@ fn parse_args() -> Args {
         big_k: 64,
         ngram: 3,
         backend: "sim".to_string(),
-        domain: "docs".to_string(),
-        clients: 8,
-        requests: 32,
-        delay_ms: 3,
-        shards: 1,
-        mutate: 0,
-        listen: "127.0.0.1:7007".to_string(),
         token: String::new(),
         collection: 0,
         stats: false,
@@ -113,10 +82,6 @@ fn parse_args() -> Args {
             "--backend" => {
                 i += 1;
                 args.backend = argv.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--domain" => {
-                i += 1;
-                args.domain = argv.get(i).unwrap_or_else(|| usage()).clone();
             }
             "-k" => {
                 i += 1;
@@ -137,47 +102,8 @@ fn parse_args() -> Args {
                 args.ngram = argv
                     .get(i)
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n: &usize| n >= 1)
                     .unwrap_or_else(|| usage());
-            }
-            "--clients" => {
-                i += 1;
-                args.clients = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--requests" => {
-                i += 1;
-                args.requests = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--delay-ms" => {
-                i += 1;
-                args.delay_ms = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--shards" => {
-                i += 1;
-                args.shards = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s: &usize| s >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--mutate" => {
-                i += 1;
-                args.mutate = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--listen" => {
-                i += 1;
-                args.listen = argv.get(i).unwrap_or_else(|| usage()).clone();
             }
             "--token" => {
                 i += 1;
@@ -196,14 +122,9 @@ fn parse_args() -> Args {
         i += 1;
     }
     if args.query.is_empty()
-        && args.mode != "serve"
-        && args.mode != "net-serve"
         && args.mode != "store-fsck"
         && !(args.mode == "net-query" && args.stats)
     {
-        usage();
-    }
-    if args.domain != "docs" && args.domain != "fuzzy" {
         usage();
     }
     args
@@ -237,8 +158,8 @@ fn tokenize(line: &str) -> Vec<String> {
     line.split_whitespace().map(|w| w.to_lowercase()).collect()
 }
 
-fn open_db(args: &Args, lines: usize) -> (GenieDb, Arc<dyn SearchBackend>) {
-    let backend = make_backend(&args.backend, lines);
+fn open_db(backend: &str, lines: usize) -> (GenieDb, Arc<dyn SearchBackend>) {
+    let backend = make_backend(backend, lines);
     let caps = backend.capabilities();
     println!(
         "backend: {} ({} execution unit{})",
@@ -254,8 +175,8 @@ fn open_db(args: &Args, lines: usize) -> (GenieDb, Arc<dyn SearchBackend>) {
             ..Default::default()
         },
         ServiceConfig {
-            // 0 is meaningful: cut a wave as soon as anything is queued
-            max_queue_delay: std::time::Duration::from_millis(args.delay_ms),
+            // a one-shot query has no company to wait for
+            max_queue_delay: std::time::Duration::ZERO,
             dispatchers: 1,
             cache_capacity: 1024,
             ..Default::default()
@@ -292,7 +213,7 @@ fn main() {
         exit(1);
     }
     println!("{} lines loaded from {}", lines.len(), args.corpus);
-    let (db, backend) = open_db(&args, lines.len());
+    let (db, backend) = open_db(&args.backend, lines.len());
 
     match args.mode.as_str() {
         "docs" => {
@@ -323,16 +244,6 @@ fn main() {
                     exit(1);
                 }
             }
-        }
-        "serve" => {
-            serve(&args, &lines, &db);
-            device_counters(&*backend);
-            return;
-        }
-        "net-serve" => {
-            net_serve(&args, &lines, &db);
-            device_counters(&*backend);
-            return;
         }
         "fuzzy" => {
             let seqs: Vec<Vec<u8>> = lines.iter().map(|l| l.as_bytes().to_vec()).collect();
@@ -400,183 +311,8 @@ fn device_counters(backend: &dyn SearchBackend) {
     }
 }
 
-/// Drive one typed collection with `--clients` concurrent submitter
-/// threads; each request queries with one of the corpus lines itself.
-/// `resolve` turns a line into a typed submit + wait and returns
-/// whether the answer was non-trivial.
-fn drive<S, W>(args: &Args, lines: usize, submit: S, wait: W) -> Vec<f64>
-where
-    S: Fn(usize) -> Option<W::Ticket> + Sync,
-    W: Resolver + Sync,
-{
-    let mut latencies_us: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..args.clients)
-            .map(|c| {
-                let submit = &submit;
-                let wait = &wait;
-                scope.spawn(move || {
-                    let tickets: Vec<_> = (0..args.requests)
-                        .filter_map(|j| submit((c * args.requests + j) % lines))
-                        .collect();
-                    tickets
-                        .into_iter()
-                        .map(|t| wait.resolve(t))
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    });
-    latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    latencies_us
-}
-
-/// How a serve-mode domain resolves its typed tickets into latencies.
-trait Resolver {
-    type Ticket;
-    fn resolve(&self, ticket: Self::Ticket) -> f64;
-}
-
-struct DocResolver;
-impl Resolver for DocResolver {
-    type Ticket = TypedTicket<DocumentIndex>;
-    fn resolve(&self, t: Self::Ticket) -> f64 {
-        let submitted = t.submitted_at();
-        t.wait().expect("service answers every ticket");
-        submitted.elapsed().as_secs_f64() * 1e6
-    }
-}
-
-struct SeqResolver;
-impl Resolver for SeqResolver {
-    type Ticket = TypedTicket<SequenceIndex>;
-    fn resolve(&self, t: Self::Ticket) -> f64 {
-        let submitted = t.submitted_at();
-        // lines shorter than the n-gram length legitimately match
-        // nothing, so only the ticket resolution is asserted
-        let _report: SequenceSearchReport = t.wait().expect("service answers every ticket");
-        submitted.elapsed().as_secs_f64() * 1e6
-    }
-}
-
-/// Run `batches` insert+delete rounds against the served collection
-/// while the submitter threads are searching it. Each round inserts a
-/// copy of one corpus line and, once a small window has built up,
-/// deletes the oldest previously inserted copy — original corpus ids
-/// are never touched, so every concurrent search still sees the full
-/// base corpus. All of it is absorbed by the delta shard + tombstone
-/// set; no reindex, no downtime.
-fn mutate_while_serving<D, F>(col: &Collection<D>, batches: usize, item_of: F, lines: usize)
-where
-    D: Domain,
-    F: Fn(usize) -> D::Item,
-{
-    let mut window: std::collections::VecDeque<ObjectId> = std::collections::VecDeque::new();
-    let (mut ins, mut del) = (0usize, 0usize);
-    for b in 0..batches {
-        let deletes: Vec<ObjectId> = if window.len() > 4 {
-            window.pop_front().into_iter().collect()
-        } else {
-            Vec::new()
-        };
-        match col.mutate(&deletes, vec![item_of(b % lines)]) {
-            Ok(ids) => {
-                ins += ids.len();
-                del += deletes.len();
-                window.extend(ids);
-            }
-            Err(e) => {
-                eprintln!("mutation batch rejected: {e}");
-                return;
-            }
-        }
-        // leave room for searches to interleave with the batches
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    println!("mutator: {ins} inserts / {del} deletes absorbed while serving");
-}
-
-/// Compact whatever mutation debt the run left behind and report the
-/// before/after status of the collection.
-fn mutation_summary<D: Domain>(col: &Collection<D>) {
-    let before = col.mutation_status();
-    match col.compact() {
-        Ok(folded) => {
-            let after = col.mutation_status();
-            println!(
-                "mutation debt: delta {} + tombstones {} -> compacted ({}); {} live objects \
-                 across {} base shard(s), next id {}",
-                before.delta,
-                before.tombstones,
-                if folded {
-                    "base rebuilt"
-                } else {
-                    "nothing to fold"
-                },
-                after.live,
-                after.base_shards,
-                after.next_id
-            );
-        }
-        Err(e) => eprintln!("compaction failed: {e}"),
-    }
-}
-
-/// `net-serve`: index the corpus under the shared hashed-word
-/// convention, expose the service over TCP, run until stdin EOF, then
-/// drain and report.
-fn net_serve(args: &Args, lines: &[&str], db: &GenieDb) {
-    use std::io::Read;
-
-    let objects: Vec<Object> = lines
-        .iter()
-        .map(|l| Object {
-            keywords: l.split_whitespace().map(keyword_of).collect(),
-        })
-        .collect();
-    let mut builder = IndexBuilder::new();
-    builder.add_objects(objects.iter());
-    let index = Arc::new(builder.build(None));
-    let service = db.service_handle();
-    let collection = service
-        .add_collection_sharded(&args.corpus, &index, args.shards)
-        .unwrap_or_else(|e| {
-            eprintln!("cannot register corpus: {e}");
-            exit(1);
-        });
-    let config = ServerConfig {
-        auth_token: (!args.token.is_empty()).then(|| args.token.clone()),
-        ..ServerConfig::default()
-    };
-    let mut handle = NetServer::spawn(service, args.listen.as_str(), config).unwrap_or_else(|e| {
-        eprintln!("cannot bind {}: {e}", args.listen);
-        exit(1);
-    });
-    println!(
-        "serving {} lines as collection {collection} on {} — query with \
-         `genie-cli net-query {} --query \"...\" --collection {collection}`",
-        lines.len(),
-        handle.addr(),
-        handle.addr(),
-    );
-    println!("stdin EOF stops the server");
-    let mut sink = Vec::new();
-    let _ = std::io::stdin().read_to_end(&mut sink);
-    println!("draining ...");
-    let drained = handle.shutdown();
-    let net = handle.net_stats();
-    println!(
-        "drained: {drained}; {} connections accepted, {} frames in / {} out, \
-         {} protocol errors",
-        net.accepted, net.frames_in, net.frames_out, net.protocol_errors
-    );
-}
-
 /// `net-query`: connect to a genie-net server, hash the query words
-/// the way `net-serve`/`genie-server` hashed the corpus, print hits
+/// the way `genie-server` hashed the corpus, print hits
 /// plus the sky-bench latency split. `--stats` additionally (or, with
 /// no `--query`, exclusively) prints the remote fleet's health and
 /// learned per-backend cost models from the Stats frame.
@@ -689,182 +425,5 @@ fn net_stats(client: &Client) {
         }
         Ok(_) => println!("server reports no backend rows (pre-placement server?)"),
         Err(e) => eprintln!("fleet-health failed: {e}"),
-    }
-}
-
-/// `serve`: index the corpus under `--domain`, start the shared
-/// service, drive it concurrently, report latency/occupancy/health.
-fn serve(args: &Args, lines: &[&str], db: &GenieDb) {
-    println!(
-        "serving domain '{}' with {} client threads x {} requests (deadline {} ms, {} shard{})",
-        args.domain,
-        args.clients,
-        args.requests,
-        args.delay_ms,
-        args.shards,
-        if args.shards == 1 { "" } else { "s" }
-    );
-    let latencies_us = match args.domain.as_str() {
-        "docs" => {
-            let docs: Vec<Vec<String>> = lines.iter().map(|l| tokenize(l)).collect();
-            let col = db
-                .create_collection_sharded::<DocumentIndex>("corpus", (), docs.clone(), args.shards)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot index corpus: {e}");
-                    exit(1);
-                });
-            println!(
-                "indexed {} docs / {} distinct words across {} shard(s)",
-                col.domain().num_documents(),
-                col.domain().vocabulary_size(),
-                col.shard_count()
-            );
-            let lat = std::thread::scope(|scope| {
-                let mutator = (args.mutate > 0).then(|| {
-                    let mcol = col.clone();
-                    scope.spawn(move || {
-                        mutate_while_serving(
-                            &mcol,
-                            args.mutate,
-                            |i| tokenize(lines[i]),
-                            lines.len(),
-                        )
-                    })
-                });
-                let lat = drive(
-                    args,
-                    docs.len(),
-                    |i| col.submit(docs[i].clone(), args.k).ok(),
-                    DocResolver,
-                );
-                if let Some(m) = mutator {
-                    m.join().expect("mutator thread never panics");
-                }
-                lat
-            });
-            if args.mutate > 0 {
-                mutation_summary(&col);
-            }
-            lat
-        }
-        _ => {
-            let seqs: Vec<Vec<u8>> = lines.iter().map(|l| l.as_bytes().to_vec()).collect();
-            let col = db
-                .create_collection_sharded::<SequenceIndex>(
-                    "corpus",
-                    args.ngram,
-                    seqs.clone(),
-                    args.shards,
-                )
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot index corpus: {e}");
-                    exit(1);
-                });
-            println!(
-                "indexed {} sequences ({}-grams) across {} shard(s)",
-                seqs.len(),
-                args.ngram,
-                col.shard_count()
-            );
-            let lat = std::thread::scope(|scope| {
-                let mutator = (args.mutate > 0).then(|| {
-                    let mcol = col.clone();
-                    scope.spawn(move || {
-                        mutate_while_serving(
-                            &mcol,
-                            args.mutate,
-                            |i| lines[i].as_bytes().to_vec(),
-                            lines.len(),
-                        )
-                    })
-                });
-                let lat = drive(
-                    args,
-                    seqs.len(),
-                    |i| col.submit(seqs[i].clone(), args.k).ok(),
-                    SeqResolver,
-                );
-                if let Some(m) = mutator {
-                    m.join().expect("mutator thread never panics");
-                }
-                lat
-            });
-            if args.mutate > 0 {
-                mutation_summary(&col);
-            }
-            lat
-        }
-    };
-
-    let pct = |p: f64| percentile_us(&latencies_us, p);
-    let stats = db.stats();
-    println!(
-        "\n{} requests over {} waves ({} size / {} deadline triggered), {} micro-batches, \
-         occupancy {:.1} queries/batch",
-        stats.served,
-        stats.waves,
-        stats.size_triggers,
-        stats.deadline_triggers,
-        stats.batches,
-        stats.mean_batch_occupancy()
-    );
-    if args.shards > 1 {
-        println!(
-            "sharded dispatch: {} scheduler runs across {} shards ({} placement-routed)",
-            stats.shard_runs, args.shards, stats.placed_shard_runs
-        );
-    }
-    if stats.hot_shard_events > 0 || stats.rebalances > 0 {
-        println!(
-            "placement: {} hot-shard events, {} rebalances ({} stale)",
-            stats.hot_shard_events, stats.rebalances, stats.stale_rebalances
-        );
-    }
-    if stats.cost_observations > 0 {
-        println!(
-            "learned fleet cost model: base {:.3} us/query + {:.6} us/posting \
-             ({} wave observations)",
-            stats.learned_base_us, stats.learned_us_per_posting, stats.cost_observations
-        );
-    }
-    if stats.mutation_batches > 0 {
-        println!(
-            "mutations: {} batches ({} inserts / {} deletes), {} compaction(s) ({} stale)",
-            stats.mutation_batches,
-            stats.inserted,
-            stats.deleted,
-            stats.compactions,
-            stats.stale_compactions
-        );
-    }
-    println!(
-        "cache: {} hits / {} requests; scheduler wall {:.2} ms",
-        stats.cache_hits,
-        stats.served,
-        stats.wall_us / 1000.0
-    );
-    println!(
-        "request latency: p50 {:.2} ms, p95 {:.2} ms, p99 {:.2} ms",
-        pct(0.50) / 1000.0,
-        pct(0.95) / 1000.0,
-        pct(0.99) / 1000.0
-    );
-    for h in db.backend_health() {
-        println!(
-            "backend {}: {} batches / {} queries served, {} failures{}, learned \
-             {:.3} us/query + {:.6} us/posting ({} obs){}",
-            h.name,
-            h.batches,
-            h.queries,
-            h.failed,
-            if h.retired { " [RETIRED]" } else { "" },
-            h.cost_model.base_us,
-            h.cost_model.us_per_posting,
-            h.cost_observations,
-            h.last_error
-                .as_deref()
-                .map(|e| format!(" (last: {e})"))
-                .unwrap_or_default()
-        );
     }
 }

@@ -12,9 +12,16 @@
 //! [`genie_client::keyword_of`] convention, so remote clients can build
 //! queries without the server's vocabulary). The collection is served
 //! as the default collection; clients may create further collections
-//! over the wire. The server runs until stdin reaches EOF (pipe
-//! `</dev/null` for "run until killed", press Ctrl-D interactively),
-//! then drains in-flight connections and reports its counters.
+//! over the wire.
+//!
+//! How long it runs is decided by what stdin *is*. A terminal, pipe,
+//! FIFO or regular file is a control channel: the server runs until it
+//! reaches EOF (Ctrl-D, or the parent closing the pipe), then drains
+//! in-flight connections, checkpoints a `--data-dir` and reports its
+//! counters. Any other character device (`</dev/null`, as under
+//! `nohup`, systemd or a container) or a closed fd 0 is no control
+//! channel: the server runs until killed, which durable mode recovers
+//! from at any point. (Off unix, stdin is always read to EOF.)
 //!
 //! Query it with `genie-cli net-query <addr> --query "words"`, a
 //! [`genie_client::Client`], or anything speaking the versioned frame
@@ -109,6 +116,30 @@ fn parse_args() -> Args {
         i += 1;
     }
     args
+}
+
+/// Whether EOF on stdin is a stop signal. A terminal, pipe, FIFO or
+/// regular file reaches EOF because somebody ended it; a non-terminal
+/// character device (`/dev/null`) is at EOF from the first read and an
+/// unreadable fd 0 never delivers one, so neither can mean "stop".
+#[cfg(unix)]
+fn stdin_is_control_channel() -> bool {
+    use std::io::IsTerminal;
+    use std::os::fd::AsFd;
+    use std::os::unix::fs::FileTypeExt;
+
+    let stdin = std::io::stdin();
+    stdin.is_terminal()
+        || stdin
+            .as_fd()
+            .try_clone_to_owned()
+            .and_then(|fd| std::fs::File::from(fd).metadata())
+            .is_ok_and(|meta| !meta.file_type().is_char_device())
+}
+
+#[cfg(not(unix))]
+fn stdin_is_control_channel() -> bool {
+    true
 }
 
 fn main() {
@@ -228,7 +259,13 @@ fn main() {
             ""
         },
     );
-    println!("stdin EOF stops the server (pipe </dev/null to run until killed)");
+    if !stdin_is_control_channel() {
+        println!("stdin is /dev/null or closed — serving until killed");
+        loop {
+            std::thread::park();
+        }
+    }
+    println!("stdin EOF stops the server (run with </dev/null to serve until killed)");
 
     // block until stdin closes — the portable no-dependency stop signal
     let mut sink = Vec::new();

@@ -21,6 +21,15 @@
 //!   per-collection result cache) over the micro-batching
 //!   `QueryScheduler` with multi-backend dispatch.
 //!
+//! ## One door per job
+//!
+//! | job | door |
+//! |---|---|
+//! | serve a corpus over TCP | `genie-server` (the only listener) |
+//! | ask or operate a running server | `genie-cli net-query [--stats]`, `genie-cli store-fsck` |
+//! | search a file offline | `genie-cli docs`, `genie-cli fuzzy` |
+//! | load and measure | `benchmark/` (serving, wire, live mutations), `repro` (paper figures; kernel, placement and durability gates) |
+//!
 //! ## Quickstart
 //!
 //! One `GenieDb` serves every domain the paper claims — the same

@@ -13,23 +13,20 @@
 //!   [`kernel`] (epoch-stamped reusable scratch, coalesced chunked
 //!   postings scans, adaptive sparse/dense finalisation, intra-query
 //!   parallelism for small waves) plus the same deterministic top-k
-//!   finalisation (the "as fast as the hardware allows" serving path);
-//! * [`MultiDeviceBackend`] — multiple simulated devices, each paging
-//!   device-sized index [`Shard`](crate::shard::Shard)s through memory
-//!   (the multiple loading / multi-device fan-out of
-//!   [`crate::multiload`] behind the common interface).
+//!   finalisation (the "as fast as the hardware allows" serving path).
 //!
-//! All three return the engine's [`SearchOutput`] shape: per-query
+//! Several devices are a fleet of backends serving a sharded collection
+//! (`genie-service`), not a backend of their own.
+//!
+//! Both return the engine's [`SearchOutput`] shape: per-query
 //! [`TopHit`](crate::topk::TopHit) lists with deterministic
 //! (count-descending, id-ascending) ordering, final AuditThresholds and
 //! a per-stage [`StageProfile`](crate::exec::StageProfile).
 
 mod cpu;
 pub mod kernel;
-mod multi;
 
 pub use cpu::CpuBackend;
-pub use multi::MultiDeviceBackend;
 
 use std::any::Any;
 use std::sync::Arc;
@@ -42,7 +39,7 @@ use crate::model::Query;
 /// to size micro-batches and pick dispatch targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendCaps {
-    /// Short stable identifier ("gpu-sim", "cpu", "multi-device").
+    /// Short stable identifier ("gpu-sim", "cpu").
     pub name: &'static str,
     pub kind: BackendKind,
     /// Underlying execution units (simulated devices or host threads).
@@ -61,19 +58,15 @@ pub enum BackendKind {
     SimulatedDevice,
     /// Pure host execution.
     Host,
-    /// Several simulated devices with part swapping.
-    MultiDevice,
 }
 
 /// An inverted index prepared for one specific backend: the shared
 /// host-resident index plus whatever backend-private state `upload`
-/// produced (device-resident List Array, part assignments, nothing for
-/// the CPU path).
+/// produced (device-resident List Array, CPU-side scan state).
 pub struct BackendIndex {
     index: Arc<InvertedIndex>,
     /// Simulated microseconds the upload's H2D transfers took (0 for
-    /// host backends and for backends that defer transfers to search
-    /// time).
+    /// host backends).
     pub upload_sim_us: f64,
     payload: Box<dyn Any + Send + Sync>,
 }
@@ -138,8 +131,7 @@ pub trait SearchBackend: Send + Sync {
     /// Memory left for one batch's c-PQ state once `index` is resident,
     /// for batch-sizing by a scheduler. `None` = no bound. The default
     /// subtracts the whole index's device footprint from the reported
-    /// memory; backends that never hold the full index at once (part
-    /// swapping) override this.
+    /// memory.
     fn batch_memory_budget(&self, index: &BackendIndex) -> Option<u64> {
         self.capabilities()
             .memory_bytes

@@ -35,9 +35,6 @@ impl DeviceIndex {
 /// host wall-clock. Mirrors the row structure of Table I.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageProfile {
-    /// H2D swapping of part indexes (only nonzero for backends that
-    /// page parts through device memory, e.g. multi-load/multi-device).
-    pub index_swap_us: f64,
     /// H2D copy of query descriptors (scan tasks).
     pub query_transfer_us: f64,
     /// The match kernel: scanning postings lists and updating c-PQ.
@@ -51,12 +48,11 @@ pub struct StageProfile {
 impl StageProfile {
     /// Simulated total (excludes host-only bookkeeping).
     pub fn sim_total_us(&self) -> f64 {
-        self.index_swap_us + self.query_transfer_us + self.match_us + self.select_us
+        self.query_transfer_us + self.match_us + self.select_us
     }
 
     /// Accumulate another profile (multiple loading sums parts).
     pub fn accumulate(&mut self, other: &StageProfile) {
-        self.index_swap_us += other.index_swap_us;
         self.query_transfer_us += other.query_transfer_us;
         self.match_us += other.match_us;
         self.select_us += other.select_us;

@@ -187,9 +187,10 @@ impl InvertedIndex {
     /// Every posting contributes one keyword occurrence to its object,
     /// so the reconstructed objects have exactly the original keyword
     /// multisets (in keyword order rather than insertion order — the
-    /// match-count model is order-insensitive). Backends that need to
-    /// re-partition a data set they only hold as an index (e.g. the
-    /// multi-device backend splitting into device-sized parts) use this.
+    /// match-count model is order-insensitive). Re-sharding a data set
+    /// that is only held as an index
+    /// ([`ShardPlan::from_index`](crate::shard::ShardPlan::from_index))
+    /// uses this.
     pub fn reconstruct_objects(&self) -> Vec<crate::model::Object> {
         let mut objects = vec![crate::model::Object::default(); self.num_objects as usize];
         for e in &self.entries {

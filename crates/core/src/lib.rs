@@ -18,7 +18,8 @@
 //!   Theorem 3.1 certificate; the serving layer's fan-out, the delta
 //!   shard and multiple loading all use it;
 //! * **multiple loading** ([`multiload`]) for data sets larger than
-//!   device memory — device-sized shards paged through one device;
+//!   device memory — device-sized shards paged through one device (a
+//!   fleet of devices serves a sharded collection instead);
 //! * **shard placement** ([`placement`]) — capacity-aware
 //!   shard→backend assignment for the serving fleet, count/AT-identical
 //!   to broadcast by construction;
@@ -35,16 +36,13 @@
 //! ## Search backends
 //!
 //! Execution is pluggable behind the [`backend::SearchBackend`] trait
-//! (`upload` / `search_batch` / `capabilities`), with three
+//! (`upload` / `search_batch` / `capabilities`), with two
 //! implementations:
 //!
 //! * [`exec::Engine`] — the paper-faithful pipeline on the simulated
 //!   SIMT device, reporting per-stage cost-model time;
 //! * [`backend::CpuBackend`] — pure-host rayon execution with no
-//!   simulation overhead (exact counts, host wall-clock only);
-//! * [`backend::MultiDeviceBackend`] — several simulated devices paging
-//!   device-sized index shards through memory ([`multiload`] behind
-//!   the common interface).
+//!   simulation overhead (exact counts, host wall-clock only).
 //!
 //! All backends agree with the brute-force
 //! [`model::match_count`] on counts and report AuditThresholds with the
@@ -95,9 +93,7 @@ pub mod topk;
 
 /// Convenient re-exports of the types almost every user needs.
 pub mod prelude {
-    pub use crate::backend::{
-        BackendCaps, BackendIndex, BackendKind, CpuBackend, MultiDeviceBackend, SearchBackend,
-    };
+    pub use crate::backend::{BackendCaps, BackendIndex, BackendKind, CpuBackend, SearchBackend};
     pub use crate::delta::{CompactionSnapshot, DeltaPlan};
     pub use crate::domain::{Domain, MatchHits};
     pub use crate::exec::{DeviceIndex, Engine, SearchOutput, StageProfile};
@@ -105,7 +101,7 @@ pub mod prelude {
     pub use crate::model::{
         match_count, KeywordId, Object, ObjectId, Query, QueryBuildError, QueryItem,
     };
-    pub use crate::multiload::{multi_device_search, multi_load_search, MultiLoadReport};
+    pub use crate::multiload::{multi_load_search, MultiLoadReport};
     pub use crate::placement::{PlacementError, PlacementPlan};
     pub use crate::shard::{
         merge_shard_topk, merge_shard_topk_filtered, Shard, ShardError, ShardPlan,

@@ -9,6 +9,10 @@
 //! the per-shard lists into the global answer with
 //! [`merge_shard_topk`] (correct because each object's match count is
 //! computed entirely within its own shard).
+//!
+//! This is the paper's single-device swap loop. Several devices serve
+//! the same shards as a sharded collection on a fleet of backends
+//! (`genie-service`), one shard resident per backend.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,54 +76,6 @@ pub fn multi_load_search(
     let merged = merge_per_query(gathered, k);
     report.merge_host_us = elapsed_us(merge_started);
     (merged, report)
-}
-
-/// Multi-device variant: parts are distributed round-robin over several
-/// engines (the paper notes most PCs take two to four GPUs, §I) and
-/// processed concurrently, one host thread per device; the host merge is
-/// unchanged. Returns per-query top-k plus each device's report.
-pub fn multi_device_search(
-    engines: &[Engine],
-    parts: &[Shard],
-    queries: &[Query],
-    k: usize,
-) -> (Vec<Vec<TopHit>>, Vec<MultiLoadReport>) {
-    assert!(!engines.is_empty(), "need at least one device");
-    let mut assignments: Vec<Vec<Shard>> = vec![Vec::new(); engines.len()];
-    for (i, part) in parts.iter().enumerate() {
-        assignments[i % engines.len()].push(part.clone());
-    }
-
-    let results: Vec<(Vec<Vec<TopHit>>, MultiLoadReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines
-            .iter()
-            .zip(&assignments)
-            .map(|(engine, my_parts)| {
-                scope.spawn(move || multi_load_search(engine, my_parts, queries, k))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("device driver thread panicked"))
-            .collect()
-    });
-
-    let merge_started = Instant::now();
-    // per query: one (already global, already merged) list per device
-    let mut gathered: Vec<Vec<Vec<TopHit>>> =
-        vec![Vec::with_capacity(engines.len()); queries.len()];
-    let mut reports = Vec::with_capacity(engines.len());
-    for (partial, report) in results {
-        reports.push(report);
-        for (lists, hits) in gathered.iter_mut().zip(partial) {
-            lists.push(hits);
-        }
-    }
-    let merged = merge_per_query(gathered, k);
-    if let Some(r) = reports.last_mut() {
-        r.merge_host_us += elapsed_us(merge_started);
-    }
-    (merged, reports)
 }
 
 /// [`merge_shard_topk`] per query (the AuditThreshold it certifies is
@@ -196,34 +152,6 @@ mod tests {
         }
         assert!(report.index_transfer_us > 0.0);
         assert!(report.sim_total_us() > report.index_transfer_us);
-    }
-
-    #[test]
-    fn multi_device_equals_single_device() {
-        let objs = objects(80);
-        let queries = vec![
-            Query::new(vec![QueryItem::exact(2), QueryItem::exact(100)]),
-            Query::new(vec![QueryItem::range(3, 6)]),
-        ];
-        let k = 9;
-        let parts = parts_of(&objs, 13);
-
-        let one = Engine::new(Arc::new(Device::with_defaults()));
-        let (single, _) = multi_load_search(&one, &parts, &queries, k);
-
-        let engines: Vec<Engine> = (0..3)
-            .map(|_| Engine::new(Arc::new(Device::with_defaults())))
-            .collect();
-        let (multi, reports) = multi_device_search(&engines, &parts, &queries, k);
-        assert_eq!(reports.len(), 3);
-        for q in 0..queries.len() {
-            let s: Vec<u32> = single[q].iter().map(|h| h.count).collect();
-            let m: Vec<u32> = multi[q].iter().map(|h| h.count).collect();
-            assert_eq!(s, m, "query {q}");
-        }
-        // parts were spread: no single device saw them all
-        assert!(reports.iter().all(|r| r.parts < parts.len()));
-        assert_eq!(reports.iter().map(|r| r.parts).sum::<usize>(), parts.len());
     }
 
     #[test]

@@ -75,8 +75,8 @@ where
 /// Exact top-k of pre-scored hits: quickselect the k-th boundary by
 /// (count descending, id ascending), truncate, and order the survivors
 /// the same way. This is the one definition of the result-ordering
-/// contract shared by the CPU backend, the multi-device merge and the
-/// CPU-Idx baseline.
+/// contract shared by the CPU backend, the shard merge and the CPU-Idx
+/// baseline.
 pub fn partial_top_k(mut hits: Vec<TopHit>, k: usize) -> Vec<TopHit> {
     if k == 0 {
         hits.clear();

@@ -70,8 +70,6 @@ pub struct LaunchStats {
     pub atomic_retries: u64,
     /// Total global-memory operations issued.
     pub mem_ops: u64,
-    /// Host wall-clock the simulation itself took, microseconds.
-    pub host_us: u64,
 }
 
 impl LaunchStats {

@@ -2,7 +2,6 @@
 //! host threads, and aggregates cost-model statistics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -113,7 +112,6 @@ impl Device {
         K: Fn(&ThreadCtx) + Sync,
     {
         cfg.validate().expect("invalid launch configuration");
-        let started = Instant::now();
 
         let next_block = AtomicUsize::new(0);
         let workers = self.config.host_workers.max(1).min(cfg.grid_dim);
@@ -167,7 +165,6 @@ impl Device {
             name: name.to_string(),
             blocks: cfg.grid_dim,
             threads: cfg.total_threads(),
-            host_us: started.elapsed().as_micros() as u64,
             ..Default::default()
         };
         for r in &reports {

@@ -642,8 +642,7 @@ impl QueryScheduler {
 
     /// The c-PQ budget one batch must respect: the configured override,
     /// or the tightest of the backends' own batch budgets for their
-    /// prepared handles (a part-swapping backend reserves one part, not
-    /// the whole index).
+    /// prepared handles.
     pub(crate) fn effective_budget(&self, prepared: &PreparedIndex) -> Option<u64> {
         if let Some(b) = self.config.cpq_budget_bytes {
             return Some(b);
@@ -1105,67 +1104,6 @@ mod tests {
                 assert_eq!(report.upload_sim_us, first_wave_upload);
             }
         }
-    }
-
-    #[test]
-    fn multi_device_budget_reserves_a_part_not_the_whole_index() {
-        use genie_core::backend::{MultiDeviceBackend, SearchBackend};
-        use genie_core::exec::Engine;
-        use gpu_sim::{Device, DeviceConfig};
-
-        // whole index: 3000 objects x 2 postings x 4 B = 24000 B; a
-        // device holds 16384 B, so the full index does NOT fit on one
-        // device — the scenario this backend exists for
-        let objects: Vec<Object> = (0..3000)
-            .map(|i| Object::new(vec![i % 13, 50 + i % 5]))
-            .collect();
-        let index = {
-            let mut b = IndexBuilder::new();
-            b.add_objects(objects.iter());
-            Arc::new(b.build(None))
-        };
-        let device_mem = 16384u64;
-        assert!(index.device_bytes() > device_mem);
-
-        let small = DeviceConfig {
-            memory_bytes: device_mem,
-            ..Default::default()
-        };
-        let engines = (0..2)
-            .map(|_| Engine::new(Arc::new(Device::new(small.clone()))))
-            .collect();
-        let multi = MultiDeviceBackend::from_engines(engines, 500);
-        let bindex = SearchBackend::upload(&multi, Arc::clone(&index)).unwrap();
-        // each 500-object part is ~4000 B < 16384 B: real headroom
-        // remains (the pre-fix budget was mem - whole_index = 0)
-        let budget = multi.batch_memory_budget(&bindex).unwrap();
-        assert!(
-            budget > 0,
-            "part-swapping backend must not zero out the c-PQ budget"
-        );
-
-        // end to end: a wave of 8 requests must not degenerate into
-        // one-query batches (the pre-fix behaviour when the budget
-        // saturated to 0)
-        let scheduler = QueryScheduler::new(
-            vec![Arc::new(multi)],
-            SchedulerConfig {
-                max_batch_queries: 1024,
-                cpq_budget_bytes: None,
-                ..Default::default()
-            },
-        );
-        let reqs: Vec<QueryRequest> = (0..8)
-            .map(|i| QueryRequest::new(i, Query::from_keywords(&[i as u32 % 13]), 3))
-            .collect();
-        let (responses, report) = scheduler.run(&index, &reqs).unwrap();
-        assert_eq!(responses.len(), 8);
-        assert!(responses.iter().all(|r| !r.hits.is_empty()));
-        assert!(
-            report.batches <= 2,
-            "multiple queries per batch under the part-level budget, got {} batches",
-            report.batches
-        );
     }
 
     #[test]

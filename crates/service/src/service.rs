@@ -1681,8 +1681,8 @@ fn split_index(index: &Arc<InvertedIndex>, shards: usize) -> Result<Vec<Shard>, 
 }
 
 /// Nearest-rank percentile over an ascending-sorted latency sample —
-/// the one shared definition every serving surface (bench runner, CLI
-/// `serve`, examples) reports p50/p95/p99 with.
+/// the one shared definition the placement bench and the examples
+/// report p50/p95/p99 with.
 pub fn percentile_us(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;

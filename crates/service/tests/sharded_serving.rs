@@ -390,3 +390,94 @@ fn facade_sharded_cached_serving_matches_the_seed_reference() {
         assert_eq!(f.audit_threshold, s.audit_threshold);
     }
 }
+
+/// A collection larger than one device is a sharded collection on a
+/// fleet: on two 16 KiB devices the 24 000 B index is refused whole but
+/// serves as six shards, each fitting one device — with brute-force
+/// counts and certificates, and one multi-query batch per shard (the
+/// c-PQ budget is sized against a shard, not the whole index).
+#[test]
+fn a_collection_larger_than_one_device_serves_as_shards_on_a_small_device_fleet() {
+    let objects: Vec<Object> = (0..3000)
+        .map(|i| Object::new(vec![i % 13, 50 + i % 5]))
+        .collect();
+    let index = index_of(&objects);
+    let device_mem = 16_384u64;
+    assert!(
+        index.device_bytes() > device_mem,
+        "the whole index must not fit"
+    );
+
+    let small_engine = || {
+        Arc::new(Engine::new(Arc::new(Device::new(DeviceConfig {
+            memory_bytes: device_mem,
+            ..Default::default()
+        })))) as Arc<dyn genie_core::backend::SearchBackend>
+    };
+    let service = GenieService::start_empty(
+        QueryScheduler::new(
+            vec![small_engine(), small_engine()],
+            SchedulerConfig {
+                max_batch_queries: 1024,
+                cpq_budget_bytes: None,
+                ..Default::default()
+            },
+        ),
+        ServiceConfig {
+            // long enough that the eight submissions share one wave
+            max_queue_delay: std::time::Duration::from_millis(100),
+            cache_capacity: 0,
+            ..Default::default()
+        },
+    )
+    .expect("service starts");
+
+    assert!(
+        service.add_collection("whole", &index).is_err(),
+        "the unsharded index exceeds one device"
+    );
+    let id = service
+        .add_collection_sharded("sharded", &index, 6)
+        .expect("each shard fits one device");
+    assert_eq!(service.collection_shards(id), Some(6));
+
+    let k = 3;
+    let queries: Vec<Query> = (0..8u32)
+        .map(|i| Query::from_keywords(&[i % 13, 50 + i % 5]))
+        .collect();
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| service.submit_to(id, q.clone(), k))
+        .collect();
+    for (qi, (query, ticket)) in queries.iter().zip(tickets).enumerate() {
+        let resp = ticket.wait().expect("sharded request is served");
+        let counts: Vec<u32> = objects.iter().map(|o| match_count(query, o)).collect();
+        let expected = reference_top_k(&counts, k);
+        let got: Vec<u32> = resp.hits.iter().map(|h| h.count).collect();
+        let want: Vec<u32> = expected.iter().map(|h| h.count).collect();
+        assert_eq!(got, want, "query {qi} count profile");
+        assert_eq!(
+            resp.audit_threshold,
+            audit_threshold(&expected, k),
+            "query {qi} AT"
+        );
+        for hit in &resp.hits {
+            assert_eq!(
+                counts[hit.id as usize], hit.count,
+                "query {qi} object {}",
+                hit.id
+            );
+        }
+    }
+
+    let stats = service.stats();
+    assert_eq!(stats.failed_requests, 0);
+    assert_eq!(
+        stats.shard_runs, 6,
+        "one wave fans out to six shards: {stats:?}"
+    );
+    assert_eq!(
+        stats.batches, stats.shard_runs,
+        "one multi-query batch per shard run: {stats:?}"
+    );
+}

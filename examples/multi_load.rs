@@ -1,8 +1,9 @@
 //! Multiple loading (paper §III-D): searching a data set whose index
 //! exceeds device memory by swapping index shards through the device —
 //! the Table II/III scenario — then the same data served through the
-//! typed facade on a multi-device backend, where part swapping hides
-//! behind `Collection::search` entirely.
+//! typed facade as a sharded collection on a fleet of two small
+//! devices, where each shard stays resident on a device and
+//! `Collection::search` fans out and merges.
 //!
 //! Run with: `cargo run --release --example multi_load`
 
@@ -73,29 +74,31 @@ fn main() {
     }
     println!("multi-load results verified identical to single-load.");
 
-    // the serving view of the same trick: a two-small-device backend
-    // inside a GenieDb pages the parts transparently — callers just
-    // search the typed collection
-    println!("\nserving the same points through GenieDb on 2 small devices...");
-    let multi = MultiDeviceBackend::from_engines(
-        (0..2)
-            .map(|_| Engine::new(Arc::new(Device::new(config.clone()))))
-            .collect(),
-        10_000,
+    // the serving view of the same parts: a sharded collection on a
+    // fleet of two small devices — each shard fits one device, and
+    // callers just search the typed collection
+    println!(
+        "\nserving the same points through GenieDb as {} shards on 2 small devices...",
+        parts.num_shards()
     );
-    let db = GenieDb::single(Arc::new(multi)).expect("db opens");
+    let fleet: Vec<Arc<dyn SearchBackend>> = (0..2)
+        .map(|_| Arc::new(Engine::new(Arc::new(Device::new(config.clone())))) as _)
+        .collect();
+    let db = GenieDb::open(fleet, SchedulerConfig::default(), ServiceConfig::default())
+        .expect("db opens");
     let points = db
-        .create_collection::<AnnIndex<E2Lsh>>(
+        .create_collection_sharded::<AnnIndex<E2Lsh>>(
             "sift",
             Transformer::new(E2Lsh::new(32, dim, 12.0, 5), 2048),
             data,
+            parts.num_shards(),
         )
-        .expect("parts fit the devices");
+        .expect("every shard fits one device");
     let served = points
         .search(&query_points[0].clone(), k)
         .expect("finite point");
     let expected: Vec<u32> = single.results[0].iter().map(|h| h.count).collect();
     let got: Vec<u32> = served.hits.iter().map(|h| h.count).collect();
     assert_eq!(got, expected, "facade counts equal the single-load counts");
-    println!("typed facade over part-swapping devices verified.");
+    println!("typed facade over a sharded collection on a small-device fleet verified.");
 }

@@ -3,7 +3,7 @@
 //! `genie-server`.
 //!
 //! ```text
-//! genie-cli docs  <corpus.txt> --query "<words>"  [-k 5] [--backend sim|cpu|multi]
+//! genie-cli docs  <corpus.txt> --query "<words>"  [-k 5] [--backend sim|cpu]
 //! genie-cli fuzzy <corpus.txt> --query "<string>" [-k 3] [-K 64] [-n 3] [--backend ...]
 //! genie-cli net-query <addr> [--query "<words>"] [--stats] [-k 5] [--collection 0] [--token T]
 //! genie-cli store-fsck <data-dir>
@@ -14,8 +14,7 @@
 //! n-gram filtering plus verification (the sequence collection). Both
 //! index the file, answer the one query and exit. The `--backend` flag
 //! picks the execution engine: the simulated SIMT device (default,
-//! prints device counters), the pure-CPU backend, or a two-device
-//! multi-load backend.
+//! prints device counters) or the pure-CPU backend.
 //!
 //! `net-query` connects to a `genie-server`, hashes the query words
 //! under the [`genie_client::keyword_of`] convention the server indexed
@@ -34,8 +33,8 @@ use genie_client::{keyword_of, Client, ClientConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  genie-cli docs  <corpus.txt> --query \"<words>\"  [-k N] [--backend sim|cpu|multi]\n  \
-         genie-cli fuzzy <corpus.txt> --query \"<string>\" [-k N] [-K CANDS] [-n NGRAM] [--backend sim|cpu|multi]\n  \
+        "usage:\n  genie-cli docs  <corpus.txt> --query \"<words>\"  [-k N] [--backend sim|cpu]\n  \
+         genie-cli fuzzy <corpus.txt> --query \"<string>\" [-k N] [-K CANDS] [-n NGRAM] [--backend sim|cpu]\n  \
          genie-cli net-query <addr> [--query \"<words>\"] [--stats] [-k N] [--collection C] [--token T]\n  \
          genie-cli store-fsck <data-dir>"
     );
@@ -142,14 +141,10 @@ fn store_fsck(dir: &str) -> ! {
     exit(if report.healthy() { 0 } else { 1 });
 }
 
-fn make_backend(name: &str, corpus_lines: usize) -> Arc<dyn SearchBackend> {
+fn make_backend(name: &str) -> Arc<dyn SearchBackend> {
     match name {
         "sim" => Arc::new(Engine::new(Arc::new(Device::with_defaults()))),
         "cpu" => Arc::new(CpuBackend::new()),
-        "multi" => Arc::new(MultiDeviceBackend::with_default_devices(
-            2,
-            corpus_lines.div_ceil(2).max(1),
-        )),
         _ => usage(),
     }
 }
@@ -158,8 +153,8 @@ fn tokenize(line: &str) -> Vec<String> {
     line.split_whitespace().map(|w| w.to_lowercase()).collect()
 }
 
-fn open_db(backend: &str, lines: usize) -> (GenieDb, Arc<dyn SearchBackend>) {
-    let backend = make_backend(backend, lines);
+fn open_db(backend: &str) -> (GenieDb, Arc<dyn SearchBackend>) {
+    let backend = make_backend(backend);
     let caps = backend.capabilities();
     println!(
         "backend: {} ({} execution unit{})",
@@ -213,7 +208,7 @@ fn main() {
         exit(1);
     }
     println!("{} lines loaded from {}", lines.len(), args.corpus);
-    let (db, backend) = open_db(&args.backend, lines.len());
+    let (db, backend) = open_db(&args.backend);
 
     match args.mode.as_str() {
         "docs" => {

@@ -5,7 +5,8 @@
 //! (`net-query`, `store-fsck`) or searches a file offline (`docs`,
 //! `fuzzy`), and load comes from `benchmark/`. `genie-cli serve` /
 //! `net-serve` and their seven flags are gone and must stay usage
-//! errors, not aliases.
+//! errors, not aliases; so is `--backend multi` (several devices are a
+//! sharded collection on a fleet, reached through the library).
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -108,6 +109,7 @@ fn retired_modes_and_flags_and_bad_arguments_exit_2() {
     assert_usage(&["fuzzy", c, "--query", "alpha", "-n", "0"]);
     assert_usage(&["docs", c, "--query", "alpha", "-k", "many"]);
     assert_usage(&["docs", c]);
+    assert_usage(&["docs", c, "--query", "x", "--backend", "multi"]);
 
     let missing = dir.join("no-such-file.txt");
     let out = cli(&["docs", missing.to_str().unwrap(), "--query", "alpha"]);
@@ -119,7 +121,7 @@ fn retired_modes_and_flags_and_bad_arguments_exit_2() {
 fn docs_and_fuzzy_answer_on_every_backend() {
     let (dir, corpus) = scratch("offline");
     let c = corpus.to_str().unwrap();
-    for backend in ["sim", "cpu", "multi"] {
+    for backend in ["sim", "cpu"] {
         let out = cli(&[
             "docs",
             c,

@@ -23,8 +23,8 @@ use genie_core::exec::SearchOutput;
 use genie_core::index::{IndexBuilder, InvertedIndex};
 use genie_core::model::{Object, Query};
 use genie_service::{
-    percentile_us, BackendHealth, CollectionId, GenieService, QueryScheduler, SchedulerConfig,
-    ServiceConfig, ServiceStats,
+    BackendHealth, CollectionId, GenieService, QueryScheduler, SchedulerConfig, ServiceConfig,
+    ServiceStats,
 };
 
 use crate::check::{field, flag};
@@ -110,7 +110,8 @@ pub struct Latency {
 }
 
 impl Latency {
-    /// Nearest-rank percentiles of `samples_us` (order irrelevant).
+    /// The p50 and p95 of `samples_us` (order irrelevant), as
+    /// `percentile_us` defines them.
     pub fn of(mut samples_us: Vec<f64>) -> Self {
         samples_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         Self {
@@ -118,6 +119,18 @@ impl Latency {
             p95_us: percentile_us(&samples_us, 0.95),
         }
     }
+}
+
+/// The `p`-quantile of an ascending-sorted latency sample: the sample
+/// at index `round((N - 1) * p)` (0 for an empty sample). That is the
+/// linearly interpolated rank rounded to a sample, not the nearest
+/// rank `ceil(N * p)`: p50 of `1..=100` is 51, not 50.
+fn percentile_us(sorted_us: &[f64], p: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
+    sorted_us[idx.min(sorted_us.len() - 1)]
 }
 
 /// What one placement run measured.
@@ -570,6 +583,16 @@ pub const BENCH: Bench = Bench {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentiles_take_the_sample_at_the_rounded_index() {
+        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        assert_eq!(percentile_us(&s, 0.50), 51.0);
+        assert_eq!(percentile_us(&s, 0.95), 95.0);
+        assert_eq!(percentile_us(&s, 0.99), 99.0);
+        assert_eq!(percentile_us(&[], 0.5), 0.0);
+        assert_eq!(percentile_us(&[7.0], 0.99), 7.0);
+    }
 
     #[test]
     fn tiny_workload_converges_and_answers_match() {

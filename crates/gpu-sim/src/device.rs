@@ -95,11 +95,6 @@ impl Device {
         self.counters.lock().clone()
     }
 
-    /// Reset cumulative counters (between experiments).
-    pub fn reset_counters(&self) {
-        *self.counters.lock() = DeviceCounters::default();
-    }
-
     /// Launch `kernel` over `cfg`. The closure is invoked once per lane
     /// with that lane's [`ThreadCtx`]; blocks run in parallel over the
     /// host worker pool. Returns the launch's cost statistics.

@@ -88,19 +88,6 @@ impl<F> AnnIndex<F> {
     pub fn inverted_index(&self) -> &Arc<genie_core::index::InvertedIndex> {
         &self.index
     }
-
-    /// Transform query points into match-count queries.
-    pub fn make_queries<'a, P, I>(&self, queries: I) -> Vec<Query>
-    where
-        P: ?Sized + 'a,
-        F: LshFamily<P>,
-        I: IntoIterator<Item = &'a P>,
-    {
-        queries
-            .into_iter()
-            .map(|q| self.transformer.to_query(q))
-            .collect()
-    }
 }
 
 impl<F> Domain for AnnIndex<F>

@@ -256,12 +256,6 @@ impl GraphIndex {
             .collect()
     }
 
-    /// Graphs in the store (build-time set plus live inserts; deleted
-    /// graphs stay stored until a reindex).
-    pub fn num_graphs(&self) -> usize {
-        self.graphs.read().unwrap().len()
-    }
-
     pub fn graph(&self, id: u32) -> Graph {
         self.graphs.read().unwrap()[id as usize].clone()
     }

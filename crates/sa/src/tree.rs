@@ -291,12 +291,6 @@ impl TreeIndex {
         kws
     }
 
-    /// Trees in the store (build-time forest plus live inserts; deleted
-    /// trees stay stored until a reindex).
-    pub fn num_trees(&self) -> usize {
-        self.trees.read().unwrap().len()
-    }
-
     pub fn tree(&self, id: u32) -> Tree {
         self.trees.read().unwrap()[id as usize].clone()
     }

@@ -725,12 +725,6 @@ impl<D: Domain> Collection<D> {
         self.mutate(&[id], Vec::new()).map(|_| ())
     }
 
-    /// Delete a batch of live ids atomically: one unknown id rejects
-    /// the whole batch.
-    pub fn delete_many(&self, ids: &[ObjectId]) -> Result<(), DbError> {
-        self.mutate(ids, Vec::new()).map(|_| ())
-    }
-
     /// Replace the live object `id` with `item` in one atomic batch;
     /// returns the **new** id (ids are never reused, so a replacement
     /// is a fresh identity — delete-then-reinsert behaves the same).
@@ -794,20 +788,6 @@ impl<D: Domain> TypedTicket<D> {
             self.k_candidates,
             self.k,
         ))
-    }
-
-    /// Non-blocking poll; `None` means not served yet.
-    pub fn try_take(&self) -> Option<Result<D::Response, DbError>> {
-        let result = self.ticket.try_take()?;
-        Some(result.map_err(DbError::from).map(|response| {
-            self.domain.decode(
-                &self.spec,
-                response.hits,
-                response.audit_threshold,
-                self.k_candidates,
-                self.k,
-            )
-        }))
     }
 }
 

@@ -97,8 +97,8 @@ pub use drain::{ConnectionGuard, ConnectionRegistry};
 // ([`GenieDb::open_at_vfs`], [`GenieService::attach_store`], ...)
 pub use genie_store::{DiskVfs, DurableStore, MemVfs, RecoveredCollection, RecoveryReport, Vfs};
 pub use service::{
-    percentile_us, BackendHealth, CollectionId, GenieService, MutationStatus, ResponseTicket,
-    ServiceConfig, ServiceError, ServiceStats, ShardRunStats, TicketResult, Trigger,
+    BackendHealth, CollectionId, GenieService, MutationStatus, ResponseTicket, ServiceConfig,
+    ServiceError, ServiceStats, ShardRunStats, TicketResult, Trigger,
 };
 
 use std::collections::VecDeque;

@@ -33,7 +33,8 @@
 //! * **Admission** — any thread calls
 //!   [`submit_to`](GenieService::submit_to); the request lands in a
 //!   queue and the caller gets a [`ResponseTicket`] it can block on
-//!   ([`ResponseTicket::wait`]) or poll ([`ResponseTicket::try_take`]).
+//!   ([`ResponseTicket::wait`]) or poll
+//!   ([`wait_timeout(Duration::ZERO)`](ResponseTicket::wait_timeout)).
 //!   A queued request is answered through a completion; a ticket is
 //!   the completion that sends to its own channel, and
 //!   [`submit_with`](GenieService::submit_with) takes the caller's.
@@ -80,7 +81,7 @@
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -416,8 +417,8 @@ type Completion = Box<dyn FnOnce(TicketResult) + Send>;
 /// end of a completion that sends to its own channel.
 ///
 /// Resolve it blocking ([`wait`](Self::wait) /
-/// [`wait_timeout`](Self::wait_timeout)) or by polling
-/// ([`try_take`](Self::try_take)).
+/// [`wait_timeout`](Self::wait_timeout)); `wait_timeout(Duration::ZERO)`
+/// polls.
 pub struct ResponseTicket {
     client_id: u64,
     submitted_at: Instant,
@@ -446,15 +447,6 @@ impl ResponseTicket {
             Ok(r) => Some(r),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => Some(Err(dropped_unserved())),
-        }
-    }
-
-    /// Non-blocking poll; `None` means not served yet.
-    pub fn try_take(&self) -> Option<TicketResult> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(dropped_unserved())),
         }
     }
 }
@@ -1680,17 +1672,6 @@ fn split_index(index: &Arc<InvertedIndex>, shards: usize) -> Result<Vec<Shard>, 
     Ok(plan.shards().to_vec())
 }
 
-/// Nearest-rank percentile over an ascending-sorted latency sample —
-/// the one shared definition the placement bench and the examples
-/// report p50/p95/p99 with.
-pub fn percentile_us(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
 /// The always-on serving front-end: admission queue + dispatcher
 /// threads over a [`QueryScheduler`] and its registered collections.
 /// See the [crate docs](crate) for the trigger semantics. The typed
@@ -2464,16 +2445,6 @@ mod tests {
             b.add_object(&Object::new(vec![i % 7]));
         }
         Arc::new(b.build(None))
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let s: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile_us(&s, 0.50), 51.0);
-        assert_eq!(percentile_us(&s, 0.95), 95.0);
-        assert_eq!(percentile_us(&s, 0.99), 99.0);
-        assert_eq!(percentile_us(&[], 0.5), 0.0);
-        assert_eq!(percentile_us(&[7.0], 0.99), 7.0);
     }
 
     /// A service over `scheduler` with [`tiny_index`] registered as its

@@ -532,3 +532,33 @@ fn shutdown_flushes_queued_requests() {
         assert!(!resp.hits.is_empty());
     }
 }
+
+/// `wait_timeout(Duration::ZERO)` is the non-blocking poll: `None`
+/// while the request waits for its wave, the response once the
+/// shutdown flush has served it.
+#[test]
+fn zero_timeout_polls_a_ticket_until_the_shutdown_flush_serves_it() {
+    let index = index_of_mod(60, 7);
+    let (service, cid) = serve(
+        QueryScheduler::single(Arc::new(CpuBackend::new())),
+        &index,
+        ServiceConfig {
+            max_queue_delay: Duration::from_secs(600),
+            dispatchers: 1,
+            cache_capacity: 0,
+            ..Default::default()
+        },
+    );
+    // one request: far below the size trigger, far before the deadline
+    let ticket = service.submit_to(cid, Query::from_keywords(&[3]), 2);
+    assert!(
+        ticket.wait_timeout(Duration::ZERO).is_none(),
+        "served before any trigger could fire"
+    );
+    drop(service); // the final flush answers before the dispatchers join
+    let resp = ticket
+        .wait_timeout(Duration::ZERO)
+        .expect("the shutdown flush served the request")
+        .expect("the flush wave succeeds");
+    assert!(!resp.hits.is_empty());
+}

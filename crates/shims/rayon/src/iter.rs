@@ -81,8 +81,10 @@ where
         std::thread::scope(|s| {
             let handles: Vec<_> = parts.map(|part| s.spawn(move || map(part))).collect();
             out.extend(map(first));
+            // a worker's panic re-raises with its own payload, as in
+            // real rayon, so the caller sees the original message
             for h in handles {
-                out.extend(h.join().expect("rayon par_iter worker panicked"));
+                out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
         });
         out

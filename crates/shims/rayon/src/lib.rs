@@ -45,4 +45,26 @@ mod tests {
         let out: Vec<u8> = xs.par_iter().map(|&x| x).collect();
         assert!(out.is_empty());
     }
+
+    #[test]
+    fn a_worker_panic_keeps_its_payload() {
+        // the last item lands in a spawned worker's chunk whenever
+        // there are two or more threads
+        let xs: Vec<u32> = (0..64).collect();
+        let caught = std::panic::catch_unwind(|| {
+            xs.par_iter()
+                .map(|&x| {
+                    if x == 63 {
+                        panic!("boom at {x}");
+                    }
+                    x
+                })
+                .collect::<Vec<u32>>()
+        })
+        .expect_err("the panic must reach the caller");
+        assert_eq!(
+            caught.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 63")
+        );
+    }
 }

@@ -78,9 +78,9 @@ pub mod prelude {
     pub use genie_lsh::{AnnIndex, AnnParams, Transformer};
     pub use genie_sa::{DocumentIndex, RelationalIndex, RelationalSchema, SequenceIndex};
     pub use genie_service::{
-        percentile_us, BackendHealth, Collection, CollectionId, DbError, GenieDb, GenieService,
-        MutationStatus, PreparedIndex, QueryRequest, QueryResponse, QueryScheduler, ResponseTicket,
-        ScheduleReport, SchedulerConfig, ServiceConfig, ServiceError, ServiceStats, TypedTicket,
+        BackendHealth, Collection, CollectionId, DbError, GenieDb, GenieService, MutationStatus,
+        PreparedIndex, QueryRequest, QueryResponse, QueryScheduler, ResponseTicket, ScheduleReport,
+        SchedulerConfig, ServiceConfig, ServiceError, ServiceStats, TypedTicket,
     };
     pub use gpu_sim::{Device, DeviceConfig};
 }

@@ -234,7 +234,6 @@ const TABLE: Table<SweepRow> = Table {
         Col::shown("dense_finalize", "dense", Cell::Plain, |r| {
             r.stats.dense_finalize.into()
         }),
-        Col::json("parallel_queries", |r| r.stats.parallel_queries.into()),
     ],
 };
 
@@ -259,35 +258,12 @@ fn build_workloads(n: usize, num_queries: usize) -> [Workload; 3] {
     ]
 }
 
-/// Measured [`kernel::merge_dense`] throughput in counts/µs.
-///
-/// This is the bench-side SIMD verification the lane-merge relies on:
-/// the loop autovectorises to `movdqu`/`paddd` (or wider), which on
-/// any x86-64 host sustains well over 1000 u32 adds per µs. A scalar
-/// fallback (one add per iteration plus bounds bookkeeping) lands far
-/// below vector throughput, so the full run's floor assertion catches
-/// a codegen regression that silently de-vectorises the merge.
-fn merge_dense_throughput() -> f64 {
-    const LANE: usize = 1 << 20;
-    const REPS: usize = 64;
-    let src: Vec<u32> = (0..LANE as u32).collect();
-    let mut dst = vec![0u32; LANE];
-    // warm the cache so the measurement is compute-, not fault-bound
-    kernel::merge_dense(&mut dst, &src);
-    let started = Instant::now();
-    for _ in 0..REPS {
-        kernel::merge_dense(&mut dst, &src);
-        std::hint::black_box(&mut dst);
-    }
-    (LANE * REPS) as f64 / elapsed_us(started)
-}
-
 /// The acceptance bar a *recorded full-scale* baseline must meet: >= 2x
 /// single-query speedup on the sparse AND dense workloads at
-/// `n >= 100k`, plus vector-class `merge_dense` throughput. Smoke
-/// timings are recorded, not asserted — CI machines are noisy — and a
-/// check gates the ratios against the baseline instead.
-fn assert_acceptance_bar(rows: &[SweepRow], merge_throughput: f64) {
+/// `n >= 100k`. Smoke timings are recorded, not asserted — CI machines
+/// are noisy — and a check gates the ratios against the baseline
+/// instead.
+fn assert_acceptance_bar(rows: &[SweepRow]) {
     let (sparse, dense) = (&rows[0], &rows[2]);
     assert!(
         sparse.n >= 100_000,
@@ -304,13 +280,6 @@ fn assert_acceptance_bar(rows: &[SweepRow], merge_throughput: f64) {
          (is the lane-split sweep still vectorised?): {:.2}x",
         dense.speedup()
     );
-    // a de-vectorised merge_dense (scalar add + bookkeeping per count)
-    // measures well under this floor on any host this bar is refreshed on
-    assert!(
-        merge_throughput >= 1_000.0,
-        "merge_dense throughput {merge_throughput:.0} counts/us is scalar-class, \
-         not vector-class — check the autovectorizer kept movdqu/paddd"
-    );
 }
 
 /// `(n, queries per workload)` of a smoke run and of the full sweep.
@@ -322,10 +291,8 @@ const FULL_SCALE: (usize, usize) = (100_000, 64);
 /// trial; a full recording takes 4.
 ///
 /// A speedup is a property of the scale — the seed path is `O(n)` per
-/// query, the kernel `O(postings + matched)`, and a lone dense query's
-/// intra-query fan-out pays a fixed thread spawn the size of a whole
-/// smoke-scale query — so a smoke run is only ever compared with a
-/// smoke-scale baseline: the full run measures both scales (`rows`,
+/// query, the kernel `O(postings + matched)` — so a smoke run is only
+/// ever compared with a smoke-scale baseline: the full run measures both scales (`rows`,
 /// `smoke_rows`), a smoke run the second alone.
 fn setup(ctx: &Ctx) -> crate::harness::Trial {
     let smoke = ctx.mode == Mode::Smoke;
@@ -342,9 +309,6 @@ fn setup(ctx: &Ctx) -> crate::harness::Trial {
     });
     let prepared: Vec<_> = prepared.collect();
     Box::new(move || {
-        let merge_throughput = merge_dense_throughput();
-        println!("merge_dense throughput: {merge_throughput:.0} counts/us");
-
         let config = kernel::KernelConfig::default();
         let kernel_config = Json::obj(vec![
             (
@@ -355,19 +319,15 @@ fn setup(ctx: &Ctx) -> crate::harness::Trial {
                 "dense_touched_fraction",
                 config.dense_touched_fraction.into(),
             ),
-            ("parallel_min_postings", config.parallel_min_postings.into()),
             ("dense_lanes", config.dense_lanes.into()),
         ]);
-        let mut body = vec![
-            ("kernel_config", kernel_config),
-            ("merge_dense_counts_per_us", merge_throughput.into()),
-        ];
+        let mut body = vec![("kernel_config", kernel_config)];
         for &(key, ref prepared) in &prepared {
             TABLE.header();
             let measured: Vec<SweepRow> = prepared.iter().map(|p| measure(p, reps)).collect();
             let rows: Vec<Json> = measured.iter().map(|r| TABLE.row(r.name, r)).collect();
             if recording_full && key == "rows" {
-                assert_acceptance_bar(&measured, merge_throughput);
+                assert_acceptance_bar(&measured);
             }
             body.push((key, rows.into()));
         }
@@ -431,25 +391,8 @@ const fn sweep(at: &'static str, prefix: &'static str) -> Section {
     }
 }
 
-const MERGE_DENSE: Section = Section {
-    at: None,
-    name: "merge_dense",
-    invariants: &[],
-    // absolute throughput, so give cross-host headroom; a
-    // de-vectorised merge is ~4-8x slower and still trips it
-    bands: &[Band {
-        name: "counts_per_us",
-        value: |doc| field(doc, "merge_dense_counts_per_us"),
-        floor: 0.25,
-    }],
-};
-
-const FULL_SECTIONS: &[Section] = &[
-    sweep("rows", ""),
-    sweep("smoke_rows", "smoke/"),
-    MERGE_DENSE,
-];
-const SMOKE_SECTIONS: &[Section] = &[sweep("smoke_rows", ""), MERGE_DENSE];
+const FULL_SECTIONS: &[Section] = &[sweep("rows", ""), sweep("smoke_rows", "smoke/")];
+const SMOKE_SECTIONS: &[Section] = &[sweep("smoke_rows", "")];
 
 pub const BENCH: Bench = Bench {
     name: "cpu_kernel",

@@ -5,10 +5,10 @@
 //! scratch tables reused from a per-index pool (no per-query allocation
 //! or zeroing), coalesced postings runs counted in fixed-width chunks,
 //! candidate harvesting that keeps cost at `O(postings + matched)` with
-//! an adaptive dense fallback, and — for waves smaller than the host
-//! fleet — intra-query segment parallelism so a single low-latency
-//! request still saturates every core. This is the latency-honest
-//! serving path: where the [`Engine`](crate::exec::Engine) reports
+//! an adaptive dense fallback. Parallelism runs across the queries of a
+//! batch, one worker per query, as the paper's launch does across
+//! blocks; a query's own postings are never split. This is the
+//! latency-honest serving path: where the [`Engine`](crate::exec::Engine) reports
 //! cost-model *simulated* time, this backend's profile carries real host
 //! wall-clock only.
 //!
@@ -57,7 +57,7 @@ impl CpuBackend {
     }
 
     /// A backend with explicit kernel tuning (thresholds of the
-    /// adaptive dense/sparse and intra-query-parallel decisions).
+    /// adaptive dense/sparse decision and the dense lane count).
     pub fn with_config(config: KernelConfig) -> Self {
         Self {
             config,
@@ -66,8 +66,8 @@ impl CpuBackend {
     }
 
     /// Lifetime kernel-decision counters (sparse vs dense finalisation,
-    /// intra-query parallel runs, postings scanned). Clones of this
-    /// backend share the counters.
+    /// postings scanned, candidates). Clones of this backend share the
+    /// counters.
     pub fn kernel_stats(&self) -> KernelStatsSnapshot {
         self.stats.snapshot()
     }
@@ -99,42 +99,15 @@ impl SearchBackend for CpuBackend {
             .payload::<ScratchPool>()
             .expect("index was uploaded to a different backend than this CpuBackend");
 
-        let threads = rayon::current_num_threads();
-        // Parallelism policy: the batch is ALWAYS the outer parallel
-        // dimension (waves of any size keep at least the seed's
-        // one-core-per-query occupancy). When the wave is smaller than
-        // the fleet, the spare threads/Q workers additionally fan out
-        // INSIDE each query ([`kernel::search_one_parallel`]) — sparse
-        // spans merging by epoch, dense spans element-wise over their
-        // lane arrays; queries that decline the fan-out (too small, or
-        // dense with too few postings per object to amortise the
-        // per-span zero + merge) degrade to the plain per-query kernel
-        // on their own batch worker, never to a single-core wave.
-        let workers_per_query = if queries.is_empty() {
-            1
-        } else {
-            (threads / queries.len()).max(1)
-        };
+        // one query, one worker: the batch is the only parallel
+        // dimension, as in the paper's across-query launch
         let per_query: Vec<(Vec<TopHit>, u32)> = queries
             .par_iter()
             .map(|q| {
-                if workers_per_query > 1 {
-                    kernel::search_one_parallel(
-                        idx,
-                        q,
-                        k,
-                        pool,
-                        workers_per_query,
-                        &self.config,
-                        &self.stats,
-                    )
-                } else {
-                    let mut scratch = pool.acquire();
-                    let out =
-                        kernel::search_one(idx, q, k, &mut scratch, &self.config, &self.stats);
-                    pool.release(scratch);
-                    out
-                }
+                let mut scratch = pool.acquire();
+                let out = kernel::search_one(idx, q, k, &mut scratch, &self.config, &self.stats);
+                pool.release(scratch);
+                out
             })
             .collect();
 
@@ -335,6 +308,31 @@ mod tests {
                 pool.resident_bytes()
             );
         }
+    }
+
+    #[test]
+    fn a_lone_dense_query_takes_one_scratch() {
+        // ~4k objects x 8 keywords, one range over all of them: > 8192
+        // postings and > 2 postings per object, dense up front. The
+        // query is counted on one worker with one scratch, however many
+        // threads the host has.
+        let objects: Vec<Object> = (0..4_000u32)
+            .map(|i| Object::new((0..8).map(|j| (i * 8 + j) % 64).collect()))
+            .collect();
+        let index = index_of(&objects);
+        let cpu = CpuBackend::new();
+        let bindex = SearchBackend::upload(&cpu, Arc::clone(&index)).unwrap();
+        let q = Query::new(vec![QueryItem::range(0, 63)]);
+        let out = cpu.search_batch(&bindex, std::slice::from_ref(&q), 10);
+        let (hits, at) = kernel::reference_search_one(&index, &q, 10);
+        assert_eq!(out.results[0], hits);
+        assert_eq!(out.audit_thresholds[0], at);
+        let snap = cpu.kernel_stats();
+        assert!(snap.postings_scanned > 8_192);
+        assert_eq!(snap.dense_finalize, 1);
+        assert_eq!(snap.parallel_queries, 0);
+        let pool = bindex.payload::<ScratchPool>().unwrap();
+        assert_eq!(pool.resident_scratches(), 1, "one query, one scratch");
     }
 
     #[test]

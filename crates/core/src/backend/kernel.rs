@@ -59,21 +59,6 @@
 //!   ([`CHUNK`] postings) so the inner loop is branch-light and
 //!   unrollable; the adaptive harvest check runs per chunk, not per
 //!   posting.
-//! * **Intra-query segment parallelism** ([`search_one_parallel`]) — a
-//!   wave smaller than the host fleet leaves cores idle if parallelism
-//!   stops at the batch level (the `max_queue_delay = 0` low-latency
-//!   serving mode cuts waves of size ~1). For queries with at least
-//!   [`KernelConfig::parallel_min_postings`] postings, the coalesced
-//!   runs are split into near-equal postings spans, each span is
-//!   counted into its own pool scratch on its own worker, and the
-//!   partial counts merged into a primary scratch before one final
-//!   top-k reduction. Sparse-predicted spans merge by epoch (per
-//!   harvested candidate); dense-predicted spans count into per-span
-//!   lane arrays and merge element-wise through the vectorized
-//!   [`merge_dense`], with the worker count capped at the query's
-//!   `postings / n` ratio so each span's counting still outweighs its
-//!   `O(n)` zero + merge. Counting is pure addition, so any split of
-//!   the postings multiset yields bit-identical counts.
 //!
 //! ## Contract
 //!
@@ -106,8 +91,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-use rayon::prelude::*;
 
 use crate::index::{InvertedIndex, PostingsSegment};
 use crate::model::{ObjectId, Query};
@@ -153,17 +136,6 @@ pub struct KernelConfig {
     /// memset-equivalent; measured end-to-end latency on mispredicted
     /// queries is flat within noise for fractions in `[0.25, 0.75]`.
     pub dense_touched_fraction: f64,
-    /// Minimum postings a query must scan before intra-query
-    /// parallelism is worth its merge step.
-    ///
-    /// **Tuning.** The fan-out costs one scratch `begin` per worker
-    /// plus the merge of each span's candidates; at the default the
-    /// smallest fanned-out span (~4k postings on 2 workers) still scans
-    /// an order of magnitude more postings than the merge replays.
-    /// Sparse queries below ~8k postings finish in single-digit
-    /// microseconds sequentially — fan-out overhead (thread wake + two
-    /// pool round-trips) measures larger than the whole query there.
-    pub parallel_min_postings: u64,
     /// Number of independent increment chains the dense counting path
     /// drives per postings run (each run is split into this many equal
     /// contiguous sub-runs advanced in lockstep; the remainder is
@@ -187,7 +159,6 @@ impl Default for KernelConfig {
         Self {
             dense_postings_per_object: 1.0,
             dense_touched_fraction: 0.5,
-            parallel_min_postings: 8_192,
             dense_lanes: 4,
         }
     }
@@ -222,7 +193,6 @@ pub struct KernelStats {
     queries: AtomicU64,
     sparse_finalize: AtomicU64,
     dense_finalize: AtomicU64,
-    parallel_queries: AtomicU64,
     postings_scanned: AtomicU64,
     candidates: AtomicU64,
 }
@@ -237,8 +207,8 @@ pub struct KernelStatsSnapshot {
     /// Queries finalised with the dense epoch-filtered sweep (chosen up
     /// front or by the mid-scan fallback).
     pub dense_finalize: u64,
-    /// Queries counted by more than one worker (intra-query
-    /// parallelism).
+    /// Always 0: every query is counted by one worker. Kept because
+    /// `benchmark/` reads it.
     pub parallel_queries: u64,
     /// Postings streamed through the counting loops.
     pub postings_scanned: u64,
@@ -247,15 +217,12 @@ pub struct KernelStatsSnapshot {
 }
 
 impl KernelStats {
-    fn record(&self, sparse: bool, parallel: bool, postings: u64, candidates: u64) {
+    fn record(&self, sparse: bool, postings: u64, candidates: u64) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         if sparse {
             self.sparse_finalize.fetch_add(1, Ordering::Relaxed);
         } else {
             self.dense_finalize.fetch_add(1, Ordering::Relaxed);
-        }
-        if parallel {
-            self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
         self.postings_scanned.fetch_add(postings, Ordering::Relaxed);
         self.candidates.fetch_add(candidates, Ordering::Relaxed);
@@ -266,7 +233,7 @@ impl KernelStats {
             queries: self.queries.load(Ordering::Relaxed),
             sparse_finalize: self.sparse_finalize.load(Ordering::Relaxed),
             dense_finalize: self.dense_finalize.load(Ordering::Relaxed),
-            parallel_queries: self.parallel_queries.load(Ordering::Relaxed),
+            parallel_queries: 0,
             postings_scanned: self.postings_scanned.load(Ordering::Relaxed),
             candidates: self.candidates.load(Ordering::Relaxed),
         }
@@ -409,59 +376,6 @@ impl CountScratch {
         }
     }
 
-    /// Add `delta` pre-counted matches for `obj` (merging another
-    /// worker's partial counts), with the same first-touch bookkeeping
-    /// as counting.
-    #[inline]
-    fn add(&mut self, obj: ObjectId, delta: u32) {
-        if self.zeroed {
-            self.dense[obj as usize] += delta;
-            return;
-        }
-        let cell = &mut self.cells[obj as usize];
-        if cell.stamp == self.epoch {
-            cell.count += delta;
-        } else {
-            cell.stamp = self.epoch;
-            cell.count = delta;
-            self.touched.push(obj);
-            if self.touched.len() > self.touched_limit {
-                self.switch_to_dense();
-            }
-        }
-    }
-
-    /// Visit every `(object, count)` this query touched — from the
-    /// harvested list when it is complete, else by the count-filtered
-    /// dense sweep.
-    fn for_each_candidate(&self, mut f: impl FnMut(ObjectId, u32)) {
-        if self.harvesting {
-            for &id in &self.touched {
-                f(id, self.cells[id as usize].count);
-            }
-        } else {
-            debug_assert!(self.zeroed, "non-harvesting scratches are dense");
-            for (id, &count) in self.dense[..self.active].iter().enumerate() {
-                if count > 0 {
-                    f(id as ObjectId, count);
-                }
-            }
-        }
-    }
-
-    /// Fold this scratch's counts into `main` (intra-query merge).
-    /// Two dense scratches merge element-wise through the vectorized
-    /// [`merge_dense`]; any other combination replays candidates
-    /// through the epoch-stamped [`add`](Self::add).
-    fn merge_into(&self, main: &mut CountScratch) {
-        if self.zeroed && main.zeroed {
-            debug_assert_eq!(self.active, main.active);
-            merge_dense(&mut main.dense[..main.active], &self.dense[..self.active]);
-            return;
-        }
-        self.for_each_candidate(|id, count| main.add(id, count));
-    }
-
     /// Reduce the touched counters to the final `(top-k, AT)` answer.
     /// Returns the candidate count alongside for stats.
     fn finalize(&self, k: usize) -> (Vec<TopHit>, u32, u64) {
@@ -479,8 +393,15 @@ impl CountScratch {
         } else {
             // a count overflowed the histogram range: fall back to the
             // full collect + quickselect (bit-identical, just slower)
-            let mut dense: Vec<TopHit> = Vec::new();
-            self.for_each_candidate(|id, count| dense.push(TopHit { id, count }));
+            let dense: Vec<TopHit> = self.dense[..self.active]
+                .iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .map(|(id, &count)| TopHit {
+                    id: id as ObjectId,
+                    count,
+                })
+                .collect();
             let candidates = dense.len() as u64;
             (partial_top_k(dense, k), candidates)
         };
@@ -676,22 +597,10 @@ fn count_lanes<const L: usize>(dense: &mut [u32], run: &[ObjectId]) {
     }
 }
 
-/// Element-wise merge of a worker's dense lane array into the primary
-/// (`dst[i] += src[i]`): the loop the autovectorizer must keep SIMD —
-/// `repro --cpu-kernel` (full run) asserts its measured throughput
-/// stays above any scalar plausibility. `#[inline(never)]` keeps it a
-/// single inspectable symbol.
-#[inline(never)]
-pub fn merge_dense(dst: &mut [u32], src: &[u32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
 /// Branch-free "does any count in `chunk` reach `screen`?" test used to
 /// skip whole chunks during dense candidate collection; written as a
 /// reduction over the chunk so the autovectorizer turns it into wide
-/// compares (asserted alongside [`merge_dense`] by the bench).
+/// compares.
 #[inline(never)]
 pub fn screen_chunk(chunk: &[u32], screen: u32) -> bool {
     let mut any = false;
@@ -727,133 +636,16 @@ pub fn search_one(
 ) -> (Vec<TopHit>, u32) {
     let mut runs = std::mem::take(&mut scratch.runs);
     let total = gather_runs(index, query, &mut runs);
-    let out = search_gathered(index, &runs, total, k, scratch, config, stats);
-    scratch.runs = runs;
-    out
-}
-
-/// The sequential kernel body over pre-gathered coalesced runs: the
-/// Position Map is consulted exactly once per query, whichever entry
-/// point ([`search_one`] or the [`search_one_parallel`] fallback)
-/// resolved it.
-fn search_gathered(
-    index: &InvertedIndex,
-    runs: &[PostingsSegment],
-    total: u64,
-    k: usize,
-    scratch: &mut CountScratch,
-    config: &KernelConfig,
-    stats: &KernelStats,
-) -> (Vec<TopHit>, u32) {
     let n = index.num_objects() as usize;
     let list = index.list_array();
     scratch.begin(n, config.harvest_up_front(total, n), config);
-    for seg in runs {
+    for seg in &runs {
         scratch.count_run(&list[seg.start as usize..(seg.start + seg.len) as usize]);
     }
+    scratch.runs = runs;
     let (hits, at, candidates) = scratch.finalize(k);
-    stats.record(scratch.harvesting, false, total, candidates);
+    stats.record(scratch.harvesting, total, candidates);
     (hits, at)
-}
-
-/// [`search_one`] with intra-query parallelism: the query's coalesced
-/// runs are split into up to `workers` near-equal postings spans, each
-/// counted into its own pool scratch concurrently, and the partial
-/// counts merged before one final reduction — sparse spans by epoch
-/// (per harvested candidate), dense spans element-wise through the
-/// vectorized [`merge_dense`] over per-span lane arrays. Falls back to
-/// the single-worker kernel when the query is too small
-/// ([`KernelConfig::parallel_min_postings`]) or `workers <= 1`.
-/// Dense-predicted queries participate with the worker count
-/// additionally capped at `total_postings / n`: each dense span pays
-/// an `O(n)` zero + merge, so the fan-out only holds as long as every
-/// span still scans more postings than it zeroes and merges.
-///
-/// Counts are bit-identical to the sequential kernel for any split:
-/// counting is addition over the postings multiset, and the merge
-/// preserves the adaptive sparse/dense decision per scratch.
-pub fn search_one_parallel(
-    index: &InvertedIndex,
-    query: &Query,
-    k: usize,
-    pool: &ScratchPool,
-    workers: usize,
-    config: &KernelConfig,
-    stats: &KernelStats,
-) -> (Vec<TopHit>, u32) {
-    let mut main = pool.acquire();
-    let n = index.num_objects() as usize;
-    let mut runs = std::mem::take(&mut main.runs);
-    let total = gather_runs(index, query, &mut runs);
-
-    let harvest = config.harvest_up_front(total, n);
-    let workers = if harvest {
-        workers
-    } else {
-        workers.min((total / n.max(1) as u64).max(1) as usize)
-    };
-    if workers <= 1 || total < config.parallel_min_postings {
-        let out = search_gathered(index, &runs, total, k, &mut main, config, stats);
-        main.runs = runs;
-        pool.release(main);
-        return out;
-    }
-
-    let spans = split_runs(&runs, workers, total);
-    let list = index.list_array();
-    let parts: Vec<CountScratch> = spans
-        .par_iter()
-        .map(|span| {
-            let mut scratch = pool.acquire();
-            scratch.begin(n, harvest, config);
-            for seg in span {
-                scratch.count_run(&list[seg.start as usize..(seg.start + seg.len) as usize]);
-            }
-            scratch
-        })
-        .collect();
-
-    main.begin(n, harvest, config);
-    for part in &parts {
-        part.merge_into(&mut main);
-    }
-    for part in parts {
-        pool.release(part);
-    }
-    let (hits, at, candidates) = main.finalize(k);
-    stats.record(main.harvesting, true, total, candidates);
-    runs.clear();
-    main.runs = runs;
-    pool.release(main);
-    (hits, at)
-}
-
-/// Split coalesced runs into at most `workers` spans of near-equal
-/// postings volume, cutting *inside* runs where needed so one giant
-/// coalesced run still spreads across the fleet.
-fn split_runs(runs: &[PostingsSegment], workers: usize, total: u64) -> Vec<Vec<PostingsSegment>> {
-    let target = total.div_ceil(workers.max(1) as u64).max(1);
-    let mut spans: Vec<Vec<PostingsSegment>> = vec![Vec::new()];
-    let mut in_span = 0u64;
-    for seg in runs {
-        let mut start = seg.start;
-        let mut remaining = seg.len;
-        while remaining > 0 {
-            if in_span >= target {
-                spans.push(Vec::new());
-                in_span = 0;
-            }
-            let take = (remaining as u64).min(target - in_span) as u32;
-            spans
-                .last_mut()
-                .expect("spans starts non-empty")
-                .push(PostingsSegment { start, len: take });
-            start += take;
-            remaining -= take;
-            in_span += take as u64;
-        }
-    }
-    spans
 }
 
 /// The seed dense counting path, kept executable as the reference the
@@ -1059,111 +851,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_queries_fan_out_and_merge_elementwise() {
-        let objects = clustered_objects(2_000);
-        let index = index_of(&objects);
-        let config = KernelConfig {
-            parallel_min_postings: 1,
-            ..Default::default()
-        };
-        let stats = KernelStats::default();
-        let pool = ScratchPool::new();
-        // ~3 postings per object: dense up front, worker cap total/n = 3
-        let q = Query::new(vec![QueryItem::range(0, 300)]);
-        for workers in [2, 3, 8] {
-            let expected = reference_search_one(&index, &q, 12);
-            let got = search_one_parallel(&index, &q, 12, &pool, workers, &config, &stats);
-            assert_eq!(expected, got, "workers {workers}");
-        }
-        let snap = stats.snapshot();
-        assert!(snap.parallel_queries > 0, "dense queries must fan out");
-        assert_eq!(snap.sparse_finalize, 0);
-    }
-
-    #[test]
     fn simd_helpers_compute_what_the_scalar_loops_would() {
-        let mut dst: Vec<u32> = (0..1000).collect();
-        let src: Vec<u32> = (0..1000).map(|i| i * 3).collect();
-        merge_dense(&mut dst, &src);
-        assert!(dst.iter().enumerate().all(|(i, &v)| v as usize == i * 4));
         assert!(!screen_chunk(&[0, 1, 2, 3], 4));
         assert!(screen_chunk(&[0, 1, 2, 4], 4));
         assert!(!screen_chunk(&[], 1));
-    }
-
-    #[test]
-    fn parallel_split_and_merge_is_bit_identical() {
-        let objects = clustered_objects(3_000);
-        let index = index_of(&objects);
-        let config = KernelConfig {
-            parallel_min_postings: 1, // force the parallel path
-            ..Default::default()
-        };
-        let stats = KernelStats::default();
-        let pool = ScratchPool::new();
-        for workers in [2, 3, 8, 64] {
-            for q in [
-                Query::from_keywords(&[2, 101, 203]),
-                Query::new(vec![QueryItem::range(0, 210)]),
-                Query::new(vec![QueryItem::range(400, 500)]),
-            ] {
-                let expected = reference_search_one(&index, &q, 17);
-                let got = search_one_parallel(&index, &q, 17, &pool, workers, &config, &stats);
-                assert_eq!(expected, got, "workers {workers}");
-            }
-        }
-        assert!(stats.snapshot().parallel_queries > 0);
-        // every scratch went back to the pool
-        assert!(pool.resident_scratches() >= 2);
-        assert!(pool.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn parallel_path_falls_back_for_small_queries() {
-        let objects = clustered_objects(60);
-        let index = index_of(&objects);
-        let config = KernelConfig::default(); // parallel_min_postings = 8192
-        let stats = KernelStats::default();
-        let pool = ScratchPool::new();
-        let q = Query::from_keywords(&[5]);
-        let got = search_one_parallel(&index, &q, 5, &pool, 8, &config, &stats);
-        assert_eq!(got, reference_search_one(&index, &q, 5));
-        assert_eq!(stats.snapshot().parallel_queries, 0);
-        assert_eq!(pool.resident_scratches(), 1, "fallback uses one scratch");
-    }
-
-    #[test]
-    fn split_runs_covers_every_posting_exactly_once() {
-        let runs = vec![
-            PostingsSegment { start: 0, len: 10 },
-            PostingsSegment { start: 10, len: 1 },
-            PostingsSegment {
-                start: 50,
-                len: 100,
-            },
-        ];
-        for workers in 1..12 {
-            let spans = split_runs(&runs, workers, 111);
-            assert!(spans.len() <= workers.max(1));
-            let mut covered: Vec<(u32, u32)> =
-                spans.iter().flatten().map(|s| (s.start, s.len)).collect();
-            assert!(covered.iter().all(|&(_, len)| len > 0));
-            covered.sort_unstable();
-            let total: u32 = covered.iter().map(|&(_, len)| len).sum();
-            assert_eq!(total, 111, "workers {workers}");
-            // spans tile the original runs without overlap
-            let mut flat: Vec<u32> = Vec::new();
-            for &(start, len) in &covered {
-                flat.extend(start..start + len);
-            }
-            let mut expected: Vec<u32> = Vec::new();
-            for r in &runs {
-                expected.extend(r.start..r.start + r.len);
-            }
-            flat.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(flat, expected);
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`CpuBackend`] — a pure-host rayon implementation with no device
 //!   simulation overhead, built on the sparse-aware counting kernel of
 //!   [`kernel`] (epoch-stamped reusable scratch, coalesced chunked
-//!   postings scans, adaptive sparse/dense finalisation, intra-query
-//!   parallelism for small waves) plus the same deterministic top-k
+//!   postings scans, adaptive sparse/dense finalisation, one worker
+//!   per query) plus the same deterministic top-k
 //!   finalisation (the "as fast as the hardware allows" serving path).
 //!
 //! Several devices are a fleet of backends serving a sharded collection

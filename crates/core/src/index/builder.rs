@@ -44,11 +44,6 @@ impl IndexBuilder {
         }
     }
 
-    /// Number of distinct keywords seen so far.
-    pub fn num_keywords(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Freeze into the flat device layout. If `load_balance` is set, long
     /// postings lists are split into sublists of at most
     /// `max_list_len` entries (paper §III-B1, Figure 4) and the Position
@@ -101,8 +96,8 @@ mod tests {
         let mut b = IndexBuilder::new();
         assert_eq!(b.add_object(&Object::new(vec![1])), 0);
         assert_eq!(b.add_object(&Object::new(vec![1, 2])), 1);
-        assert_eq!(b.num_keywords(), 2);
         let idx = b.build(None);
+        assert_eq!(idx.num_lists(), 2, "one list per distinct keyword");
         assert_eq!(idx.num_objects(), 2);
         assert_eq!(idx.max_object_len(), 2);
     }

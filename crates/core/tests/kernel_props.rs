@@ -2,14 +2,13 @@
 //! randomized objects, queries and `k` — including overlapping range
 //! items that credit one object through several postings segments,
 //! queries that match nothing, and `k` larger than the match set — the
-//! kernel (sequential *and* intra-query parallel, any worker split)
-//! must be **bit-identical** (ids, counts, AT) to the seed dense path
+//! kernel must be **bit-identical** (ids, counts, AT) to the seed dense path
 //! it replaced, which stays executable as
 //! [`kernel::reference_search_one`].
 
 use std::sync::Arc;
 
-use genie_core::backend::kernel::{self, CountScratch, KernelConfig, KernelStats, ScratchPool};
+use genie_core::backend::kernel::{self, CountScratch, KernelConfig, KernelStats};
 use genie_core::backend::{CpuBackend, SearchBackend};
 use genie_core::index::{IndexBuilder, InvertedIndex, LoadBalanceConfig};
 use genie_core::model::{Object, Query, QueryItem};
@@ -65,23 +64,11 @@ proptest! {
         ];
         let stats = KernelStats::default();
         let mut scratch = CountScratch::default();
-        let pool = ScratchPool::new();
         for q in &queries {
             let expected = kernel::reference_search_one(&index, q, k);
             for config in &configs {
                 let got = kernel::search_one(&index, q, k, &mut scratch, config, &stats);
                 prop_assert_eq!(&expected, &got, "sequential kernel");
-            }
-            // any intra-query split must merge back bit-identically
-            let par_config = KernelConfig {
-                parallel_min_postings: 0,
-                ..Default::default()
-            };
-            for workers in [2usize, 5] {
-                let got = kernel::search_one_parallel(
-                    &index, q, k, &pool, workers, &par_config, &stats,
-                );
-                prop_assert_eq!(&expected, &got, "parallel kernel, {} workers", workers);
             }
         }
     }

@@ -713,12 +713,6 @@ impl<D: Domain> Collection<D> {
         Ok(self.mutate(&[], vec![item])?[0])
     }
 
-    /// Insert a batch of items; returns their stable ids (one per
-    /// item, in order).
-    pub fn insert_many(&self, items: Vec<D::Item>) -> Result<Vec<ObjectId>, DbError> {
-        self.mutate(&[], items)
-    }
-
     /// Delete one live object by id. Deleting an id that is not live
     /// (never existed, or already deleted) is [`DbError::UnknownId`].
     pub fn delete(&self, id: ObjectId) -> Result<(), DbError> {

@@ -347,7 +347,7 @@ fn torture_domain<D: Domain>(
     let service = db.service_handle();
 
     let mut log: Vec<Answers> = vec![answers(&service, id, &queries, k)];
-    col.insert_many(extras)
+    col.mutate(&[], extras)
         .unwrap_or_else(|e| panic!("{name}: insert failed: {e}"));
     log.push(answers(&service, id, &queries, k));
     col.delete(0)

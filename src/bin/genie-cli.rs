@@ -294,14 +294,9 @@ fn device_counters(backend: &dyn SearchBackend) {
     if let Some(cpu) = backend.as_any().downcast_ref::<CpuBackend>() {
         let s = cpu.kernel_stats();
         println!(
-            "\ncpu kernel: {} queries ({} sparse / {} dense finalize, {} intra-parallel), \
+            "\ncpu kernel: {} queries ({} sparse / {} dense finalize), \
              {} postings scanned, {} candidates",
-            s.queries,
-            s.sparse_finalize,
-            s.dense_finalize,
-            s.parallel_queries,
-            s.postings_scanned,
-            s.candidates
+            s.queries, s.sparse_finalize, s.dense_finalize, s.postings_scanned, s.candidates
         );
     }
 }

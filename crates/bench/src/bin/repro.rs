@@ -7,7 +7,7 @@
 //! repro --quick --all            # smaller workloads (~1 minute)
 //! repro --cpu-kernel --check     # perf-regression gate vs baseline
 //! repro --durability --smoke --check  # CI gate + baseline audit
-//! repro --cpu-kernel --placement --durability  # re-record all three
+//! repro --cpu-kernel --durability  # re-record both
 //! ```
 //!
 //! `--check` flips every selected bench from *recording* its baseline

@@ -112,7 +112,7 @@ pub fn judge(row: GateRow) -> GateVerdict {
 /// The gate row schema: the printed verdict table and the report's
 /// `gates` entries.
 const GATES: Table<GateVerdict> = Table {
-    id: Some(("name", "gate", 46)),
+    id: ("name", "gate", 46),
     cols: &[
         Col::shown("baseline", "baseline", Cell::Fixed3, |v| {
             v.row.baseline.into()

@@ -202,7 +202,7 @@ fn measure(p: &Prepared, reps: usize) -> SweepRow {
 }
 
 const TABLE: Table<SweepRow> = Table {
-    id: Some(("workload", "workload", 8)),
+    id: ("workload", "workload", 8),
     cols: &[
         Col::shown("n", "n", Cell::Plain, |r| r.n.into()),
         Col::json("queries", |r| r.queries.into()),

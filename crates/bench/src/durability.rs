@@ -520,7 +520,7 @@ pub fn run_kill_restart(workload: DurabilityWorkload) -> DurabilityReport {
 // ---------------------------------------------------------------------
 
 const BOOTS: Table<BootRow> = Table {
-    id: Some(("name", "boot", 8)),
+    id: ("name", "boot", 8),
     cols: &[
         Col::shown("recovered", "recovered", Cell::Plain, |b| {
             b.boot.recovered_collections.into()

@@ -85,11 +85,10 @@ pub struct Band {
 
 /// Where a document keeps some of its rows, and what must hold of them.
 pub struct Section {
-    /// `Some(key)`: the array of rows (or single object) under that
-    /// top-level key. `None`: the document's own top-level fields, as
-    /// one row.
+    /// `Some(key)`: the array of rows under that top-level key. `None`:
+    /// the document's own top-level fields, as one row.
     pub at: Option<&'static str>,
-    /// The row name of a single-object section. Array rows are named by
+    /// The row name of a `None` section. Array rows are named by
     /// their first field — its string, or `key=number` — after this
     /// prefix, which keeps two arrays with the same first fields apart.
     pub name: &'static str,
@@ -112,11 +111,7 @@ pub struct Bench {
 }
 
 /// Every bench `repro` can record or check, in run order.
-pub const REGISTRY: [&Bench; 3] = [
-    &crate::cpu_kernel::BENCH,
-    &crate::placement::BENCH,
-    &crate::durability::BENCH,
-];
+pub const REGISTRY: [&Bench; 2] = [&crate::cpu_kernel::BENCH, &crate::durability::BENCH];
 
 // ---------------------------------------------------------------------
 // One row schema: table line and JSON row from the same column list
@@ -127,8 +122,6 @@ pub const REGISTRY: [&Bench; 3] = [
 pub enum Cell {
     /// Strings and booleans as they are, numbers without a fraction.
     Plain,
-    /// Microseconds shown as milliseconds.
-    Ms,
     Fixed1,
     Fixed3,
     /// A ratio, `3.1x`.
@@ -142,7 +135,6 @@ impl Cell {
             (Cell::Plain, Json::Str(s)) => s.clone(),
             (Cell::Plain, Json::Bool(b)) => b.to_string(),
             (Cell::Plain, _) => format!("{n:.0}"),
-            (Cell::Ms, _) => crate::ms(n),
             (Cell::Fixed1, _) => format!("{n:.1}"),
             (Cell::Fixed3, _) => format!("{n:.3}"),
             (Cell::Times, _) => format!("{n:.1}x"),
@@ -179,20 +171,18 @@ impl<R> Col<R> {
 
 /// A row schema. `id` is the leading field that names each row of an
 /// array section, as `(JSON key, title, width)` — names run long, the
-/// other columns are as wide as their titles; a single-object section
-/// has none.
+/// other columns are as wide as their titles.
 pub struct Table<R: 'static> {
-    pub id: Option<(&'static str, &'static str, usize)>,
+    pub id: (&'static str, &'static str, usize),
     pub cols: &'static [Col<R>],
 }
 
 impl<R> Table<R> {
     /// Title and width of every printed column, the id first.
     fn shown(&self) -> impl Iterator<Item = (&'static str, usize)> + '_ {
-        let id = self.id.map(|(_, title, width)| (title, width));
+        let (_, title, width) = self.id;
         let cols = self.cols.iter().filter_map(|c| c.show);
-        id.into_iter()
-            .chain(cols.map(|(title, _)| (title, title.len().max(9))))
+        std::iter::once((title, width)).chain(cols.map(|(title, _)| (title, title.len().max(9))))
     }
 
     fn print(&self, cells: Vec<String>) {
@@ -205,15 +195,11 @@ impl<R> Table<R> {
     }
 
     /// Render `report` once: print its table line, return its JSON row.
-    /// `id` is ignored by a table without an id column.
     pub fn row(&self, id: impl Into<Json>, report: &R) -> Json {
         let mut fields = Vec::with_capacity(self.cols.len() + 1);
-        let mut cells = Vec::new();
-        if let Some((key, ..)) = self.id {
-            let id = id.into();
-            cells.push(Cell::Plain.render(&id));
-            fields.push((key.to_string(), id));
-        }
+        let id = id.into();
+        let mut cells = vec![Cell::Plain.render(&id)];
+        fields.push((self.id.0.to_string(), id));
         for col in self.cols {
             let value = (col.value)(report);
             if let Some((_, cell)) = col.show {
@@ -223,12 +209,6 @@ impl<R> Table<R> {
         }
         self.print(cells);
         Json::Obj(fields)
-    }
-
-    /// Header plus the one row of a single-object section.
-    pub fn object(&self, report: &R) -> Json {
-        self.header();
-        self.row(Json::Null, report)
     }
 }
 
@@ -336,7 +316,6 @@ fn rows<'a>(section: &Section, doc: &'a Json) -> Vec<(String, &'a Json)> {
             let named = |r| (format!("{}{}", section.name, row_name(r)), r);
             items.iter().map(named).collect()
         }
-        Some(object @ Json::Obj(_)) => vec![(section.name.to_string(), object)],
         _ => panic!("document has no {key:?} section — re-record the baseline"),
     }
 }
@@ -374,8 +353,7 @@ fn verdicts<'a>(
     let mut out = Vec::new();
     for section in sections {
         let rows = matched(section, docs);
-        let array = |key: &&str| docs[0].get(key).and_then(Json::as_arr).is_some();
-        if let Some(key) = section.at.filter(array) {
+        if let Some(key) = section.at {
             out.push((
                 format!("{key}/nonempty"),
                 vec![!rows.is_empty(); docs.len()],
@@ -605,7 +583,7 @@ mod tests {
     }
 
     const FAKE_ROWS: Table<Fake> = Table {
-        id: Some(("name", "row", 8)),
+        id: ("name", "row", 8),
         cols: &[
             Col::shown("replies", "replies", Cell::Plain, |r| r.replies.into()),
             Col::json("speedup", |r| r.speedup.into()),
@@ -860,16 +838,19 @@ mod tests {
     #[test]
     fn unknown_and_retired_flags_are_rejected() {
         assert!(parse(&["--durabilty", "--smoke", "--check"]).is_err());
-        assert!(parse(&["--placement", "extra"]).is_err());
+        assert!(parse(&["--durability", "extra"]).is_err());
         assert!(parse(&[]).is_err());
         assert!(parse(&["--quick", "--check"]).is_err(), "nothing selected");
-        // the retired benches' flags: `benchmark/` measures what they did
+        // the retired benches' flags: `benchmark/` measures what the
+        // serving ones did; `--placement` measured the deleted adaptive
+        // placement loop
         for retired in [
             "--serving",
             "--net",
             "--mutations",
             "--serving-smoke",
             "--shards",
+            "--placement",
         ] {
             assert_eq!(
                 parse(&["--cpu-kernel", retired]).unwrap_err(),

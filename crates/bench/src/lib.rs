@@ -16,11 +16,10 @@
 //! the two are shape-level only (ROADMAP.md, "Architecture").
 //!
 //! The trajectory side records and gates this repo's own performance
-//! baselines, for the three things `benchmark/` (the repo's one
+//! baselines, for the two things `benchmark/` (the repo's one
 //! end-to-end measuring stick: real sockets, four workloads, audited
 //! replies) has no workload for: [`cpu_kernel`] (a micro-gate with an
-//! injected-regression self-test), [`placement`] (a heterogeneous
-//! throttled fleet) and [`durability`] (SIGKILL of a real
+//! injected-regression self-test) and [`durability`] (SIGKILL of a real
 //! `genie-server`). They are *definitions* registered with one
 //! [`harness`]; their module docs say only why the workload has the
 //! shape it has. What follows is the one normative description of
@@ -35,10 +34,10 @@
 //!
 //! Only the full files are checked in; every other output is
 //! gitignored and uploaded by CI as an artifact. `repro --cpu-kernel
-//! --placement --durability` re-records all three at one revision; a
+//! --durability` re-records both at one revision; a
 //! recording never replaces a baseline whose `host_parallelism` is
 //! larger than this host's — that bench is refused before it runs, the
-//! others still record, the process exits nonzero (delete the file to
+//! other still records, the process exits nonzero (delete the file to
 //! override).
 //! Every document starts with `bench`, ends its header with the
 //! provenance block (`threads`, `host_parallelism`, `git_revision`) and
@@ -50,8 +49,8 @@
 //! and value and, if it shows in the printed table, its title, width
 //! and format. The printed line and the JSON object come from that one
 //! list. Array rows are named by their first field (`sparse`, `kill1`)
-//! after the section's prefix, if it has one (`smoke/sparse`); a
-//! single-object section by its bench.
+//! after the section's prefix, if it has one (`smoke/sparse`); the
+//! document's own top-level fields by their section's name.
 //!
 //! ## The three uses of an invariant
 //!
@@ -96,7 +95,6 @@ pub mod durability;
 pub mod experiments;
 pub mod harness;
 pub mod json;
-pub mod placement;
 pub mod runners;
 pub mod workloads;
 

@@ -20,9 +20,9 @@
 //! * **multiple loading** ([`multiload`]) for data sets larger than
 //!   device memory — device-sized shards paged through one device (a
 //!   fleet of devices serves a sharded collection instead);
-//! * **shard placement** ([`placement`]) — capacity-aware
-//!   shard→backend assignment for the serving fleet, count/AT-identical
-//!   to broadcast by construction;
+//! * **shard placement** ([`placement`]) — a static shard→backend
+//!   assignment for the serving fleet, count/AT-identical to broadcast
+//!   by construction;
 //! * **live mutations** ([`delta`]) — an LSM-style mutable delta shard
 //!   plus tombstone set over the immutable base shards (every served
 //!   collection carries one, empty until its first write), with a

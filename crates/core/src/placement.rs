@@ -1,10 +1,12 @@
 //! Shard→backend **placement**: which backends serve which shard.
 //!
-//! The serving layer historically broadcast every shard's sub-wave to
-//! the whole fleet and let the shared wave queue sort it out. A
+//! By default the serving layer broadcasts every shard's sub-wave to
+//! the whole fleet and lets the shared wave queue sort it out. A
 //! [`PlacementPlan`] instead assigns each shard of a collection to a
-//! subset of the backends, so a skewed corpus can pin its hottest shard
-//! on the fastest device and keep slow devices off the critical path.
+//! fixed subset of the backends — for instance, to pin a hot shard on
+//! the fastest device and keep slow devices off the critical path.
+//! Plans are static: the serving layer applies the one it is given and
+//! never derives one on its own.
 //!
 //! # The invariant that makes placement free
 //!
@@ -13,8 +15,9 @@
 //! effect on the counts that come back: every backend agrees with the
 //! brute-force [`crate::model::match_count`] on counts. The merged
 //! answer is therefore **count/AT-identical for any shard→backend
-//! assignment**, including the broadcast assignment, a partially applied
-//! rebalance, or an assignment that routes every shard to one backend:
+//! assignment**, including the broadcast assignment, a plan swapped in
+//! while traffic is served, or an assignment that routes every shard to
+//! one backend:
 //!
 //! * the merged top-k **count profile** equals the unsharded profile
 //!   (each shard still contributes its full per-shard top-k);
@@ -28,19 +31,6 @@
 //! generation swap) without invalidating caches or changing answers,
 //! and the property suite pins placement-routed serving against the
 //! broadcast path bit-for-bit on deterministic backends.
-//!
-//! # Hot shards and the rebalance heuristic
-//!
-//! The serving layer watches per-shard run stats over a sliding window
-//! of waves. A shard is **hot** when its share of *postings scanned*
-//! across the window exceeds a configurable skew threshold — postings
-//! are the device-independent cost signal (the learned per-backend cost
-//! model maps them to microseconds, so a shard is hot because of data
-//! skew, not because it happened to land on a slow device). A hot shard
-//! triggers a rebalance: [`PlacementPlan::balanced`] re-derives the
-//! assignment from the windowed per-shard costs and the fleet's learned
-//! per-backend capacity scores, and the service applies it behind the
-//! same epoch guard the compactor uses.
 
 /// Why a placement plan could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,12 +76,6 @@ impl std::fmt::Display for PlacementError {
 }
 
 impl std::error::Error for PlacementError {}
-
-/// Backends slower than this fraction of the fleet's best are left
-/// unassigned by [`PlacementPlan::balanced`]: routing a sub-wave to a
-/// device an order of magnitude slower inflates tail latency more than
-/// its capacity repays (the wave waits for its slowest sub-batch).
-pub const DOMINANCE_RATIO: f64 = 0.1;
 
 /// Maps each shard of a collection to the subset of backends that
 /// serves it. `assignments[shard]` is a sorted, deduplicated, non-empty
@@ -146,105 +130,6 @@ impl PlacementPlan {
         })
     }
 
-    /// Derive a capacity-aware plan from per-shard costs and per-backend
-    /// capacity scores (higher score = faster backend; any unit, only
-    /// ratios matter — the serving layer feeds windowed postings counts
-    /// and the reciprocal of each backend's learned `us_per_posting`).
-    ///
-    /// The assignment is greedy longest-processing-time: shards are
-    /// placed in descending cost order, each onto the backend whose
-    /// *finish time* `(load + cost) / score` stays lowest. Backends left
-    /// idle after every shard has a home are then spread onto the shards
-    /// they shorten the most, keeping subsets disjoint whenever the
-    /// fleet is at least as large as the shard count. Backends scoring
-    /// below [`DOMINANCE_RATIO`] of the fleet's best are deliberately
-    /// left unassigned (a throttled device only adds tail latency);
-    /// non-positive scores (e.g. a retired backend) are always excluded.
-    /// If exclusion would empty the fleet, every backend is kept.
-    pub fn balanced(shard_costs: &[f64], backend_scores: &[f64]) -> Result<Self, PlacementError> {
-        if shard_costs.is_empty() {
-            return Err(PlacementError::NoShards);
-        }
-        if backend_scores.is_empty() {
-            return Err(PlacementError::NoBackends);
-        }
-        let num_backends = backend_scores.len();
-        // Sanitize: costs must be positive so every shard exerts load.
-        let costs: Vec<f64> = shard_costs
-            .iter()
-            .map(|&c| {
-                if c.is_finite() && c > 0.0 {
-                    c
-                } else {
-                    f64::MIN_POSITIVE
-                }
-            })
-            .collect();
-        let scores: Vec<f64> = backend_scores
-            .iter()
-            .map(|&s| if s.is_finite() && s > 0.0 { s } else { 0.0 })
-            .collect();
-        let best = scores.iter().cloned().fold(0.0_f64, f64::max);
-        let eligible: Vec<usize> = if best > 0.0 {
-            (0..num_backends)
-                .filter(|&b| scores[b] >= DOMINANCE_RATIO * best)
-                .collect()
-        } else {
-            // Nothing scored: treat the fleet as homogeneous.
-            (0..num_backends).collect()
-        };
-        let score_of = |b: usize| if scores[b] > 0.0 { scores[b] } else { 1.0 };
-
-        // Phase 1: every shard gets one backend, greedy LPT by finish
-        // time. Heaviest shards pick first so they land on the fastest
-        // (least-loaded-per-capacity) backends.
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).unwrap());
-        let mut load = vec![0.0_f64; num_backends];
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); costs.len()];
-        for &shard in &order {
-            let pick = eligible
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let fa = (load[a] + costs[shard]) / score_of(a);
-                    let fb = (load[b] + costs[shard]) / score_of(b);
-                    fa.partial_cmp(&fb).unwrap()
-                })
-                .expect("eligible fleet is never empty");
-            load[pick] += costs[shard];
-            assignments[shard].push(pick);
-        }
-
-        // Phase 2: spread idle eligible backends onto the shards whose
-        // per-capacity load they shorten the most. Each idle backend
-        // joins exactly one shard, so when the fleet is at least as
-        // large as the shard count the subsets stay disjoint.
-        let mut capacity: Vec<f64> = (0..costs.len())
-            .map(|s| assignments[s].iter().map(|&b| score_of(b)).sum())
-            .collect();
-        let mut idle: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&b| load[b] == 0.0)
-            .collect();
-        // Fastest idle backends go to the neediest shards first.
-        idle.sort_by(|&a, &b| score_of(b).partial_cmp(&score_of(a)).unwrap());
-        for b in idle {
-            let needy = (0..costs.len())
-                .max_by(|&x, &y| {
-                    (costs[x] / capacity[x])
-                        .partial_cmp(&(costs[y] / capacity[y]))
-                        .unwrap()
-                })
-                .expect("at least one shard");
-            assignments[needy].push(b);
-            capacity[needy] += score_of(b);
-        }
-
-        Self::new(assignments, num_backends)
-    }
-
     /// Shards the plan covers.
     pub fn num_shards(&self) -> usize {
         self.assignments.len()
@@ -274,14 +159,6 @@ impl PlacementPlan {
         }
         mask
     }
-
-    /// Whether every shard is served by the whole fleet (the plan is
-    /// equivalent to no placement at all).
-    pub fn is_broadcast(&self) -> bool {
-        self.assignments
-            .iter()
-            .all(|a| a.len() == self.num_backends)
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +170,6 @@ mod tests {
         let plan = PlacementPlan::broadcast(3, 4).unwrap();
         assert_eq!(plan.num_shards(), 3);
         assert_eq!(plan.num_backends(), 4);
-        assert!(plan.is_broadcast());
         for s in 0..3 {
             assert_eq!(plan.backends_of(s), &[0, 1, 2, 3]);
             assert_eq!(plan.mask_of(s), vec![true; 4]);
@@ -305,7 +181,6 @@ mod tests {
         let plan = PlacementPlan::new(vec![vec![2, 0, 2], vec![1]], 3).unwrap();
         assert_eq!(plan.backends_of(0), &[0, 2]);
         assert_eq!(plan.backends_of(1), &[1]);
-        assert!(!plan.is_broadcast());
         assert_eq!(plan.mask_of(0), vec![true, false, true]);
 
         assert_eq!(PlacementPlan::new(vec![], 2), Err(PlacementError::NoShards));
@@ -324,72 +199,6 @@ mod tests {
                 backend: 3,
                 num_backends: 2
             })
-        );
-    }
-
-    #[test]
-    fn balanced_is_disjoint_and_covering_when_fleet_is_big_enough() {
-        let plan = PlacementPlan::balanced(&[4.0, 2.0, 1.0], &[1.0, 1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(plan.num_shards(), 3);
-        // Every shard is served and the subsets are disjoint.
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..3 {
-            assert!(!plan.backends_of(s).is_empty());
-            for &b in plan.backends_of(s) {
-                assert!(seen.insert(b), "backend {b} assigned to two shards");
-            }
-        }
-        // A homogeneous fleet is fully used.
-        assert_eq!(seen.len(), 4);
-    }
-
-    #[test]
-    fn balanced_routes_heavy_shards_to_fast_backends() {
-        // One fast backend, one 4x-slower one (above the dominance
-        // cutoff): the expensive shard must land on the fast backend.
-        let plan = PlacementPlan::balanced(&[10.0, 1.0], &[4.0, 1.0]).unwrap();
-        assert_eq!(plan.backends_of(0), &[0]);
-        assert_eq!(plan.backends_of(1), &[1]);
-    }
-
-    #[test]
-    fn balanced_shares_backends_when_shards_outnumber_fleet() {
-        let plan = PlacementPlan::balanced(&[1.0, 1.0, 1.0], &[1.0, 1.0]).unwrap();
-        // All shards served; at least one backend shared.
-        for s in 0..3 {
-            assert!(!plan.backends_of(s).is_empty());
-        }
-        let total: usize = (0..3).map(|s| plan.backends_of(s).len()).sum();
-        assert_eq!(total, 3, "each shard gets exactly one backend here");
-    }
-
-    #[test]
-    fn balanced_leaves_dominated_backends_idle() {
-        // Backend 1 is 50x slower than backend 0 — well below the
-        // dominance cutoff — so nothing routes to it.
-        let plan = PlacementPlan::balanced(&[3.0, 1.0], &[50.0, 1.0]).unwrap();
-        for s in 0..2 {
-            assert_eq!(plan.backends_of(s), &[0]);
-        }
-        // Zero-scored (retired) backends are likewise excluded.
-        let plan = PlacementPlan::balanced(&[1.0], &[0.0, 1.0]).unwrap();
-        assert_eq!(plan.backends_of(0), &[1]);
-        // ...unless nothing scored at all, in which case the fleet is
-        // treated as homogeneous rather than unusable.
-        let plan = PlacementPlan::balanced(&[1.0, 1.0], &[0.0, 0.0]).unwrap();
-        let used: usize = (0..2).map(|s| plan.backends_of(s).len()).sum();
-        assert_eq!(used, 2);
-    }
-
-    #[test]
-    fn balanced_rejects_empty_inputs() {
-        assert_eq!(
-            PlacementPlan::balanced(&[], &[1.0]),
-            Err(PlacementError::NoShards)
-        );
-        assert_eq!(
-            PlacementPlan::balanced(&[1.0], &[]),
-            Err(PlacementError::NoBackends)
         );
     }
 }

@@ -143,8 +143,8 @@
 //!   collapse counted 0 for those and only sharded collections
 //!   contributed). Since the placement extension this family also
 //!   carries `service/placed_shard_runs`,
-//!   `service/hot_shard_events`, `service/rebalances`,
-//!   `service/stale_rebalances`, and the fleet-mean learned cost model
+//!   `service/hot_shard_events` and `service/rebalances` (both always
+//!   0: placement is static), and the fleet-mean learned cost model
 //!   (`service/learned_base_us`, `service/learned_us_per_posting`,
 //!   `service/cost_observations`).
 //! * `backend/{i}/{name}/...` — one group per fleet backend, in fleet
@@ -153,8 +153,8 @@
 //!   scan-cost model (`learned_base_us`, `learned_us_per_posting`,
 //!   `cost_observations`), the scheduler's online EWMA of
 //!   predicted-vs-actual wave cost. `retired`/`failed` expose circuit-
-//!   breaker state remotely; the learned rows expose per-backend
-//!   capacity as rebalancing sees it.
+//!   breaker state remotely; the learned rows expose each backend's
+//!   share of the fleet-mean model wave packing prices postings with.
 //! * `net/...` — transport counters of the serving process
 //!   (`net/frames_in`, `net/active_connections`, ...).
 //!

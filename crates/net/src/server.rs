@@ -382,9 +382,9 @@ impl From<ServiceError> for WireError {
             // the wire path refuses `k = 0` itself, with this message
             ServiceError::ZeroK => Self::Service(e.to_string()),
             ServiceError::InvalidShards(e) => Self::InvalidShards(e.to_string()),
-            // no wire operation installs placement plans (rebalancing is
-            // server-local), so this variant can only surface as a
-            // diagnostic if that ever changes
+            // no wire operation installs placement plans (only the
+            // in-process set_collection_placement does), so this variant
+            // can only surface as a diagnostic if that ever changes
             ServiceError::InvalidPlacement(e) => Self::Service(format!("invalid placement: {e}")),
             ServiceError::Persist(e) => Self::Service(format!("persistence failure: {e}")),
             ServiceError::Internal(e) => Self::Service(e),
@@ -847,7 +847,6 @@ pub fn service_stats_fields(s: &ServiceStats) -> Vec<(String, f64)> {
         ),
         ("service/hot_shard_events".into(), s.hot_shard_events as f64),
         ("service/rebalances".into(), s.rebalances as f64),
-        ("service/stale_rebalances".into(), s.stale_rebalances as f64),
         ("service/learned_base_us".into(), s.learned_base_us),
         (
             "service/learned_us_per_posting".into(),

@@ -98,7 +98,7 @@ pub use drain::{ConnectionGuard, ConnectionRegistry};
 pub use genie_store::{DiskVfs, DurableStore, MemVfs, RecoveredCollection, RecoveryReport, Vfs};
 pub use service::{
     BackendHealth, CollectionId, GenieService, MutationStatus, ResponseTicket, ServiceConfig,
-    ServiceError, ServiceStats, ShardRunStats, TicketResult, Trigger,
+    ServiceError, ServiceStats, TicketResult, Trigger,
 };
 
 use std::collections::VecDeque;
@@ -260,11 +260,8 @@ pub struct BackendCostModel {
 /// us_per_posting *= 1 + α·w_post·(ratio - 1)
 /// ```
 ///
-/// At the fixed point each backend's model predicts its own wall-clock,
-/// which is exactly what placement needs: the reciprocal of a backend's
-/// learned `us_per_posting` is its capacity score, and a throttled
-/// device prices itself out of the fleet within a few waves. This
-/// replaces the hand-calibrated constants for wave packing — the
+/// At the fixed point each backend's model predicts its own wall-clock.
+/// This replaces the hand-calibrated constants for wave packing — the
 /// scheduler packs with the learned fleet-mean model
 /// ([`QueryScheduler::cost_model`]).
 pub struct OnlineCostModel {

@@ -144,18 +144,11 @@ pub struct ServiceConfig {
     /// [`compact_collection`](GenieService::compact_collection) calls
     /// still work.
     pub compact_after: usize,
-    /// Hot-shard detector: a base shard of a sharded collection is
-    /// **hot** when its share of the base shards' postings scanned
-    /// across the observation window exceeds this fraction (postings
-    /// are the device-independent cost signal — see
-    /// [`genie_core::placement`] for the heuristic). A hot shard queues
-    /// a background rebalance of its collection.
+    /// Ignored: placement is static (see [`genie_core::placement`]).
+    /// Kept because `benchmark/` reads it.
     pub skew_threshold: f64,
-    /// Group runs per sliding observation window; detection fires only
-    /// on a full window. 0 disables hot-shard detection and automatic
-    /// rebalancing (explicit
-    /// [`rebalance_collection`](GenieService::rebalance_collection)
-    /// calls still work).
+    /// Ignored: placement is static (see [`genie_core::placement`]).
+    /// Kept because `benchmark/` reads it.
     pub rebalance_window: usize,
 }
 
@@ -243,14 +236,12 @@ pub struct ServiceStats {
     /// Shard runs routed to a strict subset of the fleet by a
     /// [`PlacementPlan`] (broadcast runs don't count).
     pub placed_shard_runs: u64,
-    /// Times the hot-shard detector fired (a shard's postings share
-    /// exceeded [`ServiceConfig::skew_threshold`] over a full window).
+    /// Always 0: placement is static. Kept because `benchmark/` reads
+    /// it.
     pub hot_shard_events: u64,
-    /// Placement plans applied by rebalancing (background or explicit).
+    /// Always 0: placement is static. Kept because `benchmark/` reads
+    /// it.
     pub rebalances: u64,
-    /// Rebalance runs discarded because the collection's base changed
-    /// (swap/compaction) while the plan was being derived.
-    pub stale_rebalances: u64,
     /// Learned fleet-mean cost model (filled at snapshot time from the
     /// scheduler's online per-backend models — see
     /// [`OnlineCostModel`](crate::OnlineCostModel)): fixed per-query
@@ -314,29 +305,12 @@ pub struct BackendHealth {
     pub probes: u64,
     /// This backend's **learned** scan-cost model (EWMA of observed
     /// predicted-vs-actual per wave — see
-    /// [`OnlineCostModel`](crate::OnlineCostModel)). Its reciprocal
-    /// `us_per_posting` is the capacity score rebalancing places shards
-    /// by.
+    /// [`OnlineCostModel`](crate::OnlineCostModel)). Wave packing and
+    /// the size trigger price postings with the fleet mean of these
+    /// ([`QueryScheduler::cost_model`]).
     pub cost_model: crate::ScanCostModel,
     /// Wave observations folded into `cost_model` (0 = still the seed).
     pub cost_observations: u64,
-}
-
-/// Lifetime per-shard run accounting of one collection, in shard order
-/// (the last slot is the delta shard while one is mounted) — what
-/// [`GenieService::shard_stats`] reports and the hot-shard detector
-/// watches.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ShardRunStats {
-    /// Queries fanned out to this shard (every group request visits
-    /// every shard).
-    pub queries: u64,
-    /// Postings this shard's index predicted it would scan for those
-    /// queries — the device-independent work measure.
-    pub postings: u64,
-    /// Host wall-clock its scheduler runs' `search_batch` calls took,
-    /// microseconds.
-    pub observed_us: f64,
 }
 
 /// Private circuit-breaker state tracked next to one backend's public
@@ -673,15 +647,6 @@ struct ServiceInner {
     /// Mutation debt that schedules a background compaction (see
     /// [`ServiceConfig::compact_after`]).
     compact_after: usize,
-    /// Hot-shard knobs (see [`ServiceConfig::skew_threshold`] /
-    /// [`ServiceConfig::rebalance_window`]).
-    skew_threshold: f64,
-    rebalance_window: usize,
-    /// Per-collection shard observation windows + lifetime totals.
-    shard_stats: Mutex<HashMap<CollectionId, ShardWindow>>,
-    /// Queue feeding the rebalancer thread; dropped (→ `None`) at
-    /// shutdown so the thread's `recv` unblocks.
-    rebalance_tx: Mutex<Option<Sender<CollectionId>>>,
     /// Largest backlog length the budget-aware size check has already
     /// planned and found *not* triggering. The backlog only grows
     /// between waves (waves drain it whole), so re-planning below this
@@ -700,28 +665,6 @@ struct ServiceInner {
 struct HealthState {
     slots: Vec<BackendHealth>,
     breakers: Vec<Breaker>,
-}
-
-/// One group run's per-shard observation, shard order (delta shard
-/// last).
-struct ShardSample {
-    queries: u64,
-    postings: u64,
-    actual_us: f64,
-}
-
-/// One collection's sliding shard-observation window plus lifetime
-/// totals.
-#[derive(Default)]
-struct ShardWindow {
-    /// Newest-last per-run postings samples of the **base** shards
-    /// (one `Vec` per observed group run), truncated to
-    /// [`ServiceConfig::rebalance_window`] runs.
-    window: VecDeque<Vec<u64>>,
-    totals: Vec<ShardRunStats>,
-    /// A rebalance is queued and not yet resolved; suppresses duplicate
-    /// enqueues while the rebalancer works.
-    rebalance_queued: bool,
 }
 
 /// The load-balance config a collection's delta shard (and replay's)
@@ -872,14 +815,10 @@ impl ServiceInner {
             // remember which cache generation this run computes against
             // *while holding the entry lock*: swap_collection cannot
             // invalidate between the generation read and the run
-            let (run, run_generation, num_base) = {
+            let (run, run_generation) = {
                 let entry = entry.read().expect("collection lock");
                 let generation = self.cache.lock().expect("cache lock").generation(cid);
-                (
-                    self.run_group(&entry, &requests),
-                    generation,
-                    entry.base.len(),
-                )
+                (self.run_group(&entry, &requests), generation)
             };
             match run {
                 Ok((responses, report)) => {
@@ -890,7 +829,6 @@ impl ServiceInner {
                     wave_actual_us += report.actual_cost_us;
                     wave_placed_runs += report.placed_runs;
                     wave_stages.accumulate(&report.stages);
-                    self.observe_shard_run(cid, &report.per_shard, num_base);
                     served_misses += group.len() as u64;
                     let mut cache = self.cache.lock().expect("cache lock");
                     // a swap_collection mid-run bumped the generation:
@@ -1064,7 +1002,6 @@ impl ServiceInner {
             predicted_cost_us: 0.0,
             actual_cost_us: 0.0,
             stages: StageProfile::default(),
-            per_shard: Vec::with_capacity(shards.len()),
             placed_runs: masks
                 .iter()
                 .filter(|m| m.as_ref().is_some_and(|m| m.iter().any(|&b| !b)))
@@ -1079,11 +1016,6 @@ impl ServiceInner {
             report.predicted_cost_us += shard_report.predicted_cost_us;
             report.actual_cost_us += shard_report.actual_cost_us;
             report.stages.accumulate(&shard_report.stages);
-            report.per_shard.push(ShardSample {
-                queries: requests.len() as u64,
-                postings: shard_report.per_backend.iter().map(|u| u.postings).sum(),
-                actual_us: shard_report.actual_cost_us,
-            });
             for (slot, resp) in gathered.iter_mut().zip(responses) {
                 slot.push(shard.shard.to_global(&resp.hits));
             }
@@ -1241,188 +1173,6 @@ impl ServiceInner {
         }
     }
 
-    /// Fold one fan-out run's per-shard samples into the collection's
-    /// lifetime totals and sliding window, and fire the hot-shard
-    /// detector: once the window is full, a base shard whose share of
-    /// the windowed base postings exceeds `skew_threshold` queues a
-    /// background rebalance. Only the first `num_base` samples vote —
-    /// placement covers base shards, never the delta shard. Postings
-    /// (not microseconds) are the skew signal — see
-    /// [`genie_core::placement`] for why.
-    fn observe_shard_run(
-        &self,
-        collection: CollectionId,
-        samples: &[ShardSample],
-        num_base: usize,
-    ) {
-        let mut stats = self.shard_stats.lock().expect("shard stats lock");
-        let state = stats.entry(collection).or_default();
-        if state.totals.len() != samples.len() {
-            // shard count changed (mutation mounted/dropped the delta
-            // shard, compaction re-sharded): lifetime totals restart and
-            // the window's stale rows no longer vote
-            state.totals = vec![ShardRunStats::default(); samples.len()];
-            state.window.clear();
-        }
-        for (t, s) in state.totals.iter_mut().zip(samples) {
-            t.queries += s.queries;
-            t.postings += s.postings;
-            t.observed_us += s.actual_us;
-        }
-        let base = &samples[..num_base.min(samples.len())];
-        if self.rebalance_window == 0 || base.len() < 2 {
-            return; // detection disabled, or nothing to place
-        }
-        if state.window.back().is_some_and(|r| r.len() != base.len()) {
-            state.window.clear(); // re-sharded base: older rows describe other shards
-        }
-        state
-            .window
-            .push_back(base.iter().map(|s| s.postings).collect());
-        while state.window.len() > self.rebalance_window {
-            state.window.pop_front();
-        }
-        if state.window.len() < self.rebalance_window || state.rebalance_queued {
-            return;
-        }
-        let mut sums = vec![0u64; base.len()];
-        for row in &state.window {
-            for (sum, &p) in sums.iter_mut().zip(row) {
-                *sum += p;
-            }
-        }
-        let total: u64 = sums.iter().sum();
-        let hot = total > 0
-            && sums
-                .iter()
-                .any(|&s| s as f64 / total as f64 > self.skew_threshold);
-        if !hot {
-            return;
-        }
-        state.rebalance_queued = true;
-        drop(stats);
-        self.stats.lock().expect("stats lock").hot_shard_events += 1;
-        if let Some(tx) = &*self.rebalance_tx.lock().expect("rebalance queue lock") {
-            let _ = tx.send(collection);
-        }
-    }
-
-    /// Derive and apply a fresh [`PlacementPlan`] for `collection` from
-    /// the windowed per-shard postings (shard costs) and the learned
-    /// per-backend cost models (capacity scores, retired backends
-    /// scoring zero). The derivation runs under the *read* lock; the
-    /// apply re-checks the epoch under the write lock and discards the
-    /// plan as stale if the base changed underneath. Applying a plan
-    /// bumps neither the epoch nor the cache generation — placement
-    /// never changes answers (see [`genie_core::placement`]), only who
-    /// computes them. Returns whether a new plan was applied.
-    fn rebalance_now(&self, collection: CollectionId) -> Result<bool, ServiceError> {
-        // every attempt — applied, stale, or no-op — resets the window
-        // and the queued flag: detection starts a fresh observation
-        // period (the cooldown that stops rebalance thrash)
-        let finish = |applied: bool| {
-            let mut stats = self.shard_stats.lock().expect("shard stats lock");
-            if let Some(state) = stats.get_mut(&collection) {
-                state.window.clear();
-                state.rebalance_queued = false;
-            }
-            Ok(applied)
-        };
-        let Some(entry) = self.entry(collection) else {
-            return finish(false);
-        };
-        let (num_base, epoch) = {
-            let slot = entry.read().expect("collection lock");
-            (slot.base.len(), slot.epoch)
-        };
-        if num_base < 2 {
-            return finish(false); // a single shard has nowhere to move
-        }
-        // shard costs: windowed postings sums (uniform when the window
-        // holds no usable rows — e.g. an explicit rebalance before any
-        // traffic)
-        let mut costs = vec![0.0f64; num_base];
-        let rep_postings = {
-            let stats = self.shard_stats.lock().expect("shard stats lock");
-            let mut rep = 0.0f64;
-            if let Some(state) = stats.get(&collection) {
-                for row in state.window.iter().filter(|r| r.len() == num_base) {
-                    for (c, &p) in costs.iter_mut().zip(row) {
-                        *c += p as f64;
-                    }
-                }
-                // representative per-query postings volume of one shard
-                // run on this collection, from the lifetime totals
-                let (queries, postings) = state
-                    .totals
-                    .iter()
-                    .fold((0u64, 0u64), |(q, p), t| (q + t.queries, p + t.postings));
-                if queries > 0 {
-                    rep = postings as f64 / queries as f64;
-                }
-            }
-            rep
-        };
-        if costs.iter().all(|&c| c <= 0.0) {
-            costs = vec![1.0; num_base];
-        }
-        // capacity scores: the reciprocal of each backend's learned
-        // *per-query* cost at this collection's representative postings
-        // volume — base_us must participate, because a slow device's
-        // overhead is per query, not per posting (a pure-sleep throttle
-        // lands entirely in base_us). Retired backends score zero
-        // (excluded); a backend with no observations yet keeps its
-        // optimistic seed score — if the optimism is misplaced, serving
-        // the shards it wins produces exactly the observations the next
-        // window corrects it with.
-        let models = self.scheduler.backend_cost_models();
-        let retired: Vec<bool> = {
-            let health = self.health.lock().expect("health lock");
-            health.slots.iter().map(|s| s.retired).collect()
-        };
-        let scores: Vec<f64> = models
-            .iter()
-            .zip(&retired)
-            .map(|(m, &r)| {
-                if r {
-                    0.0
-                } else {
-                    let per_query = m.model.base_us + m.model.us_per_posting * rep_postings;
-                    1.0 / per_query.max(f64::MIN_POSITIVE)
-                }
-            })
-            .collect();
-        let plan = PlacementPlan::balanced(&costs, &scores)
-            .map_err(|e| ServiceError::InvalidPlacement(e.to_string()))?;
-        let mut slot = entry.write().expect("collection lock");
-        if slot.epoch != epoch {
-            self.stats.lock().expect("stats lock").stale_rebalances += 1;
-            return finish(false);
-        }
-        let unchanged = match &slot.placement {
-            Some(current) => **current == plan,
-            None => plan.is_broadcast(),
-        };
-        if unchanged {
-            return finish(false);
-        }
-        let seq = slot.persist_seq + 1;
-        if let Err(e) = self.journal(&JournalEvent::Placement {
-            collection,
-            seq,
-            placement: Some(placement_spec(&plan)),
-        }) {
-            drop(slot);
-            let _ = finish(false); // reset the window either way
-            return Err(e);
-        }
-        slot.persist_seq = seq;
-        slot.placement = Some(Arc::new(plan));
-        drop(slot);
-        self.stats.lock().expect("stats lock").rebalances += 1;
-        finish(true)
-    }
-
     /// Prepare one shard on every backend.
     fn prepare_shard(&self, shard: Shard) -> Result<PreparedShard, ServiceError> {
         let prepared = self
@@ -1507,7 +1257,8 @@ impl ServiceInner {
         slot.epoch += 1;
         // a placement plan only remains honored while it covers exactly
         // the current base shards; compaction at a different count drops
-        // it back to broadcast (the rebalancer will re-derive one)
+        // it back to broadcast until set_collection_placement installs
+        // a new one
         if slot
             .placement
             .as_ref()
@@ -1647,9 +1398,6 @@ struct GroupReport {
     predicted_cost_us: f64,
     actual_cost_us: f64,
     stages: StageProfile,
-    /// Per-shard observations of the fan-out, feeding the hot-shard
-    /// detector.
-    per_shard: Vec<ShardSample>,
     /// Shard runs this group routed to a strict subset of the fleet.
     placed_runs: u64,
 }
@@ -1684,10 +1432,6 @@ pub struct GenieService {
     /// Queue feeding the compactor; dropped (→ `None`) at shutdown so
     /// the thread's `recv` unblocks.
     compact_tx: Mutex<Option<Sender<CollectionId>>>,
-    /// The background rebalancer thread draining
-    /// [`ServiceInner::rebalance_tx`] (the sender lives on the inner so
-    /// the hot-shard detector can enqueue from inside a wave).
-    rebalancer: Option<JoinHandle<()>>,
     next_client: AtomicU64,
     next_collection: AtomicU64,
 }
@@ -1768,10 +1512,6 @@ impl GenieService {
             failure_threshold: config.failure_threshold,
             probe_after_runs: config.probe_after_runs,
             compact_after: config.compact_after,
-            skew_threshold: config.skew_threshold,
-            rebalance_window: config.rebalance_window,
-            shard_stats: Mutex::new(HashMap::new()),
-            rebalance_tx: Mutex::new(None),
             planned_len: AtomicUsize::new(0),
             store: RwLock::new(None),
         });
@@ -1799,28 +1539,11 @@ impl GenieService {
                 })
                 .map_err(|e| spawn_failed("compactor", e))?
         };
-        let (rebalance_tx, rebalance_rx) = channel::<CollectionId>();
-        let rebalancer = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("genie-rebalance".into())
-                .spawn(move || {
-                    // a failed derivation leaves the old (equivalent)
-                    // placement in place; stale applies are counted
-                    // inside rebalance_now
-                    while let Ok(cid) = rebalance_rx.recv() {
-                        let _ = inner.rebalance_now(cid);
-                    }
-                })
-                .map_err(|e| spawn_failed("rebalancer", e))?
-        };
-        *inner.rebalance_tx.lock().expect("rebalance queue lock") = Some(rebalance_tx);
         Ok(Self {
             inner,
             dispatchers,
             compactor: Some(compactor),
             compact_tx: Mutex::new(Some(compact_tx)),
-            rebalancer: Some(rebalancer),
             next_client: AtomicU64::new(0),
             next_collection: AtomicU64::new(0),
         })
@@ -1947,8 +1670,9 @@ impl GenieService {
             slot.delta = None;
             slot.compaction_queued = false;
             slot.epoch += 1;
-            // the plan described the old base shards; rebalancing will
-            // derive a fresh one from post-swap traffic
+            // the plan described the old base shards; the swapped
+            // collection is broadcast until set_collection_placement
+            // installs a new one
             slot.placement = None;
         }
         self.inner
@@ -2301,23 +2025,6 @@ impl GenieService {
         slots
     }
 
-    /// Lifetime per-shard run accounting of `collection`, shard order
-    /// (`None` for unknown ids; empty until its first group run — a
-    /// single-shard collection reports one slot). The hot-shard
-    /// detector watches the same postings signal over a sliding window.
-    pub fn shard_stats(&self, collection: CollectionId) -> Option<Vec<ShardRunStats>> {
-        self.inner.entry(collection)?;
-        Some(
-            self.inner
-                .shard_stats
-                .lock()
-                .expect("shard stats lock")
-                .get(&collection)
-                .map(|s| s.totals.clone())
-                .unwrap_or_default(),
-        )
-    }
-
     /// The shard→backend assignment `collection` is currently served
     /// with, one backend list per **base** shard (`None` for unknown
     /// ids). A collection without an applied plan reports the broadcast
@@ -2335,7 +2042,8 @@ impl GenieService {
     }
 
     /// Install an explicit [`PlacementPlan`] for `collection`'s base
-    /// shards (rebalancing may later replace it). The plan must cover
+    /// shards; it stays until the next call, a swap, or a compaction
+    /// that changes the base shard count. The plan must cover
     /// exactly the current base shard count and the whole fleet.
     /// Answers are unchanged by construction — the result cache is
     /// deliberately not invalidated.
@@ -2376,19 +2084,6 @@ impl GenieService {
         Ok(())
     }
 
-    /// Derive and apply a placement plan for `collection` *now*, from
-    /// the observed shard costs and the learned per-backend capacities
-    /// (what the background rebalancer does when the hot-shard detector
-    /// fires). Returns whether a new plan was applied (`false`: nothing
-    /// to place, the derived plan equals the current one, or the base
-    /// changed underneath and the run was discarded as stale).
-    pub fn rebalance_collection(&self, collection: CollectionId) -> Result<bool, ServiceError> {
-        self.inner
-            .entry(collection)
-            .ok_or(ServiceError::UnknownCollection(collection))?;
-        self.inner.rebalance_now(collection)
-    }
-
     /// Requests currently queued (admitted, wave not yet cut).
     pub fn queue_len(&self) -> usize {
         self.inner.queue.lock().expect("queue lock").pending.len()
@@ -2417,16 +2112,6 @@ impl Drop for GenieService {
         // compaction only trades debt for freshness, never correctness)
         *self.compact_tx.lock().expect("compact queue lock") = None;
         if let Some(handle) = self.compactor.take() {
-            let _ = handle.join();
-        }
-        // same protocol for the rebalancer; an abandoned rebalance only
-        // forgoes a performance improvement, never correctness
-        *self
-            .inner
-            .rebalance_tx
-            .lock()
-            .expect("rebalance queue lock") = None;
-        if let Some(handle) = self.rebalancer.take() {
             let _ = handle.join();
         }
     }

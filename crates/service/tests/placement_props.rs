@@ -7,9 +7,9 @@
 //! for hit, `AT = MC_k + 1` included (see `genie_core::placement` for
 //! the invariant). These tests drive that claim through the full
 //! service stack across randomized shard counts, fleet sizes and
-//! assignments; while placement plans are being swapped mid-traffic;
-//! and while live mutations and compactions race rebalancing — always
-//! comparing against broadcast dispatch or a from-scratch rebuild.
+//! assignments; and while live mutations and compactions race
+//! placement plan swaps mid-traffic — always comparing against
+//! broadcast dispatch or a from-scratch rebuild.
 //!
 //! The fleet is all-`CpuBackend` (deterministic), so full equality is
 //! the right assertion.
@@ -47,12 +47,11 @@ fn fleet_service(backends: usize, config: ServiceConfig) -> GenieService {
 }
 
 /// No result cache (placement must be exercised, not memoised), no
-/// cross-time batching, no automatic rebalancing unless a test opts in.
+/// cross-time batching.
 fn test_config() -> ServiceConfig {
     ServiceConfig {
         max_queue_delay: Duration::ZERO,
         cache_capacity: 0,
-        rebalance_window: 0,
         ..Default::default()
     }
 }
@@ -141,15 +140,15 @@ proptest! {
         }
     }
 
-    /// Rebalancing racing live mutations: interleave atomic mutation
-    /// batches, synchronous compactions, explicit placement swaps and
-    /// derived rebalances, with searcher threads hammering the
+    /// Placement swaps racing live mutations: interleave atomic
+    /// mutation batches, synchronous compactions, skewed plan installs
+    /// and broadcast plan installs, with searcher threads hammering the
     /// collection throughout — the final state must equal a
     /// from-scratch rebuild over the surviving objects (under the
     /// stable-id → dense-id translation), and every concurrently
     /// served answer must respect the ordering contract.
     #[test]
-    fn rebalance_races_mutations_and_equals_rebuild(
+    fn placement_swaps_race_mutations_and_equal_rebuild(
         ops in proptest::collection::vec(
             (
                 proptest::collection::vec(0usize..64, 0..3),
@@ -195,7 +194,7 @@ proptest! {
                             assert!(
                                 w[0].count > w[1].count
                                     || (w[0].count == w[1].count && w[0].id < w[1].id),
-                                "ordering contract violated mid-rebalance: {w:?}"
+                                "ordering contract violated mid-swap: {w:?}"
                             );
                         }
                         rounds += 1;
@@ -251,8 +250,16 @@ proptest! {
                         .expect("plan covers the current base");
                 }
                 2 => {
-                    // derive a plan from observed costs + learned models
-                    service.rebalance_collection(cid).expect("rebalance runs");
+                    // back to broadcast over the current base
+                    let base = service
+                        .collection_placement(cid)
+                        .expect("known collection")
+                        .len();
+                    let plan = PlacementPlan::broadcast(base, fleet)
+                        .expect("a nonempty base and fleet broadcast");
+                    service
+                        .set_collection_placement(cid, plan)
+                        .expect("plan covers the current base");
                 }
                 _ => {} // mutation only
             }
@@ -268,7 +275,7 @@ proptest! {
             s.join().expect("searcher clean");
         }
 
-        // the mutated+rebalanced collection equals a from-scratch
+        // the mutated+re-placed collection equals a from-scratch
         // rebuild over exactly the survivors
         let fresh = fleet_service(fleet, test_config());
         let fresh_cid = fresh
@@ -301,123 +308,6 @@ proptest! {
     }
 }
 
-/// The hot-shard detector end to end: skewed traffic over a sharded
-/// collection trips the postings-share detector, the background
-/// rebalancer applies a non-broadcast plan, subsequent runs are
-/// placement-routed — and answers never change.
-#[test]
-fn hot_shard_detection_rebalances_without_changing_answers() {
-    let service = fleet_service(
-        2,
-        ServiceConfig {
-            rebalance_window: 4,
-            skew_threshold: 0.6,
-            ..test_config()
-        },
-    );
-    // contiguous 2-shard split: objects 0..32 carry the hot keyword 0,
-    // objects 32..64 never do — all keyword-0 postings live in shard 0
-    let corpus: Vec<Vec<u32>> = (0..64u32)
-        .map(|i| {
-            if i < 32 {
-                vec![0, 1 + i % 4]
-            } else {
-                vec![5 + i % 4]
-            }
-        })
-        .collect();
-    let cid = service
-        .add_collection_sharded("skewed", &index_of(&corpus), 2)
-        .expect("registers");
-
-    let hot_query = Query::from_keywords(&[0]);
-    let baseline = search(&service, cid, &hot_query, 5);
-
-    // every wave scans shard-0 postings only: 100% share > 60%
-    for _ in 0..8 {
-        let _ = search(&service, cid, &hot_query, 5);
-    }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = service.stats();
-        if stats.hot_shard_events >= 1 && stats.rebalances >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "detector or rebalancer never fired: {stats:?}"
-        );
-        // keep feeding skewed waves; detection needs full windows
-        let _ = search(&service, cid, &hot_query, 5);
-    }
-
-    let placement = service.collection_placement(cid).expect("known collection");
-    assert_eq!(placement.len(), 2);
-    assert!(
-        placement.iter().any(|backends| backends.len() < 2),
-        "rebalancing a 2-shard/2-backend skew must split the fleet: {placement:?}"
-    );
-    // shard stats watched the same signal the detector used
-    let shard_stats = service.shard_stats(cid).expect("known collection");
-    assert_eq!(shard_stats.len(), 2);
-    assert!(shard_stats[0].postings > 0, "hot shard scanned postings");
-    assert!(
-        shard_stats[0].postings > shard_stats[1].postings,
-        "skew must be visible in the totals: {shard_stats:?}"
-    );
-
-    // placement-routed serving answers exactly like before
-    let placed_runs_before = service.stats().placed_shard_runs;
-    for _ in 0..4 {
-        assert_eq!(
-            search(&service, cid, &hot_query, 5),
-            baseline,
-            "rebalancing changed an answer"
-        );
-    }
-    assert!(
-        service.stats().placed_shard_runs > placed_runs_before,
-        "post-rebalance waves must be placement-routed"
-    );
-}
-
-/// Placement covers base shards only, so the mounted delta shard must
-/// not vote in the hot-shard detector: an unsharded collection with one
-/// pending insert serves two shard runs per wave (base + delta) and the
-/// base holds ~all postings, but there is nothing to place.
-#[test]
-fn delta_shard_does_not_vote_in_the_hot_shard_detector() {
-    let service = fleet_service(
-        2,
-        ServiceConfig {
-            rebalance_window: 32,
-            skew_threshold: 0.6,
-            compact_after: 0,
-            ..test_config()
-        },
-    );
-    let corpus: Vec<Vec<u32>> = (0..64u32).map(|i| vec![0, 1 + i % 4]).collect();
-    let cid = service
-        .add_collection_sharded("unsharded", &index_of(&corpus), 1)
-        .expect("registers");
-    service
-        .mutate_collection(cid, &[], vec![Object { keywords: vec![9] }], &mut |_, _| {})
-        .expect("insert lands in the delta shard");
-
-    let query = Query::from_keywords(&[0]);
-    for _ in 0..100 {
-        let _ = search(&service, cid, &query, 5);
-    }
-    // the lifetime totals keep their documented delta slot
-    assert_eq!(service.shard_stats(cid).expect("known collection").len(), 2);
-    let stats = service.stats();
-    assert_eq!(
-        (stats.hot_shard_events, stats.rebalances),
-        (0, 0),
-        "a one-base-shard collection has nothing to place: {stats:?}"
-    );
-}
-
 /// Placement plans that do not fit the collection or fleet are typed
 /// errors, and unknown collections are typed errors — never panics.
 #[test]
@@ -446,10 +336,6 @@ fn invalid_placement_plans_are_rejected() {
     let plan = PlacementPlan::broadcast(3, 2).unwrap();
     assert!(matches!(
         service.set_collection_placement(99, plan),
-        Err(ServiceError::UnknownCollection(99))
-    ));
-    assert!(matches!(
-        service.rebalance_collection(99),
         Err(ServiceError::UnknownCollection(99))
     ));
     // a fitting plan lands, and is observable

@@ -371,14 +371,10 @@ fn net_stats(client: &Client) {
             .unwrap_or(0.0)
     };
     println!(
-        "service: {} served / {} waves, {} placed shard runs, {} hot-shard events, \
-         {} rebalances ({} stale)",
+        "service: {} served / {} waves, {} placed shard runs",
         get("service/served"),
         get("service/waves"),
         get("service/placed_shard_runs"),
-        get("service/hot_shard_events"),
-        get("service/rebalances"),
-        get("service/stale_rebalances"),
     );
     println!(
         "learned fleet cost model: base {:.3} us/query + {:.6} us/posting \

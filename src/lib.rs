@@ -28,7 +28,7 @@
 //! | serve a corpus over TCP | `genie-server` (the only listener) |
 //! | ask or operate a running server | `genie-cli net-query [--stats]`, `genie-cli store-fsck` |
 //! | search a file offline | `genie-cli docs`, `genie-cli fuzzy` |
-//! | load and measure | `benchmark/` (serving, wire, live mutations), `repro` (paper figures; kernel, placement and durability gates) |
+//! | load and measure | `benchmark/` (serving, wire, live mutations), `repro` (paper figures; kernel and durability gates) |
 //!
 //! ## Quickstart
 //!

@@ -136,7 +136,9 @@
 //!
 //! * `service/...` — the serving counters, mirroring
 //!   [`ServiceStats`](genie_service::ServiceStats) field for field
-//!   (e.g. `service/waves`, `service/cache_hits`).
+//!   (e.g. `service/waves`, `service/served`). `service/cache_hits`
+//!   is always 0: the service has no result cache, and the row stays
+//!   so that readers which look it up still find it.
 //!   `service/shard_runs` counts per-shard scheduler runs of **every**
 //!   collection: each group run adds one per shard it fans out to, so
 //!   an unsharded collection adds 1 (servers before the one-shape

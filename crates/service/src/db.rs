@@ -7,7 +7,7 @@
 //! [`Collection<D>`] handle whose [`search`](Collection::search) /
 //! [`submit`](Collection::submit) speak the domain's own types —
 //! documents, rows, sequences, trees, graphs, points — while every
-//! query, regardless of domain, is admitted, micro-batched, cached and
+//! query, regardless of domain, is admitted, micro-batched and
 //! dispatched by the *same* scheduler/service stack. No caller
 //! assembles a raw [`Query`](genie_core::model::Query) or touches a
 //! backend handle.
@@ -18,7 +18,7 @@
 //!        └──────────────┬─────────────┴───────────┬───────────────┘
 //!                       ▼                         ▼
 //!                 GenieDb ──────────────► GenieService (shared admission,
-//!                                          per-collection cache + swap)
+//!                                          per-collection swap)
 //! ```
 
 use std::sync::{Arc, RwLock};
@@ -471,7 +471,7 @@ impl<D: Domain> Collection<D> {
     }
 
     /// Typed blocking search: encode the spec, route it through the
-    /// shared service (admission queue, micro-batching, cache), decode
+    /// shared service (admission queue, micro-batching), decode
     /// the hits. The candidate count is the domain's
     /// [`candidates_for`](Domain::candidates_for).
     pub fn search(&self, spec: &D::QuerySpec, k: usize) -> Result<D::Response, DbError> {
@@ -602,8 +602,8 @@ impl<D: Domain> Collection<D> {
     }
 
     /// Rebuild the collection over new items and swap the new index in.
-    /// Only *this* collection's cache entries are invalidated; sibling
-    /// collections keep theirs. Returns the simulated upload time.
+    /// Sibling collections are untouched. Returns the simulated upload
+    /// time.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -635,10 +635,8 @@ impl<D: Domain> Collection<D> {
         // semantics as a raw `swap_collection` since PR 2: a request
         // encoded just before the swap may be answered under the new
         // index (its old-vocabulary query runs against the new data) —
-        // a transiently stale answer for that caller only. It cannot
-        // poison the cache for later callers: they encode with the new
-        // adapter, and a key match implies both adapters encode the
-        // spec identically, making the cached answer correct.
+        // a transiently stale answer for that caller only; later
+        // callers encode with the new adapter.
         let mut slot = self.inner.domain.write().expect("domain lock");
         let upload_sim_us = self
             .inner

@@ -24,11 +24,10 @@
 //!   micro-batch waves on a **size trigger** (queued requests can fill
 //!   `max_batch_queries` under the c-PQ budget, detected with the same
 //!   [`plan_batches`] the scheduler executes) or a **deadline trigger**
-//!   (the oldest queued request has aged `max_queue_delay`), plus a
-//!   `(collection, query, k)`-keyed result cache invalidated per
-//!   collection on swap, and per-backend lifetime health counters
-//!   ([`BackendHealth`]). See [`GenieService`] for the full trigger
-//!   semantics.
+//!   (the oldest queued request has aged `max_queue_delay`), and
+//!   per-backend lifetime health counters ([`BackendHealth`]). Every
+//!   admitted request is answered by its wave's shard runs. See
+//!   [`GenieService`] for the full trigger semantics.
 //! * [`QueryScheduler`] — the synchronous wave engine underneath:
 //!
 //! 1. **Admission** — clients submit [`QueryRequest`]s (query + per-client

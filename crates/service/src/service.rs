@@ -12,8 +12,7 @@
 //!   prepares one [`InvertedIndex`] on every backend and registers it
 //!   under a [`CollectionId`]. Collections are swapped independently
 //!   ([`swap_collection`](GenieService::swap_collection)): re-indexing
-//!   one data set invalidates only *its* cache entries, never its
-//!   neighbours'.
+//!   one data set never touches its neighbours.
 //! * **One shape** — every collection is served the same way from the
 //!   moment it is registered: `S ≥ 1` self-contained base shards, each
 //!   prepared on every backend (an unsharded collection is one
@@ -28,8 +27,7 @@
 //!   certificate computed on the *merged* list (`AT = MC_k + 1`) — see
 //!   [`genie_core::shard`] for the merge invariants and
 //!   [`genie_core::delta`] for the mutation model. Swapping a
-//!   collection re-shards the new index at the same shard count, and
-//!   cache invalidation stays per-collection.
+//!   collection re-shards the new index at the same shard count.
 //! * **Admission** — any thread calls
 //!   [`submit_to`](GenieService::submit_to); the request lands in a
 //!   queue and the caller gets a [`ResponseTicket`] it can block on
@@ -54,11 +52,9 @@
 //!     [`ServiceConfig::max_queue_delay`] — a lone request is never
 //!     stranded longer than the configured delay.
 //! * **Execution** — the wave is split by collection and each group
-//!   fans out over its collection's prepared shards.
-//! * **Result cache** — answers are memoised by
-//!   `(collection, query, k)`; a repeated query short-circuits
-//!   admission entirely and returns bit-identical hits. Swapping a
-//!   collection's index invalidates exactly that collection's entries.
+//!   fans out over its collection's prepared shards. Every admitted
+//!   request is answered by its wave's shard runs, so a swap or a
+//!   mutation batch is visible to the next wave.
 //! * **Backend health & circuit breaking** — per-backend usage and
 //!   failure counts accumulate across waves for the service's lifetime
 //!   ([`backend_health`](GenieService::backend_health)). A backend
@@ -123,8 +119,8 @@ pub struct ServiceConfig {
     /// enough for most fleets (a wave already fans out across all
     /// backends); more overlap wave planning with execution.
     pub dispatchers: usize,
-    /// Entries the `(collection, query, k)` result cache holds (FIFO
-    /// eviction); 0 disables caching.
+    /// Ignored: the service has no result cache. Kept because
+    /// `benchmark/` reads it.
     pub cache_capacity: usize,
     /// Circuit breaker: retire a backend once it has been reported
     /// `failed` in this many scheduler runs since its last
@@ -184,12 +180,14 @@ pub enum Trigger {
 pub struct ServiceStats {
     /// Requests admitted through `submit_to`/`submit_with`.
     pub submitted: u64,
-    /// Requests answered successfully (scheduler-served + cache hits).
+    /// Requests answered successfully (every one by its wave's shard
+    /// runs).
     pub served: u64,
     /// Requests that only received an error (their run failed or their
     /// collection is unknown).
     pub failed_requests: u64,
-    /// Requests answered straight from the result cache.
+    /// Always 0: the service has no result cache. Kept because
+    /// `benchmark/` reads it.
     pub cache_hits: u64,
     /// Waves cut by each trigger.
     pub size_triggers: u64,
@@ -207,7 +205,7 @@ pub struct ServiceStats {
     /// collection, S for an S-shard one, plus 1 while a delta shard is
     /// mounted.
     pub shard_runs: u64,
-    /// Requests that went through the scheduler (excludes cache hits) —
+    /// Requests that went through the scheduler — equal to `served` —
     /// `batched_requests / batches` is the achieved batch occupancy.
     pub batched_requests: u64,
     /// Scheduler wall-clock summed over waves, microseconds.
@@ -465,80 +463,6 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// `(collection, query items, k)` — the memoisation key of the result
-/// cache.
-type CacheKey = (CollectionId, Vec<(u32, u32)>, usize);
-
-fn cache_key(collection: CollectionId, query: &Query, k: usize) -> CacheKey {
-    (
-        collection,
-        query.items.iter().map(|it| (it.lo, it.hi)).collect(),
-        k,
-    )
-}
-
-/// Bounded `(collection, query, k) -> (hits, AT)` map with FIFO
-/// eviction.
-///
-/// Each collection has its own `generation`, bumped on invalidation: a
-/// run computed against generation `g` may only insert while the
-/// collection is still at `g`, so results from an old index can never
-/// repopulate entries [`GenieService::swap_collection`] cleared
-/// mid-wave. Invalidation is *per collection* — swapping one index
-/// leaves every other collection's entries (and hit rates) intact.
-struct ResultCache {
-    capacity: usize,
-    generations: HashMap<CollectionId, u64>,
-    map: HashMap<CacheKey, (Vec<TopHit>, u32)>,
-    order: VecDeque<CacheKey>,
-}
-
-impl ResultCache {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            generations: HashMap::new(),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn generation(&self, collection: CollectionId) -> u64 {
-        self.generations.get(&collection).copied().unwrap_or(0)
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<&(Vec<TopHit>, u32)> {
-        self.map.get(key)
-    }
-
-    fn insert(&mut self, key: CacheKey, value: (Vec<TopHit>, u32)) {
-        // map and queue must shrink together on invalidation; a stale
-        // key left in `order` would keep occupying capacity and make
-        // eviction pop ghosts instead of live entries
-        debug_assert_eq!(self.order.len(), self.map.len());
-        if self.capacity == 0 || self.map.contains_key(&key) {
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.map.remove(&evicted);
-            }
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key, value);
-    }
-
-    /// Drop exactly `collection`'s entries — from the map AND the FIFO
-    /// queue, so the freed capacity is immediately reusable and later
-    /// evictions cannot land on a sibling collection's live entries
-    /// while ghosts of this one age out — and bump its generation.
-    fn invalidate_collection(&mut self, collection: CollectionId) {
-        self.map.retain(|k, _| k.0 != collection);
-        self.order.retain(|k| k.0 != collection);
-        *self.generations.entry(collection).or_insert(0) += 1;
-    }
-}
-
 /// One shard prepared on every backend: the [`Shard`] (index +
 /// local→global id map) plus its per-backend prepared handles.
 struct PreparedShard {
@@ -578,8 +502,7 @@ struct CollectionEntry {
     /// while it covers exactly the current base shards and the whole
     /// fleet — a compaction that changes the shard count drops it back
     /// to broadcast. Answers are count/AT-identical under any
-    /// assignment (see [`genie_core::placement`]), so swapping a plan
-    /// never invalidates the result cache.
+    /// assignment (see [`genie_core::placement`]).
     placement: Option<Arc<PlacementPlan>>,
     /// Sequence number of the last journal event persisted for this
     /// collection (1 = the `Create` event; restored collections resume
@@ -637,7 +560,6 @@ struct ServiceInner {
     collections: RwLock<HashMap<CollectionId, Arc<RwLock<CollectionEntry>>>>,
     queue: Mutex<QueueState>,
     wakeup: Condvar,
-    cache: Mutex<ResultCache>,
     stats: Mutex<ServiceStats>,
     health: Mutex<HealthState>,
     max_queue_delay: Duration,
@@ -761,28 +683,15 @@ impl ServiceInner {
         false
     }
 
-    /// Serve one cut wave: answer cache hits, split the misses by
-    /// collection, fan each group out over its collection's shards,
-    /// memoise, route everything back through the tickets.
+    /// Serve one cut wave: split it by collection, fan each group out
+    /// over its collection's shards, route everything back through the
+    /// tickets.
     fn serve_wave(&self, wave: Vec<Pending>, trigger: Trigger) {
-        let mut misses: Vec<Pending> = Vec::new();
-        let mut hits: Vec<(Pending, (Vec<TopHit>, u32))> = Vec::new();
-        {
-            let cache = self.cache.lock().expect("cache lock");
-            for p in wave {
-                match cache.get(&cache_key(p.collection, &p.request.query, p.request.k)) {
-                    Some(v) => hits.push((p, v.clone())),
-                    None => misses.push(p),
-                }
-            }
-        }
-        let cache_hits = hits.len() as u64;
-
-        // group misses by collection, preserving admission order inside
-        // each group
+        // group by collection, preserving admission order inside each
+        // group
         let mut group_order: Vec<CollectionId> = Vec::new();
         let mut groups: HashMap<CollectionId, Vec<Pending>> = HashMap::new();
-        for p in misses {
+        for p in wave {
             if !groups.contains_key(&p.collection) {
                 group_order.push(p.collection);
             }
@@ -796,8 +705,8 @@ impl ServiceInner {
         let mut wave_predicted_us = 0.0;
         let mut wave_actual_us = 0.0;
         let mut wave_stages = StageProfile::default();
-        let mut served_misses = 0u64;
-        let mut failed_misses = 0u64;
+        let mut served = 0u64;
+        let mut failed = 0u64;
         let mut any_failed = false;
         // (group, outcome) pairs resolved after stats are accounted
         type GroupOutcome = (Vec<Pending>, Result<Vec<QueryResponse>, ServiceError>);
@@ -806,20 +715,13 @@ impl ServiceInner {
         for cid in group_order {
             let group = groups.remove(&cid).expect("grouped above");
             let Some(entry) = self.entry(cid) else {
-                failed_misses += group.len() as u64;
+                failed += group.len() as u64;
                 any_failed = true;
                 outcomes.push((group, Err(ServiceError::UnknownCollection(cid))));
                 continue;
             };
             let requests: Vec<QueryRequest> = group.iter().map(|p| p.request.clone()).collect();
-            // remember which cache generation this run computes against
-            // *while holding the entry lock*: swap_collection cannot
-            // invalidate between the generation read and the run
-            let (run, run_generation) = {
-                let entry = entry.read().expect("collection lock");
-                let generation = self.cache.lock().expect("cache lock").generation(cid);
-                (self.run_group(&entry, &requests), generation)
-            };
+            let run = self.run_group(&entry.read().expect("collection lock"), &requests);
             match run {
                 Ok((responses, report)) => {
                     wave_batches += report.batches;
@@ -829,24 +731,11 @@ impl ServiceInner {
                     wave_actual_us += report.actual_cost_us;
                     wave_placed_runs += report.placed_runs;
                     wave_stages.accumulate(&report.stages);
-                    served_misses += group.len() as u64;
-                    let mut cache = self.cache.lock().expect("cache lock");
-                    // a swap_collection mid-run bumped the generation:
-                    // these answers describe the old index and must not
-                    // repopulate the cleared entries
-                    if cache.generation(cid) == run_generation {
-                        for (p, resp) in group.iter().zip(&responses) {
-                            cache.insert(
-                                cache_key(cid, &p.request.query, p.request.k),
-                                (resp.hits.clone(), resp.audit_threshold),
-                            );
-                        }
-                    }
-                    drop(cache);
+                    served += group.len() as u64;
                     outcomes.push((group, Ok(responses)));
                 }
                 Err(e) => {
-                    failed_misses += group.len() as u64;
+                    failed += group.len() as u64;
                     any_failed = true;
                     outcomes.push((group, Err(e)));
                 }
@@ -858,7 +747,6 @@ impl ServiceInner {
         {
             let mut stats = self.stats.lock().expect("stats lock");
             stats.waves += 1;
-            stats.cache_hits += cache_hits;
             stats.batches += wave_batches;
             stats.shard_runs += wave_shard_runs;
             stats.placed_shard_runs += wave_placed_runs;
@@ -866,11 +754,11 @@ impl ServiceInner {
             stats.predicted_cost_us += wave_predicted_us;
             stats.actual_cost_us += wave_actual_us;
             stats.stages.accumulate(&wave_stages);
-            stats.served += cache_hits + served_misses;
+            stats.served += served;
             // failed requests were neither served nor batched; counting
             // them as batched would inflate mean_batch_occupancy
-            stats.batched_requests += served_misses;
-            stats.failed_requests += failed_misses;
+            stats.batched_requests += served;
+            stats.failed_requests += failed;
             if any_failed {
                 stats.failed_waves += 1;
             }
@@ -881,13 +769,6 @@ impl ServiceInner {
             }
         }
 
-        for (p, (cached_hits, at)) in hits {
-            p.reply.send(Ok(QueryResponse {
-                client_id: p.request.client_id,
-                hits: cached_hits,
-                audit_threshold: at,
-            }));
-        }
         for (group, outcome) in outcomes {
             match outcome {
                 Ok(responses) => {
@@ -1203,9 +1084,8 @@ impl ServiceInner {
     /// mutations keep flowing against the old shards the whole time),
     /// then swap under the write lock. The swap is invisible to
     /// searches — rebuild equivalence means the answers before and
-    /// after are identical, so the result cache is deliberately NOT
-    /// invalidated. Returns `Ok(true)` if applied, `Ok(false)` when
-    /// there was nothing to fold or the collection's base changed
+    /// after are identical. Returns `Ok(true)` if applied, `Ok(false)`
+    /// when there was nothing to fold or the collection's base changed
     /// underneath (swap or concurrent compaction — the run is
     /// discarded as stale). An `Err` (a backend refused an upload)
     /// leaves the collection exactly as it was.
@@ -1505,7 +1385,6 @@ impl GenieService {
                 shutdown: false,
             }),
             wakeup: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             stats: Mutex::new(ServiceStats::default()),
             health: Mutex::new(health),
             max_queue_delay: config.max_queue_delay,
@@ -1632,9 +1511,9 @@ impl GenieService {
     /// Re-prepare a (new) index on every backend and swap it into
     /// `collection`, preserving the collection's shard count (a sharded
     /// collection re-shards the new index contiguously at the same
-    /// count). Exactly that collection's cache entries are
-    /// invalidated — every other collection keeps its entries and its
-    /// hit rate. Returns the simulated upload time.
+    /// count). The next wave is served from the new index; every
+    /// other collection is untouched. Returns the simulated upload
+    /// time.
     pub fn swap_collection(
         &self,
         collection: CollectionId,
@@ -1675,11 +1554,6 @@ impl GenieService {
             // installs a new one
             slot.placement = None;
         }
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock")
-            .invalidate_collection(collection);
         // index dimensions changed: the cached no-trigger verdict may
         // no longer hold
         self.inner.planned_len.store(0, Ordering::Relaxed);
@@ -1745,9 +1619,8 @@ impl GenieService {
     ///
     /// Searches over the mutated collection return exactly what a
     /// from-scratch rebuild over the live set would (counts, ids,
-    /// `AT = MC_k + 1` — see [`genie_core::delta`]); the collection's
-    /// result-cache entries are invalidated per batch. When the
-    /// accumulated debt (delta + tombstones) reaches
+    /// `AT = MC_k + 1` — see [`genie_core::delta`]), from the next
+    /// wave on. When the accumulated debt (delta + tombstones) reaches
     /// [`ServiceConfig::compact_after`], a background compaction is
     /// scheduled automatically.
     pub fn mutate_collection(
@@ -1815,11 +1688,6 @@ impl GenieService {
             stats.inserted += num_inserts;
             stats.deleted += deletes.len() as u64;
         }
-        self.inner
-            .cache
-            .lock()
-            .expect("cache lock")
-            .invalidate_collection(collection);
         self.inner.planned_len.store(0, Ordering::Relaxed);
         if want_compaction {
             if let Some(tx) = &*self.compact_tx.lock().expect("compact queue lock") {
@@ -2045,8 +1913,7 @@ impl GenieService {
     /// shards; it stays until the next call, a swap, or a compaction
     /// that changes the base shard count. The plan must cover
     /// exactly the current base shard count and the whole fleet.
-    /// Answers are unchanged by construction — the result cache is
-    /// deliberately not invalidated.
+    /// Answers are unchanged by construction.
     pub fn set_collection_placement(
         &self,
         collection: CollectionId,
@@ -2187,7 +2054,6 @@ mod tests {
             cpu_scheduler(),
             ServiceConfig {
                 max_queue_delay: Duration::ZERO,
-                cache_capacity: 0,
                 ..Default::default()
             },
         );
@@ -2204,72 +2070,6 @@ mod tests {
             stats.deadline_triggers >= 1,
             "an aged-zero request must cut by deadline: {stats:?}"
         );
-    }
-
-    #[test]
-    fn cache_evicts_fifo_and_invalidates_per_collection() {
-        let mut cache = ResultCache::new(3);
-        let key = |cid: CollectionId, i: u32| cache_key(cid, &Query::from_keywords(&[i]), 3);
-        cache.insert(key(0, 1), (vec![], 1));
-        cache.insert(key(1, 1), (vec![], 1));
-        cache.insert(key(0, 2), (vec![], 1));
-        cache.insert(key(0, 3), (vec![], 1)); // evicts key(0, 1)
-        assert!(cache.get(&key(0, 1)).is_none());
-        assert!(cache.get(&key(1, 1)).is_some());
-        assert!(cache.get(&key(0, 2)).is_some());
-        // invalidating collection 0 leaves collection 1's entry alone
-        let g0 = cache.generation(0);
-        let g1 = cache.generation(1);
-        cache.invalidate_collection(0);
-        assert!(cache.get(&key(0, 2)).is_none());
-        assert!(cache.get(&key(0, 3)).is_none());
-        assert!(cache.get(&key(1, 1)).is_some(), "other collection kept");
-        assert_eq!(cache.generation(0), g0 + 1);
-        assert_eq!(cache.generation(1), g1, "other generation untouched");
-    }
-
-    /// Regression: invalidation must purge a collection's keys from the
-    /// FIFO `order` queue, not only the map. A leaky invalidate left
-    /// ghost keys occupying `cache_capacity`, so one hot collection's
-    /// swaps made eviction pop siblings' *live* entries (and let the
-    /// map outgrow its capacity once eviction started landing on
-    /// ghosts).
-    #[test]
-    fn invalidation_frees_queue_capacity_and_spares_siblings() {
-        let capacity = 3;
-        let mut cache = ResultCache::new(capacity);
-        let key = |cid: CollectionId, i: u32| cache_key(cid, &Query::from_keywords(&[i]), 3);
-        // a sibling entry that must survive collection 0's churn
-        cache.insert(key(1, 1), (vec![], 1));
-        for round in 0..10u32 {
-            cache.insert(key(0, 100 + round), (vec![], 1));
-            cache.invalidate_collection(0);
-            assert_eq!(
-                cache.order.len(),
-                cache.map.len(),
-                "round {round}: ghost keys left in the FIFO queue"
-            );
-        }
-        assert!(
-            cache.get(&key(1, 1)).is_some(),
-            "sibling evicted by a hot collection's swap churn"
-        );
-        // the freed capacity is actually reusable: the sibling plus two
-        // fresh entries fit without any eviction
-        cache.insert(key(0, 7), (vec![], 1));
-        cache.insert(key(0, 8), (vec![], 1));
-        assert!(cache.get(&key(1, 1)).is_some());
-        assert!(cache.get(&key(0, 7)).is_some());
-        assert!(cache.get(&key(0, 8)).is_some());
-        assert!(cache.map.len() <= capacity, "map outgrew its capacity");
-    }
-
-    #[test]
-    fn zero_capacity_cache_never_stores() {
-        let mut cache = ResultCache::new(0);
-        let key = cache_key(0, &Query::from_keywords(&[1]), 3);
-        cache.insert(key.clone(), (vec![], 1));
-        assert!(cache.get(&key).is_none());
     }
 
     #[test]
@@ -2397,7 +2197,6 @@ mod tests {
             ServiceConfig {
                 // only the size trigger can cut before this deadline
                 max_queue_delay: Duration::from_secs(30),
-                cache_capacity: 0,
                 ..Default::default()
             },
         );

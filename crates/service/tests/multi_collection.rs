@@ -1,11 +1,11 @@
-//! Multi-collection serving: per-collection cache invalidation and
-//! cross-wave backend health, under concurrency.
+//! Multi-collection serving: per-collection swaps and cross-wave
+//! backend health, under concurrency.
 //!
 //! The contract under test: one `GenieService` serves many collections
 //! through one admission queue, and swapping one collection's index
-//! invalidates exactly that collection's `(query, k)` cache entries —
-//! its siblings keep their entries, their hit rates and their answers,
-//! even while swaps and searches race.
+//! changes exactly that collection's answers, from the next wave on —
+//! its siblings keep their answers bit for bit, even while swaps and
+//! searches race.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,6 @@ fn service() -> GenieService {
         ServiceConfig {
             max_queue_delay: Duration::from_micros(300),
             dispatchers: 1,
-            cache_capacity: 256,
             ..Default::default()
         },
     )
@@ -63,33 +62,29 @@ fn swapping_one_collection_invalidates_only_its_cache_entries() {
     let qa = Query::from_keywords(&[1]);
     let qb = Query::from_keywords(&[2]);
 
-    // prime both caches
     let a_before = service.submit_to(a, qa.clone(), 4).wait().unwrap();
     let b_before = service.submit_to(b, qb.clone(), 4).wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 0);
 
-    // both repeats are cache hits
+    // repeats are bit-identical
     let a_repeat = service.submit_to(a, qa.clone(), 4).wait().unwrap();
     let b_repeat = service.submit_to(b, qb.clone(), 4).wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 2);
     assert_eq!(a_repeat.hits, a_before.hits);
+    assert_eq!(a_repeat.audit_threshold, a_before.audit_threshold);
     assert_eq!(b_repeat.hits, b_before.hits);
+    assert_eq!(b_repeat.audit_threshold, b_before.audit_threshold);
 
     // swap A's index: keyword 1 now matches different objects
     service
         .swap_collection(a, &index_shifted(40, 5, 1))
         .unwrap();
 
-    // B's entry survived: another repeat is a cache hit with the same
-    // bits
+    // B answers with the same bits
     let b_after = service.submit_to(b, qb.clone(), 4).wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 3, "B kept its cache entry");
     assert_eq!(b_after.hits, b_before.hits);
+    assert_eq!(b_after.audit_threshold, b_before.audit_threshold);
 
-    // A's entry is gone: the same query re-runs against the new index
-    // (no new cache hit, new answer)
+    // A's next query runs against the new index at once
     let a_after = service.submit_to(a, qa.clone(), 4).wait().unwrap();
-    assert_eq!(service.stats().cache_hits, 3, "A was invalidated");
     assert_ne!(
         a_after.hits, a_before.hits,
         "answers must reflect the swapped index"
@@ -97,6 +92,11 @@ fn swapping_one_collection_invalidates_only_its_cache_entries() {
     // ids under the shifted index: keyword 1 matches ids with
     // (i + 1) % 5 == 1, i.e. i % 5 == 0
     assert!(a_after.hits.iter().all(|h| h.id % 5 == 0));
+
+    // every answer came from its wave's shard runs
+    let stats = service.stats();
+    assert_eq!(stats.served, 6);
+    assert_eq!(stats.batched_requests, stats.served);
 }
 
 #[test]
@@ -133,8 +133,7 @@ fn concurrent_swaps_never_disturb_the_sibling_collection() {
                 scope.spawn(move || {
                     for i in 0..60 {
                         // B must always answer bit-identically: its
-                        // cache entries and its index are untouched by
-                        // A's swaps
+                        // index is untouched by A's swaps
                         let rb = svc.submit_to(b, qb.clone(), 5).wait().unwrap();
                         assert_eq!(rb.hits, b_expected, "thread {t} iter {i}");
                         // A must always answer *consistently with some
@@ -166,9 +165,10 @@ fn concurrent_swaps_never_disturb_the_sibling_collection() {
 
     let stats = service.stats();
     assert_eq!(stats.failed_requests, 0, "no request was ever failed");
-    assert!(
-        stats.cache_hits > 0,
-        "the stable collection's repeats hit its surviving cache entries"
+    assert_eq!(stats.served, 4 * 60 * 2 + 1);
+    assert_eq!(
+        stats.batched_requests, stats.served,
+        "every repeat was answered by its wave's shard runs"
     );
 }
 
@@ -215,7 +215,6 @@ fn backend_failures_accumulate_across_waves() {
         ServiceConfig {
             max_queue_delay: Duration::from_micros(200),
             dispatchers: 1,
-            cache_capacity: 0, // every request must reach the scheduler
             ..Default::default()
         },
     );

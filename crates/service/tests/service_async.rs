@@ -1,6 +1,6 @@
 //! Concurrency tests for the [`GenieService`] admission queue: multiple
-//! submitter threads, both wave triggers, cache semantics, worker-panic
-//! isolation, and timing-precision regressions.
+//! submitter threads, both wave triggers, repeat and swap semantics,
+//! worker-panic isolation, and timing-precision regressions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -49,7 +49,6 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
         ServiceConfig {
             max_queue_delay: Duration::from_millis(40),
             dispatchers: 1,
-            cache_capacity: 0, // isolate batching behaviour from caching
             ..Default::default()
         },
     );
@@ -117,8 +116,9 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
     );
 }
 
-/// A repeated `(query, k)` is answered from the result cache with
-/// bit-identical hits; a different `k` for the same query is a miss.
+/// A repeated `(query, k)` is answered again by its wave's shard runs,
+/// with bit-identical hits; a different `k` for the same query is
+/// truncated to its own `k`.
 #[test]
 fn cache_hits_return_bit_identical_results() {
     let index = index_of_mod(120, 11);
@@ -128,7 +128,6 @@ fn cache_hits_return_bit_identical_results() {
         ServiceConfig {
             max_queue_delay: Duration::from_millis(5),
             dispatchers: 1,
-            cache_capacity: 64,
             ..Default::default()
         },
     );
@@ -136,22 +135,22 @@ fn cache_hits_return_bit_identical_results() {
     let query = Query::from_keywords(&[4, 102]);
     let first = service.submit_to(cid, query.clone(), 5).wait().unwrap();
     let second = service.submit_to(cid, query.clone(), 5).wait().unwrap();
-    assert_eq!(first.hits, second.hits, "cache must be bit-identical");
+    assert_eq!(first.hits, second.hits, "a repeat must be bit-identical");
     assert_eq!(first.audit_threshold, second.audit_threshold);
 
     let different_k = service.submit_to(cid, query, 2).wait().unwrap();
     assert!(different_k.hits.len() <= 2);
 
     let stats = service.stats();
-    assert_eq!(
-        stats.cache_hits, 1,
-        "same (query,k) once, different k is a miss"
-    );
     assert_eq!(stats.served, 3);
+    assert_eq!(
+        stats.batched_requests, 3,
+        "every request, the repeat too, is answered by shard runs"
+    );
 }
 
-/// Re-preparing the index invalidates the cache: a query answered
-/// against the old index must be recomputed against the new one.
+/// A swap is served from the new index at once: a query answered
+/// against the old index is recomputed against the new one.
 #[test]
 fn swap_index_invalidates_the_cache() {
     let sparse = index_of_mod(60, 60); // keyword 7 matches exactly 1 object
@@ -162,7 +161,6 @@ fn swap_index_invalidates_the_cache() {
         ServiceConfig {
             max_queue_delay: Duration::from_millis(5),
             dispatchers: 1,
-            cache_capacity: 64,
             ..Default::default()
         },
     );
@@ -175,10 +173,10 @@ fn swap_index_invalidates_the_cache() {
     let after = service.submit_to(cid, query, 4).wait().unwrap();
     assert!(
         after.hits.is_empty(),
-        "stale cached answer served after re-prepare: {:?}",
+        "stale answer served after re-prepare: {:?}",
         after.hits
     );
-    assert_eq!(service.stats().cache_hits, 0);
+    assert_eq!(service.stats().batched_requests, 2);
 }
 
 /// Deadline trigger: a lone request (far from filling any batch) is
@@ -193,7 +191,6 @@ fn deadline_trigger_serves_a_lone_request() {
         ServiceConfig {
             max_queue_delay: delay,
             dispatchers: 1,
-            cache_capacity: 0,
             ..Default::default()
         },
     );
@@ -234,7 +231,6 @@ fn size_trigger_cuts_a_full_batch_before_the_deadline() {
         ServiceConfig {
             max_queue_delay: Duration::from_secs(600), // deadline can't be the trigger
             dispatchers: 1,
-            cache_capacity: 0,
             ..Default::default()
         },
     );
@@ -366,7 +362,6 @@ fn service_survives_a_panicking_fleet_member() {
         ServiceConfig {
             max_queue_delay: Duration::from_millis(20),
             dispatchers: 1,
-            cache_capacity: 0,
             ..Default::default()
         },
     );
@@ -402,7 +397,6 @@ fn circuit_breaker_retires_a_repeatedly_failing_backend() {
         &index,
         ServiceConfig {
             max_queue_delay: Duration::from_millis(2),
-            cache_capacity: 0,
             failure_threshold: 2,
             probe_after_runs: 1_000_000, // no probe during this test
             ..Default::default()
@@ -459,7 +453,6 @@ fn probe_readmits_a_recovered_backend() {
         &index,
         ServiceConfig {
             max_queue_delay: Duration::from_millis(2),
-            cache_capacity: 0,
             failure_threshold: 1, // first crash retires it
             probe_after_runs: 2,  // probed every other run
             ..Default::default()
@@ -518,7 +511,6 @@ fn shutdown_flushes_queued_requests() {
         ServiceConfig {
             max_queue_delay: Duration::from_secs(600),
             dispatchers: 1,
-            cache_capacity: 0,
             ..Default::default()
         },
     );
@@ -545,7 +537,6 @@ fn zero_timeout_polls_a_ticket_until_the_shutdown_flush_serves_it() {
         ServiceConfig {
             max_queue_delay: Duration::from_secs(600),
             dispatchers: 1,
-            cache_capacity: 0,
             ..Default::default()
         },
     );

@@ -58,7 +58,6 @@ fn service_over(backend: Arc<dyn genie_core::backend::SearchBackend>) -> GenieSe
         ),
         ServiceConfig {
             max_queue_delay: std::time::Duration::from_micros(200),
-            cache_capacity: 0, // answers must come from the index, not the cache
             ..Default::default()
         },
     )
@@ -241,7 +240,7 @@ fn shard_count_sweep_is_answer_invariant() {
             Some(served_shards),
             "{shards} requested"
         );
-        // one awaited request = one wave = one group run (no cache)
+        // one awaited request = one wave = one group run
         let runs_before = service.stats().shard_runs;
         let resp = service.submit_to(id, query.clone(), 7).wait().unwrap();
         assert_eq!(
@@ -255,7 +254,8 @@ fn shard_count_sweep_is_answer_invariant() {
 }
 
 /// Swapping a sharded collection re-shards the new index at the same
-/// shard count and invalidates exactly its own cache entries.
+/// shard count, serves the new index at once, and leaves a sibling's
+/// answers unchanged.
 #[test]
 fn sharded_swap_preserves_shards_and_invalidates_only_itself() {
     let before: Vec<Object> = (0..40).map(|i| Object::new(vec![i % 5])).collect();
@@ -264,7 +264,6 @@ fn sharded_swap_preserves_shards_and_invalidates_only_itself() {
         QueryScheduler::single(Arc::new(CpuBackend::new())),
         ServiceConfig {
             max_queue_delay: std::time::Duration::from_micros(200),
-            cache_capacity: 64,
             ..Default::default()
         },
     )
@@ -292,18 +291,13 @@ fn sharded_swap_preserves_shards_and_invalidates_only_itself() {
         "swap must preserve the shard count"
     );
     let resp = service.submit_to(sharded, query.clone(), 5).wait().unwrap();
-    assert_eq!(resp.hits.len(), 5, "stale cached answer after swap");
+    assert_eq!(resp.hits.len(), 5, "stale answer after swap");
     assert_eq!(resp.audit_threshold, 2, "AT = MC_5 + 1 = 2 on the new data");
 
-    // the sibling's cached entry survived: served from cache, same bits
-    let hits_before = service.stats().cache_hits;
+    // the sibling answers with the same bits
     let again = service.submit_to(sibling, query, 5).wait().unwrap();
     assert_eq!(again.hits, sibling_answer.hits);
-    assert_eq!(
-        service.stats().cache_hits,
-        hits_before + 1,
-        "sibling entry must still be cached"
-    );
+    assert_eq!(again.audit_threshold, sibling_answer.audit_threshold);
 }
 
 /// Mixed per-request `k` within one sharded wave: each request's merged
@@ -329,13 +323,12 @@ fn sharded_waves_honour_per_request_k() {
     }
 }
 
-/// Facade-level: sharded + cached serving on the new CPU counting
-/// kernel is unchanged. Every answer routed through `GenieDb` — shard
-/// fan-out, merge, result cache and all — must be bit-identical to the
-/// seed dense reference path
-/// ([`genie_core::backend::kernel::reference_search_one`]) decoded by
-/// the same domain adapter, on the first (scheduler) and second
-/// (cache-served) passes alike.
+/// Facade-level: sharded serving on the new CPU counting kernel is
+/// unchanged. Every answer routed through `GenieDb` — shard fan-out,
+/// merge and all — must be bit-identical to the seed dense reference
+/// path ([`genie_core::backend::kernel::reference_search_one`]) decoded
+/// by the same domain adapter, on a first and a repeated pass alike,
+/// each answered by its wave's shard runs.
 #[test]
 fn facade_sharded_cached_serving_matches_the_seed_reference() {
     use genie_core::backend::kernel;
@@ -356,7 +349,6 @@ fn facade_sharded_cached_serving_matches_the_seed_reference() {
         },
         ServiceConfig {
             max_queue_delay: std::time::Duration::from_micros(200),
-            cache_capacity: 256,
             ..Default::default()
         },
     )
@@ -372,10 +364,11 @@ fn facade_sharded_cached_serving_matches_the_seed_reference() {
         .collect();
     let first: Vec<_> = specs.iter().map(|s| col.search(s, k).unwrap()).collect();
     let second: Vec<_> = specs.iter().map(|s| col.search(s, k).unwrap()).collect();
-    assert!(
-        db.stats().cache_hits >= specs.len() as u64,
-        "the second pass must be served from the cache: {:?}",
-        db.stats()
+    let stats = db.stats();
+    assert_eq!(stats.served, 2 * specs.len() as u64);
+    assert_eq!(
+        stats.batched_requests, stats.served,
+        "both passes must be answered by shard runs: {stats:?}"
     );
 
     let domain = col.domain();
@@ -386,7 +379,7 @@ fn facade_sharded_cached_serving_matches_the_seed_reference() {
         let expected = domain.decode(spec, hits, at, kc, k);
         assert_eq!(f.hits, expected.hits, "sharded facade vs seed reference");
         assert_eq!(f.audit_threshold, expected.audit_threshold);
-        assert_eq!(f.hits, s.hits, "cached pass must be bit-identical");
+        assert_eq!(f.hits, s.hits, "repeated pass must be bit-identical");
         assert_eq!(f.audit_threshold, s.audit_threshold);
     }
 }
@@ -426,7 +419,6 @@ fn a_collection_larger_than_one_device_serves_as_shards_on_a_small_device_fleet(
         ServiceConfig {
             // long enough that the eight submissions share one wave
             max_queue_delay: std::time::Duration::from_millis(100),
-            cache_capacity: 0,
             ..Default::default()
         },
     )

@@ -137,7 +137,9 @@
 //! simply ignored and re-deleted later. Mutations racing the capture
 //! are safe because each is journaled (in generation `N`) *before* it
 //! commits in memory, and replay skips any event whose `seq` the
-//! captured snapshot already covers.
+//! captured snapshot already covers. Checkpoints run one at a time
+//! (appends do not wait for them): two overlapping ones would each
+//! prune the generation the other is committing.
 //!
 //! Appends follow write-ahead discipline end to end: an event is
 //! framed, appended, and fsynced *before* the mutation applies in

@@ -166,11 +166,15 @@ struct StoreInner {
 
 /// Handle to one store directory. Thread-safe: appends serialize on an
 /// internal mutex; checkpoints rotate the journal under the same mutex
-/// and do the expensive snapshot writes outside it.
+/// and do the expensive snapshot writes outside it. Checkpoints also
+/// serialize among themselves, on a mutex of their own, so appends
+/// never wait on a snapshot write.
 pub struct DurableStore {
     vfs: Arc<dyn Vfs>,
     root: PathBuf,
     inner: Mutex<StoreInner>,
+    /// Held across a whole [`checkpoint_with`](Self::checkpoint_with).
+    checkpoint: Mutex<()>,
 }
 
 fn journal_dir(root: &Path) -> PathBuf {
@@ -569,6 +573,7 @@ impl DurableStore {
                     last_created: journal_gen,
                     tail_dirty: false,
                 }),
+                checkpoint: Mutex::new(()),
             },
             collections,
             report,
@@ -635,10 +640,17 @@ impl DurableStore {
     /// *and* in the snapshot — replay skips it by `seq`. A crash at
     /// any point leaves the old manifest pointing at a complete
     /// snapshot + journal chain.
+    ///
+    /// Checkpoints run one at a time. Two that overlapped would each
+    /// prune the other's files: the later cleanup deletes the snapshot
+    /// directory the earlier one is still writing, and an earlier one
+    /// finishing last points the manifest at its own generation, whose
+    /// journal the later one has already pruned.
     pub fn checkpoint_with<F>(&self, capture: F) -> Result<u64, StoreError>
     where
         F: FnOnce() -> Vec<CollectionState>,
     {
+        let _one_at_a_time = self.checkpoint.lock().unwrap();
         let new_gen = {
             let mut inner = self.inner.lock().unwrap();
             self.rotate_locked(&mut inner)?
@@ -703,6 +715,7 @@ mod tests {
     use crate::vfs::{FaultyVfs, MemVfs};
     use genie_core::model::Object;
     use genie_core::shard::{Shard, ShardPlan};
+    use std::sync::mpsc;
 
     const ROOT: &str = "/store";
 
@@ -821,6 +834,61 @@ mod tests {
         assert_eq!(second.report.events_skipped, 1);
         assert_eq!(second.report.events_replayed, 0);
         assert_eq!(second.collections[0].plan.len(), 5);
+    }
+
+    /// Regression: checkpoint A is held between its capture and its
+    /// snapshot write while an event is acked and checkpoint B runs.
+    /// Overlapping, B pruned A's journal generation (holding the event)
+    /// and A then pointed the manifest back at it, losing the event.
+    /// Serialised, B waits for A and both commit.
+    #[test]
+    fn overlapping_checkpoints_lose_no_acked_event() {
+        let mem = Arc::new(MemVfs::new());
+        let store = open(&mem).store;
+        store.append(&create(0, 4)).unwrap();
+        let before = DeltaPlan::from_base(base_shards(4), None);
+        let mut after = before.clone();
+        after.insert(obj(&[0]));
+        let (paused_tx, paused_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+
+        let store = &store;
+        std::thread::scope(|scope| {
+            let a = scope.spawn(move || {
+                store.checkpoint_with(|| {
+                    let states = vec![CollectionState::capture(0, 1, "c0", 2, &before, None)];
+                    // captured: hold A before its snapshot write
+                    paused_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    states
+                })
+            });
+            paused_rx.recv().unwrap();
+            // acked while A is held: it lands in A's journal generation
+            store.append(&mutate(0, 2, 4, 1)).unwrap();
+            let (done_tx, done_rx) = mpsc::channel();
+            let b = scope.spawn(move || {
+                let gen = store.checkpoint_with(|| {
+                    vec![CollectionState::capture(0, 2, "c0", 2, &after, None)]
+                });
+                let _ = done_tx.send(());
+                gen
+            });
+            // B either runs to the end while A is held, or waits on A
+            let _ = done_rx.recv_timeout(std::time::Duration::from_millis(300));
+            release_tx.send(()).unwrap();
+            let gen_a = a.join().unwrap().expect("checkpoint A");
+            let gen_b = b.join().unwrap().expect("checkpoint B");
+            assert!(gen_b > gen_a, "B ran after A: {gen_a} then {gen_b}");
+        });
+
+        let reopened = open(&mem);
+        let c0 = &reopened.collections[0];
+        assert_eq!(
+            (c0.seq, c0.plan.len()),
+            (2, 5),
+            "the event acked between the checkpoints survives"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! *merged* answer). On this CPU fleet the merged results are
 //! bit-identical to the unsharded collection's, which the example
 //! asserts. A re-index at the end shows that swapping a sharded
-//! collection keeps its shard count and touches no sibling's cache.
+//! collection keeps its shard count and leaves its sibling alone.
 //!
 //! Run with: `cargo run --release --example sharded_serving`
 
@@ -66,7 +66,8 @@ fn main() {
         stats.served, stats.waves, stats.shard_runs
     );
 
-    // a sharded re-index keeps the shard count and the siblings' cache
+    // a sharded re-index keeps the shard count and leaves the sibling
+    // unsharded collection alone
     let smaller: Vec<Vec<String>> = corpus[..50].to_vec();
     sharded.reindex((), smaller).expect("re-index swaps");
     println!(

@@ -173,7 +173,6 @@ fn open_db(backend: &str) -> (GenieDb, Arc<dyn SearchBackend>) {
             // a one-shot query has no company to wait for
             max_queue_delay: std::time::Duration::ZERO,
             dispatchers: 1,
-            cache_capacity: 1024,
             ..Default::default()
         },
     )

@@ -17,8 +17,8 @@
 //! * [`datasets`] (`genie-datasets`) — seeded synthetic corpora;
 //! * [`service`] (`genie-service`) — the serving stack: the typed
 //!   [`GenieDb`]/[`Collection`] facade over the always-on
-//!   `GenieService` admission queue (size/deadline wave triggers,
-//!   per-collection result cache) over the micro-batching
+//!   `GenieService` admission queue (size/deadline wave triggers)
+//!   over the micro-batching
 //!   `QueryScheduler` with multi-backend dispatch.
 //!
 //! ## One door per job
@@ -33,7 +33,7 @@
 //! ## Quickstart
 //!
 //! One `GenieDb` serves every domain the paper claims — the same
-//! admission queue, scheduler and cache behind typed collections:
+//! admission queue and scheduler behind typed collections:
 //!
 //! ```
 //! use std::sync::Arc;

@@ -12,11 +12,14 @@
 //! The band is deliberately two-sided-generous: a row passes when
 //!
 //! ```text
-//! median(trials) >= floor * baseline - slack_mad * MAD(trials)
+//! median(trials) >= floor * baseline - min(slack_mad * MAD(trials), floor * baseline / 2)
 //! ```
 //!
 //! where `floor` absorbs host-to-host variation and the MAD term
-//! absorbs run-to-run jitter measured *on this host, right now*. A
+//! absorbs run-to-run jitter measured *on this host, right now*. The
+//! MAD slack is capped at half the floor, so the threshold stays
+//! positive: trials noisy enough to widen the band past zero would
+//! otherwise make a gate that cannot fail. A
 //! genuine regression — e.g. the dense path losing its vectorised
 //! sweep — moves the median far below any plausible band, which the
 //! injected-regression self-test in CI demonstrates
@@ -73,7 +76,8 @@ pub struct GateVerdict {
     pub row: GateRow,
     pub median: f64,
     pub mad: f64,
-    /// `floor * baseline - SLACK_MADS * mad`: the pass threshold.
+    /// `floor * baseline - min(SLACK_MADS * mad, MAX_SLACK_SHARE *
+    /// floor * baseline)`: the pass threshold.
     pub threshold: f64,
     pub pass: bool,
 }
@@ -81,6 +85,11 @@ pub struct GateVerdict {
 /// How many MADs of same-host jitter the band tolerates on top of the
 /// relative floor.
 pub const SLACK_MADS: f64 = 3.0;
+
+/// The largest share of `floor * baseline` the MAD slack may take off
+/// the threshold, so that a positive baseline keeps a positive
+/// threshold however noisy the trials.
+pub const MAX_SLACK_SHARE: f64 = 0.5;
 
 /// The one place a boolean-per-trial becomes a gate: each trial scores
 /// 1 when the invariant held and the median must reach 1. The harness
@@ -99,7 +108,8 @@ pub fn indicator(name: String, held: &[bool]) -> GateRow {
 pub fn judge(row: GateRow) -> GateVerdict {
     let med = median(&row.trials);
     let spread = mad(&row.trials);
-    let threshold = row.floor * row.baseline - SLACK_MADS * spread;
+    let floor = row.floor * row.baseline;
+    let threshold = floor - (SLACK_MADS * spread).min(MAX_SLACK_SHARE * floor);
     GateVerdict {
         median: med,
         mad: spread,
@@ -253,6 +263,34 @@ mod tests {
         });
         // floor alone: 2.1 > median 2.0 — but MAD slack (0.6 * 3) saves it
         assert!(v.pass, "{v:?}");
+    }
+
+    #[test]
+    fn mad_slack_cannot_push_the_threshold_below_zero() {
+        // a noisy run of the dense single-query speedup gate (floor
+        // 0.5, baseline 1.489): uncapped, 3 MADs of 0.27 put the
+        // threshold at 0.745 - 0.81 < 0, a gate that could not fail
+        let dense = |trials: Vec<f64>| {
+            judge(GateRow {
+                name: "dense/speedup_single_query".into(),
+                baseline: 1.489,
+                trials,
+                floor: 0.5,
+            })
+        };
+        let uncapped = |v: &GateVerdict| v.row.floor * v.row.baseline - SLACK_MADS * v.mad;
+
+        let noisy = dense(vec![1.58, 1.31, 1.85]);
+        assert!(uncapped(&noisy) < 0.0, "{noisy:?}");
+        assert!(noisy.threshold > 0.0, "{noisy:?}");
+        assert!(noisy.pass, "{noisy:?}");
+
+        // the same spread around a collapsed median: it cleared the
+        // uncapped threshold, and now fails
+        let collapsed = dense(vec![0.30, 0.03, 0.57]);
+        assert!(collapsed.median >= uncapped(&collapsed), "{collapsed:?}");
+        assert!(collapsed.threshold > 0.0, "{collapsed:?}");
+        assert!(!collapsed.pass, "{collapsed:?}");
     }
 
     #[test]

@@ -79,10 +79,12 @@
 //! because raw microseconds are host property. A band passes when
 //!
 //! ```text
-//! median(trials) >= floor * baseline - SLACK_MADS * MAD(trials)
+//! median(trials) >= floor * baseline
+//!                   - min(SLACK_MADS * MAD(trials), MAX_SLACK_SHARE * floor * baseline)
 //! ```
 //!
-//! ([`check::judge`]; the floor is per band). The baseline value is
+//! ([`check::judge`]; the floor is per band; the cap keeps the
+//! threshold of a positive baseline positive). The baseline value is
 //! always the same-named row of the same section, so a bench whose
 //! ratios depend on scale records its smoke-scale rows in the baseline
 //! too ([`cpu_kernel`]'s `smoke_rows`) and a smoke check compares like

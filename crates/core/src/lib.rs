@@ -20,9 +20,6 @@
 //! * **multiple loading** ([`multiload`]) for data sets larger than
 //!   device memory — device-sized shards paged through one device (a
 //!   fleet of devices serves a sharded collection instead);
-//! * **shard placement** ([`placement`]) — a static shard→backend
-//!   assignment for the serving fleet, count/AT-identical to broadcast
-//!   by construction;
 //! * **live mutations** ([`delta`]) — an LSM-style mutable delta shard
 //!   plus tombstone set over the immutable base shards (every served
 //!   collection carries one, empty until its first write), with a
@@ -87,7 +84,6 @@ pub mod index;
 pub mod io;
 pub mod model;
 pub mod multiload;
-pub mod placement;
 pub mod shard;
 pub mod topk;
 
@@ -102,7 +98,6 @@ pub mod prelude {
         match_count, KeywordId, Object, ObjectId, Query, QueryBuildError, QueryItem,
     };
     pub use crate::multiload::{multi_load_search, MultiLoadReport};
-    pub use crate::placement::{PlacementError, PlacementPlan};
     pub use crate::shard::{
         merge_shard_topk, merge_shard_topk_filtered, Shard, ShardError, ShardPlan,
     };

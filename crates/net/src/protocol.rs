@@ -145,10 +145,11 @@
 //!   collapse counted 0 for those and only sharded collections
 //!   contributed). Since the placement extension this family also
 //!   carries `service/placed_shard_runs`,
-//!   `service/hot_shard_events` and `service/rebalances` (both always
-//!   0: placement is static), and the fleet-mean learned cost model
-//!   (`service/learned_base_us`, `service/learned_us_per_posting`,
-//!   `service/cost_observations`).
+//!   `service/hot_shard_events` and `service/rebalances` (all three
+//!   always 0: every shard run goes to the whole fleet; the rows stay
+//!   so that readers which look them up still find them), and the
+//!   fleet-mean learned cost model (`service/learned_base_us`,
+//!   `service/learned_us_per_posting`, `service/cost_observations`).
 //! * `backend/{i}/{name}/...` — one group per fleet backend, in fleet
 //!   order: lifetime usage (`batches`, `queries`, `failed`, `retired`,
 //!   `probes` — booleans encode as 0/1) and the backend's **learned**

@@ -382,10 +382,6 @@ impl From<ServiceError> for WireError {
             // the wire path refuses `k = 0` itself, with this message
             ServiceError::ZeroK => Self::Service(e.to_string()),
             ServiceError::InvalidShards(e) => Self::InvalidShards(e.to_string()),
-            // no wire operation installs placement plans (only the
-            // in-process set_collection_placement does), so this variant
-            // can only surface as a diagnostic if that ever changes
-            ServiceError::InvalidPlacement(e) => Self::Service(format!("invalid placement: {e}")),
             ServiceError::Persist(e) => Self::Service(format!("persistence failure: {e}")),
             ServiceError::Internal(e) => Self::Service(e),
         }
@@ -838,9 +834,11 @@ pub fn service_stats_fields(s: &ServiceStats) -> Vec<(String, f64)> {
             "service/mean_batch_occupancy".into(),
             s.mean_batch_occupancy(),
         ),
-        // placement + learned-cost counters ride behind the v1 rows:
-        // Stats consumers look names up by key, so appending rows is
-        // wire-compatible (see `genie_net::protocol`, "Compatibility")
+        // fleet + learned-cost counters ride behind the v1 rows: Stats
+        // consumers look names up by key, so appending rows is
+        // wire-compatible (see `genie_net::protocol`, "Compatibility");
+        // the three placement rows are always 0 and stay for readers
+        // that look them up
         (
             "service/placed_shard_runs".into(),
             s.placed_shard_runs as f64,

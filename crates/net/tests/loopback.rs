@@ -353,7 +353,8 @@ fn stats_frame_carries_fleet_health_and_learned_costs() {
             .unwrap_or_else(|| panic!("stats must carry {name}"))
             .1
     };
-    // new service counters exist (placement inactive: zeros are fine)
+    // the placement rows exist and are always 0 (every shard run goes
+    // to the whole fleet)
     assert_eq!(get("service/rebalances"), 0.0);
     assert_eq!(get("service/hot_shard_events"), 0.0);
     // the learned model starts at the (positive) seed and has already

@@ -899,35 +899,6 @@ impl QueryScheduler {
             .collect();
         Ok((responses, report))
     }
-
-    /// [`run_prepared_active`](Self::run_prepared_active) further
-    /// restricted to a placement's `assigned` backends: a backend runs
-    /// this sub-wave only when it is both healthy (`active`, the
-    /// circuit breaker's mask) *and* assigned to the shard being
-    /// served. Placement **fails open**: when the intersection is empty
-    /// — every assigned backend is retired — the sub-wave falls back to
-    /// the full active fleet rather than failing, because any
-    /// shard→backend assignment yields count/AT-identical answers (see
-    /// [`genie_core::placement`]). Both masks are fleet-ordered.
-    pub fn run_prepared_placed(
-        &self,
-        prepared: &PreparedIndex,
-        requests: &[QueryRequest],
-        active: &[bool],
-        assigned: &[bool],
-    ) -> Result<(Vec<QueryResponse>, ScheduleReport), String> {
-        assert_eq!(
-            assigned.len(),
-            self.backends.len(),
-            "assigned mask must cover the whole fleet"
-        );
-        let effective: Vec<bool> = active.iter().zip(assigned).map(|(&a, &p)| a && p).collect();
-        if effective.iter().any(|&e| e) {
-            self.run_prepared_active(prepared, requests, &effective)
-        } else {
-            self.run_prepared_active(prepared, requests, active)
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1165,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn placed_dispatch_routes_only_to_assigned_backends() {
+    fn active_mask_routes_only_to_active_backends() {
         let index = small_index();
         let scheduler = QueryScheduler::new(
             vec![Arc::new(CpuBackend::new()), Arc::new(CpuBackend::new())],
@@ -1176,31 +1147,11 @@ mod tests {
             .map(|i| QueryRequest::new(i, Query::from_keywords(&[i as u32 % 5]), 3))
             .collect();
         let (responses, report) = scheduler
-            .run_prepared_placed(&prepared, &reqs, &[true, true], &[false, true])
+            .run_prepared_active(&prepared, &reqs, &[false, true])
             .unwrap();
         assert_eq!(responses.len(), 6);
-        assert_eq!(report.per_backend[0].queries, 0, "unassigned backend idle");
+        assert_eq!(report.per_backend[0].queries, 0, "inactive backend idle");
         assert_eq!(report.per_backend[1].queries, 6);
-    }
-
-    #[test]
-    fn placed_dispatch_fails_open_when_every_assigned_backend_is_retired() {
-        let index = small_index();
-        let scheduler = QueryScheduler::new(
-            vec![Arc::new(CpuBackend::new()), Arc::new(CpuBackend::new())],
-            SchedulerConfig::default(),
-        );
-        let prepared = scheduler.prepare(&index).unwrap();
-        let reqs = vec![QueryRequest::new(0, Query::from_keywords(&[2]), 4)];
-        // shard assigned to backend 1, but the breaker retired it: the
-        // sub-wave must fall back to the active fleet, not fail
-        let (responses, report) = scheduler
-            .run_prepared_placed(&prepared, &reqs, &[true, false], &[false, true])
-            .unwrap();
-        assert_eq!(responses.len(), 1);
-        assert!(!responses[0].hits.is_empty());
-        assert_eq!(report.per_backend[0].queries, 1);
-        assert_eq!(report.per_backend[1].queries, 0);
     }
 
     #[test]

@@ -85,12 +85,9 @@ use std::time::{Duration, Instant};
 use genie_core::delta::DeltaPlan;
 use genie_core::index::{InvertedIndex, LoadBalanceConfig};
 use genie_core::model::{Object, ObjectId, Query};
-use genie_core::placement::PlacementPlan;
 use genie_core::shard::{merge_shard_topk_filtered, Shard, ShardError, ShardPlan};
 use genie_core::topk::TopHit;
-use genie_store::{
-    CollectionState, DurableStore, JournalEvent, PlacementSpec, RecoveredCollection,
-};
+use genie_store::{CollectionState, DurableStore, JournalEvent, RecoveredCollection};
 
 use crate::{
     plan_batches_with_cost, Batch, PreparedIndex, QueryRequest, QueryResponse, QueryScheduler,
@@ -140,11 +137,11 @@ pub struct ServiceConfig {
     /// [`compact_collection`](GenieService::compact_collection) calls
     /// still work.
     pub compact_after: usize,
-    /// Ignored: placement is static (see [`genie_core::placement`]).
-    /// Kept because `benchmark/` reads it.
+    /// Ignored: every shard run goes to the whole fleet. Kept because
+    /// `benchmark/` reads it.
     pub skew_threshold: f64,
-    /// Ignored: placement is static (see [`genie_core::placement`]).
-    /// Kept because `benchmark/` reads it.
+    /// Ignored: every shard run goes to the whole fleet. Kept because
+    /// `benchmark/` reads it.
     pub rebalance_window: usize,
 }
 
@@ -231,14 +228,14 @@ pub struct ServiceStats {
     /// Compaction runs discarded because the collection was swapped or
     /// compacted by someone else while the rebuild ran off-lock.
     pub stale_compactions: u64,
-    /// Shard runs routed to a strict subset of the fleet by a
-    /// [`PlacementPlan`] (broadcast runs don't count).
+    /// Always 0: every shard run goes to the whole fleet. Kept because
+    /// `benchmark/` reads it.
     pub placed_shard_runs: u64,
-    /// Always 0: placement is static. Kept because `benchmark/` reads
-    /// it.
+    /// Always 0: every shard run goes to the whole fleet. Kept because
+    /// `benchmark/` reads it.
     pub hot_shard_events: u64,
-    /// Always 0: placement is static. Kept because `benchmark/` reads
-    /// it.
+    /// Always 0: every shard run goes to the whole fleet. Kept because
+    /// `benchmark/` reads it.
     pub rebalances: u64,
     /// Learned fleet-mean cost model (filled at snapshot time from the
     /// scheduler's online per-backend models — see
@@ -343,10 +340,6 @@ pub enum ServiceError {
     ZeroK,
     /// A degenerate shard plan was requested.
     InvalidShards(ShardError),
-    /// A placement plan does not fit the collection or the fleet (wrong
-    /// shard count, wrong fleet size, or a degenerate plan). The
-    /// message is diagnostic only, like [`Internal`](Self::Internal).
-    InvalidPlacement(String),
     /// The durability layer could not journal or checkpoint the
     /// operation. Write-ahead discipline holds: the in-memory state the
     /// caller tried to change was **not** applied. The message is
@@ -368,7 +361,6 @@ impl std::fmt::Display for ServiceError {
             ),
             Self::ZeroK => f.write_str("k must be at least 1"),
             Self::InvalidShards(e) => write!(f, "invalid shard plan: {e}"),
-            Self::InvalidPlacement(e) => write!(f, "invalid placement: {e}"),
             Self::Persist(e) => write!(f, "persistence failure: {e}"),
             Self::Internal(e) => f.write_str(e),
         }
@@ -497,13 +489,6 @@ struct CollectionEntry {
     /// applied, index swapped). A compaction built against an older
     /// epoch is discarded instead of applied.
     epoch: u64,
-    /// Shard→backend assignment of the **base** shards (`None` =
-    /// broadcast; the delta shard always broadcasts). Honored only
-    /// while it covers exactly the current base shards and the whole
-    /// fleet — a compaction that changes the shard count drops it back
-    /// to broadcast. Answers are count/AT-identical under any
-    /// assignment (see [`genie_core::placement`]).
-    placement: Option<Arc<PlacementPlan>>,
     /// Sequence number of the last journal event persisted for this
     /// collection (1 = the `Create` event; restored collections resume
     /// from their recovered seq). Recovery skips replayed events at or
@@ -593,14 +578,6 @@ struct HealthState {
 /// is built with — taken from the first base shard.
 fn load_balance_of(shards: &[Shard]) -> Option<LoadBalanceConfig> {
     shards.first().and_then(|s| s.index.load_balance())
-}
-
-/// A [`PlacementPlan`] reduced to the journal's serializable spec.
-fn placement_spec(plan: &PlacementPlan) -> PlacementSpec {
-    PlacementSpec {
-        num_backends: plan.num_backends(),
-        assignments: plan.assignments().to_vec(),
-    }
 }
 
 impl ServiceInner {
@@ -700,7 +677,6 @@ impl ServiceInner {
 
         let mut wave_batches = 0u64;
         let mut wave_shard_runs = 0u64;
-        let mut wave_placed_runs = 0u64;
         let mut wave_wall_us = 0.0;
         let mut wave_predicted_us = 0.0;
         let mut wave_actual_us = 0.0;
@@ -729,7 +705,6 @@ impl ServiceInner {
                     wave_wall_us += report.wall_us;
                     wave_predicted_us += report.predicted_cost_us;
                     wave_actual_us += report.actual_cost_us;
-                    wave_placed_runs += report.placed_runs;
                     wave_stages.accumulate(&report.stages);
                     served += group.len() as u64;
                     outcomes.push((group, Ok(responses)));
@@ -749,7 +724,6 @@ impl ServiceInner {
             stats.waves += 1;
             stats.batches += wave_batches;
             stats.shard_runs += wave_shard_runs;
-            stats.placed_shard_runs += wave_placed_runs;
             stats.wall_us += wave_wall_us;
             stats.predicted_cost_us += wave_predicted_us;
             stats.actual_cost_us += wave_actual_us;
@@ -786,20 +760,14 @@ impl ServiceInner {
     }
 
     /// Serve one collection group: fan out over the collection's base
-    /// shards plus its delta shard, honoring the placement plan only
-    /// while it still describes the current base shards and the whole
-    /// fleet (a plan raced by swap/compaction silently broadcasts).
+    /// shards plus its delta shard.
     fn run_group(
         &self,
         entry: &CollectionEntry,
         requests: &[QueryRequest],
     ) -> Result<(Vec<QueryResponse>, GroupReport), ServiceError> {
-        let placement: Option<&PlacementPlan> = entry.placement.as_deref().filter(|p| {
-            p.num_shards() == entry.base.len()
-                && p.num_backends() == self.scheduler.backends().len()
-        });
         let shards: Vec<&PreparedShard> = entry.shards().collect();
-        self.run_fanout(&shards, placement, requests, entry.plan.tombstones())
+        self.run_fanout(&shards, requests, entry.plan.tombstones())
     }
 
     /// The concurrent per-shard fan-out every collection is served by:
@@ -822,13 +790,12 @@ impl ServiceInner {
     /// count is also exact but over-fetches from every shard holding
     /// none of the dead ids.)
     ///
-    /// With a [`PlacementPlan`], each base shard's scheduler run is
-    /// masked to its assigned backends; shards past the plan (the delta
-    /// shard) broadcast.
+    /// Every shard's scheduler run is dispatched to the whole active
+    /// fleet: per-shard counts do not depend on which backend scans the
+    /// shard, so no shard is pinned to particular backends.
     fn run_fanout(
         &self,
         shards: &[&PreparedShard],
-        placement: Option<&PlacementPlan>,
         requests: &[QueryRequest],
         tombstones: &BTreeSet<ObjectId>,
     ) -> Result<(Vec<QueryResponse>, GroupReport), ServiceError> {
@@ -854,13 +821,9 @@ impl ServiceInner {
                 })
             })
             .collect();
-        // per-shard backend masks (None = broadcast)
-        let masks: Vec<Option<Vec<bool>>> = (0..shards.len())
-            .map(|i| placement.and_then(|p| (i < p.num_shards()).then(|| p.mask_of(i))))
-            .collect();
         let run_shard = |i: usize| {
             let reqs: &[QueryRequest] = inflated[i].as_deref().unwrap_or(requests);
-            self.run_scheduler(&shards[i].prepared, reqs, masks[i].as_deref())
+            self.run_scheduler(&shards[i].prepared, reqs)
         };
         let per_shard: Vec<Result<(Vec<QueryResponse>, ScheduleReport), ServiceError>> =
             std::thread::scope(|scope| {
@@ -883,10 +846,6 @@ impl ServiceInner {
             predicted_cost_us: 0.0,
             actual_cost_us: 0.0,
             stages: StageProfile::default(),
-            placed_runs: masks
-                .iter()
-                .filter(|m| m.as_ref().is_some_and(|m| m.iter().any(|&b| !b)))
-                .count() as u64,
         };
         // per request: one global-id hit list per shard
         let mut gathered: Vec<Vec<Vec<TopHit>>> =
@@ -922,33 +881,15 @@ impl ServiceInner {
     /// One breaker-aware scheduler run: compute the admitted-backend
     /// mask (granting due probes), execute, and fold the run's
     /// per-backend usage back into health and breaker state.
-    ///
-    /// `assigned` is a placement mask over the fleet (`None` =
-    /// broadcast). Backends granted a re-admission probe join the mask
-    /// even when unassigned — a probe's verdict must never be starved
-    /// by placement — and the scheduler fails open to the full active
-    /// set if the placement excludes every live backend.
     fn run_scheduler(
         &self,
         prepared: &PreparedIndex,
         requests: &[QueryRequest],
-        assigned: Option<&[bool]>,
     ) -> Result<(Vec<QueryResponse>, ScheduleReport), ServiceError> {
         let (active, probing) = self.admit_backends();
-        let run = match assigned {
-            Some(assigned) => {
-                let assigned: Vec<bool> = assigned
-                    .iter()
-                    .zip(&probing)
-                    .map(|(&a, &p)| a || p)
-                    .collect();
-                self.scheduler
-                    .run_prepared_placed(prepared, requests, &active, &assigned)
-            }
-            None => self
-                .scheduler
-                .run_prepared_active(prepared, requests, &active),
-        };
+        let run = self
+            .scheduler
+            .run_prepared_active(prepared, requests, &active);
         match &run {
             Ok((_, report)) => self.accumulate_health(&report.per_backend, &active, &probing),
             // the run died without per-backend usage: release any probe
@@ -1135,17 +1076,6 @@ impl ServiceInner {
             }
         };
         slot.epoch += 1;
-        // a placement plan only remains honored while it covers exactly
-        // the current base shards; compaction at a different count drops
-        // it back to broadcast until set_collection_placement installs
-        // a new one
-        if slot
-            .placement
-            .as_ref()
-            .is_some_and(|p| p.num_shards() != base.len())
-        {
-            slot.placement = None;
-        }
         slot.plan = plan;
         slot.base = base;
         slot.delta = delta;
@@ -1208,7 +1138,8 @@ impl ServiceInner {
                     &slot.name,
                     slot.configured_shards,
                     &slot.plan,
-                    slot.placement.as_deref().map(placement_spec),
+                    // no shard→backend placement: `has_placement = 0`
+                    None,
                 )
             })
             .collect()
@@ -1278,8 +1209,6 @@ struct GroupReport {
     predicted_cost_us: f64,
     actual_cost_us: f64,
     stages: StageProfile,
-    /// Shard runs this group routed to a strict subset of the fleet.
-    placed_runs: u64,
 }
 
 /// `plan_batches` emits batches in ascending-`k` order, so a same-`k`
@@ -1497,7 +1426,6 @@ impl GenieService {
             delta: None,
             compaction_queued: false,
             epoch: 0,
-            placement: None,
             persist_seq: 1,
         };
         self.inner
@@ -1549,10 +1477,6 @@ impl GenieService {
             slot.delta = None;
             slot.compaction_queued = false;
             slot.epoch += 1;
-            // the plan described the old base shards; the swapped
-            // collection is broadcast until set_collection_placement
-            // installs a new one
-            slot.placement = None;
         }
         // index dimensions changed: the cached no-trigger verdict may
         // no longer hold
@@ -1725,13 +1649,14 @@ impl GenieService {
     /// on every backend. Restoration journals nothing — the recovered
     /// seq chain continues where it left off. Fails if an id is already
     /// taken (restore into an empty service, before creating new
-    /// collections) or a persisted placement no longer fits the fleet
-    /// (the plan is dropped to broadcast, not an error).
+    /// collections). A shard→backend placement recorded by an older
+    /// writer is dropped: every shard run goes to the whole fleet, and
+    /// per-shard counts do not depend on the backend, so answers are
+    /// unchanged.
     pub fn restore_collections(
         &self,
         recovered: Vec<RecoveredCollection>,
     ) -> Result<(), ServiceError> {
-        let fleet = self.inner.scheduler.backends().len();
         for rec in recovered {
             if self.inner.entry(rec.id).is_some() {
                 return Err(ServiceError::Internal(format!(
@@ -1741,16 +1666,6 @@ impl GenieService {
             }
             let base = self.inner.prepare_base(rec.plan.base())?;
             let delta = self.inner.prepare_delta(&rec.plan)?;
-            // a persisted plan is only honored if it still fits this
-            // fleet and the recovered base — placement never changes
-            // answers, so dropping to broadcast is always safe
-            let placement = rec.placement.and_then(|spec| {
-                (spec.num_backends == fleet)
-                    .then(|| PlacementPlan::new(spec.assignments, spec.num_backends).ok())
-                    .flatten()
-                    .filter(|p| p.num_shards() == base.len())
-                    .map(Arc::new)
-            });
             let entry = Arc::new(RwLock::new(CollectionEntry {
                 name: rec.name,
                 configured_shards: rec.configured_shards,
@@ -1759,7 +1674,6 @@ impl GenieService {
                 delta,
                 compaction_queued: false,
                 epoch: 0,
-                placement,
                 persist_seq: rec.seq,
             }));
             self.inner
@@ -1891,64 +1805,6 @@ impl GenieService {
             slot.cost_observations = learned.observations;
         }
         slots
-    }
-
-    /// The shard→backend assignment `collection` is currently served
-    /// with, one backend list per **base** shard (`None` for unknown
-    /// ids). A collection without an applied plan reports the broadcast
-    /// assignment (every shard on every backend).
-    pub fn collection_placement(&self, collection: CollectionId) -> Option<Vec<Vec<usize>>> {
-        let entry = self.inner.entry(collection)?;
-        let slot = entry.read().expect("collection lock");
-        Some(match &slot.placement {
-            Some(plan) => plan.assignments().to_vec(),
-            None => {
-                let fleet: Vec<usize> = (0..self.inner.scheduler.backends().len()).collect();
-                vec![fleet; slot.base.len()]
-            }
-        })
-    }
-
-    /// Install an explicit [`PlacementPlan`] for `collection`'s base
-    /// shards; it stays until the next call, a swap, or a compaction
-    /// that changes the base shard count. The plan must cover
-    /// exactly the current base shard count and the whole fleet.
-    /// Answers are unchanged by construction.
-    pub fn set_collection_placement(
-        &self,
-        collection: CollectionId,
-        plan: PlacementPlan,
-    ) -> Result<(), ServiceError> {
-        let entry = self
-            .inner
-            .entry(collection)
-            .ok_or(ServiceError::UnknownCollection(collection))?;
-        let mut slot = entry.write().expect("collection lock");
-        let num_base = slot.base.len();
-        if plan.num_shards() != num_base {
-            return Err(ServiceError::InvalidPlacement(format!(
-                "plan covers {} shards but the collection serves {num_base} base shards",
-                plan.num_shards()
-            )));
-        }
-        let fleet = self.inner.scheduler.backends().len();
-        if plan.num_backends() != fleet {
-            return Err(ServiceError::InvalidPlacement(format!(
-                "plan assumes {} backends but the fleet has {fleet}",
-                plan.num_backends()
-            )));
-        }
-        // write-ahead: recovery re-applies the plan (placement never
-        // changes answers, but the operator's routing choice survives)
-        let seq = slot.persist_seq + 1;
-        self.inner.journal(&JournalEvent::Placement {
-            collection,
-            seq,
-            placement: Some(placement_spec(&plan)),
-        })?;
-        slot.persist_seq = seq;
-        slot.placement = Some(Arc::new(plan));
-        Ok(())
     }
 
     /// Requests currently queued (admitted, wave not yet cut).

@@ -2,7 +2,7 @@
 //!
 //! For every one of the six domains, `Collection::<D>::search` — which
 //! routes through the shared `GenieService` admission queue, the
-//! micro-batching scheduler and the result cache — must return exactly
+//! micro-batching scheduler and the shard fan-out — must return exactly
 //! what the pre-facade direct path returns on the same backend: encode
 //! the spec with the same adapter, run one
 //! `SearchBackend::search_batch` at the same candidate count, decode

@@ -520,8 +520,8 @@ fn delta_shard_adds_one_scheduler_run_per_wave() {
     let col = db
         .create_collection_sharded::<DocumentIndex>("debt", (), docs, SHARDS as usize)
         .unwrap();
-    // one awaited search = one wave; a fresh query each time, so the
-    // result cache never answers in the scheduler's place
+    // one awaited search = one wave, answered by its shard runs; a
+    // fresh query each time
     let mut fresh = 0;
     let mut runs_of_one_wave = || {
         let before = db.stats().shard_runs;
@@ -706,7 +706,6 @@ fn failed_compaction_leaves_the_collection_untouched() {
         QueryScheduler::single(Arc::clone(&backend) as Arc<dyn SearchBackend>),
         ServiceConfig {
             compact_after: 0, // only explicit compactions
-            cache_capacity: 0,
             max_queue_delay: std::time::Duration::from_micros(200),
             ..Default::default()
         },

@@ -50,7 +50,7 @@ fn service() -> GenieService {
 }
 
 #[test]
-fn swapping_one_collection_invalidates_only_its_cache_entries() {
+fn swapping_one_collection_changes_only_its_own_answers() {
     let service = service();
     let a = service
         .add_collection("a", &index_shifted(40, 5, 0))

@@ -120,7 +120,7 @@ fn n_submitters_m_requests_resolve_and_match_monolithic_run() {
 /// with bit-identical hits; a different `k` for the same query is
 /// truncated to its own `k`.
 #[test]
-fn cache_hits_return_bit_identical_results() {
+fn repeated_queries_return_bit_identical_results() {
     let index = index_of_mod(120, 11);
     let (service, cid) = serve(
         QueryScheduler::single(Arc::new(CpuBackend::new())),
@@ -152,7 +152,7 @@ fn cache_hits_return_bit_identical_results() {
 /// A swap is served from the new index at once: a query answered
 /// against the old index is recomputed against the new one.
 #[test]
-fn swap_index_invalidates_the_cache() {
+fn swap_index_serves_the_new_index_at_once() {
     let sparse = index_of_mod(60, 60); // keyword 7 matches exactly 1 object
     let dense = index_of_mod(60, 3); // keyword 7: no object (only 0,1,2 used)
     let (service, cid) = serve(

@@ -19,12 +19,14 @@
 //! This mirrors `scheduler_props.rs`, one layer up: there the claim is
 //! that *micro-batching* is transparent, here that *sharding* is.
 
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use genie_core::backend::CpuBackend;
 use genie_core::exec::Engine;
 use genie_core::index::{IndexBuilder, InvertedIndex};
-use genie_core::model::{match_count, Object, Query, QueryItem};
+use genie_core::model::{match_count, Object, ObjectId, Query, QueryItem};
 use genie_core::shard::ShardPlan;
 use genie_core::topk::{audit_threshold, reference_top_k};
 use genie_service::{GenieService, QueryRequest, QueryScheduler, SchedulerConfig, ServiceConfig};
@@ -330,7 +332,7 @@ fn sharded_waves_honour_per_request_k() {
 /// by the same domain adapter, on a first and a repeated pass alike,
 /// each answered by its wave's shard runs.
 #[test]
-fn facade_sharded_cached_serving_matches_the_seed_reference() {
+fn facade_sharded_serving_matches_the_seed_reference() {
     use genie_core::backend::kernel;
     use genie_core::domain::Domain;
     use genie_sa::DocumentIndex;
@@ -472,4 +474,163 @@ fn a_collection_larger_than_one_device_serves_as_shards_on_a_small_device_fleet(
         stats.batches, stats.shard_runs,
         "one multi-query batch per shard run: {stats:?}"
     );
+}
+
+/// A service over `backends` deterministic CPU backends; every shard
+/// run is dispatched to the whole fleet.
+fn fleet_service(backends: usize) -> GenieService {
+    let fleet: Vec<Arc<dyn genie_core::backend::SearchBackend>> = (0..backends)
+        .map(|_| Arc::new(CpuBackend::new()) as Arc<dyn genie_core::backend::SearchBackend>)
+        .collect();
+    GenieService::start_empty(
+        QueryScheduler::new(fleet, SchedulerConfig::default()),
+        ServiceConfig {
+            max_queue_delay: Duration::ZERO,
+            compact_after: 0, // compactions are explicit here
+            ..Default::default()
+        },
+    )
+    .expect("service starts")
+}
+
+fn search(
+    service: &GenieService,
+    collection: u64,
+    query: &Query,
+    k: usize,
+) -> (Vec<(u32, u32)>, u32) {
+    let resp = service
+        .submit_to(collection, query.clone(), k)
+        .wait()
+        .expect("search serves");
+    (
+        resp.hits.iter().map(|h| (h.id, h.count)).collect(),
+        resp.audit_threshold,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// A 3-shard collection on a 3-backend fleet under racing writes:
+    /// interleave atomic mutation batches and synchronous compactions,
+    /// with searcher threads hammering the collection throughout — the
+    /// final state must equal a from-scratch rebuild over the surviving
+    /// objects (under the stable-id → dense-id translation), and every
+    /// concurrently served answer must respect the ordering contract.
+    #[test]
+    fn fleet_serving_races_mutations_and_compactions_and_equals_rebuild(
+        ops in proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..64, 0..3),
+                proptest::collection::vec(proptest::collection::vec(0u32..20, 1..6), 0..3),
+                0usize..4, // 0 = compact after this round's batch
+            ),
+            1..6,
+        ),
+    ) {
+        let fleet = 3;
+        let service = fleet_service(fleet);
+        let corpus: Vec<Object> = (0..24u32)
+            .map(|i| Object::new(vec![i % 7, 7 + i % 5, 19]))
+            .collect();
+        let cid = service
+            .add_collection_sharded("raced", &index_of(&corpus), 3)
+            .expect("registers");
+
+        // searchers assert the ordering contract while writes land
+        let service = Arc::new(service);
+        let stop = Arc::new(AtomicBool::new(false));
+        let served = Arc::new(AtomicU32::new(0));
+        let searchers: Vec<_> = (0..2)
+            .map(|t: u32| {
+                let service = Arc::clone(&service);
+                let stop = Arc::clone(&stop);
+                let served = Arc::clone(&served);
+                std::thread::spawn(move || {
+                    let mut rounds = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        let query = Query::from_keywords(&[(rounds + t) % 7, 19]);
+                        let resp = service
+                            .submit_to(cid, query, 5)
+                            .wait()
+                            .expect("searches serve throughout");
+                        for w in resp.hits.windows(2) {
+                            assert!(
+                                w[0].count > w[1].count
+                                    || (w[0].count == w[1].count && w[0].id < w[1].id),
+                                "ordering contract violated mid-swap: {w:?}"
+                            );
+                        }
+                        rounds += 1;
+                        served.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+
+        // the model: surviving (stable id, keywords), insertion order
+        let mut live: Vec<(ObjectId, Vec<u32>)> = corpus
+            .iter()
+            .enumerate()
+            .map(|(i, o)| (i as ObjectId, o.keywords.clone()))
+            .collect();
+        for (picks, inserts, action) in &ops {
+            let mut deletes = Vec::new();
+            for &p in picks {
+                if live.len() <= 1 {
+                    break;
+                }
+                deletes.push(live.remove(p % live.len()).0);
+            }
+            let objects: Vec<Object> = inserts.iter().map(|kw| Object::new(kw.clone())).collect();
+            let ids = service
+                .mutate_collection(cid, &deletes, objects, &mut |_, _| {})
+                .expect("valid batch applies");
+            for (id, kw) in ids.into_iter().zip(inserts) {
+                live.push((id, kw.clone()));
+            }
+            if *action == 0 {
+                service.compact_collection(cid).expect("compaction runs");
+            }
+        }
+
+        // let the searchers demonstrably run against the final state
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while served.load(Ordering::Relaxed) < 10 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for s in searchers {
+            s.join().expect("searcher clean");
+        }
+
+        // the mutated collection equals a from-scratch rebuild over
+        // exactly the survivors
+        let fresh = fleet_service(fleet);
+        let survivors: Vec<Object> = live.iter().map(|(_, kw)| Object::new(kw.clone())).collect();
+        let fresh_cid = fresh
+            .add_collection_sharded("fresh", &index_of(&survivors), 3)
+            .expect("rebuild registers");
+        let live_ids: Vec<ObjectId> = live.iter().map(|&(id, _)| id).collect();
+        for hot in 0..7u32 {
+            for k in [1usize, 4, live.len() + 5] {
+                let query = Query::from_keywords(&[hot, 19]);
+                let (hits, at) = search(&service, cid, &query, k);
+                let (want_hits, want_at) = search(&fresh, fresh_cid, &query, k);
+                let translated: Vec<(u32, u32)> = hits
+                    .iter()
+                    .map(|&(id, c)| {
+                        let rank = live_ids
+                            .binary_search(&id)
+                            .expect("every returned id is live")
+                            as u32;
+                        (rank, c)
+                    })
+                    .collect();
+                prop_assert_eq!(translated, want_hits, "diverged from rebuild at k={}", k);
+                prop_assert_eq!(at, want_at, "AT must match the rebuild at k={}", k);
+            }
+        }
+    }
 }

@@ -32,7 +32,7 @@ use genie_core::backend::CpuBackend;
 use genie_core::domain::Domain;
 use genie_core::index::IndexBuilder;
 use genie_core::model::{Object, ObjectId, Query};
-use genie_core::shard::Shard;
+use genie_core::shard::{Shard, ShardPlan};
 use genie_core::topk::TopHit;
 use genie_lsh::e2lsh::E2Lsh;
 use genie_lsh::{AnnIndex, Transformer};
@@ -44,7 +44,8 @@ use genie_service::{
     CollectionId, DbError, GenieDb, GenieService, SchedulerConfig, ServiceConfig, ServiceError,
 };
 use genie_store::{
-    DurableStore, FaultyVfs, JournalEvent, MemVfs, PlacementSpec, RecoveredStore, Vfs,
+    CollectionState, DurableStore, FaultyVfs, JournalEvent, MemVfs, PlacementSpec, RecoveredStore,
+    Vfs,
 };
 
 const ROOT: &str = "db";
@@ -272,7 +273,6 @@ fn db_over(vfs: &Arc<MemVfs>) -> GenieDb {
         ServiceConfig {
             max_queue_delay: Duration::ZERO,
             dispatchers: 1,
-            cache_capacity: 16,
             compact_after: 0, // only explicit compactions: deterministic files
             ..Default::default()
         },
@@ -752,4 +752,136 @@ fn random_interleavings_crash_cut_to_acked_prefixes() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Stores that recorded a shard→backend placement: the service drops the
+// plan on recovery and answers as if it had never been recorded.
+// ---------------------------------------------------------------------
+
+/// One 2-shard collection: create, a mutation batch, a checkpoint, and
+/// a later batch journaled after it. With `placed`, a tag-4 `Placement`
+/// event is journaled before the checkpoint and again before the later
+/// batch, whose seq continues the chain, and the snapshot carries
+/// `has_placement = 1`.
+fn image_with_placements(placed: bool) -> Arc<MemVfs> {
+    let vfs = Arc::new(MemVfs::new());
+    let store = DurableStore::open(Arc::clone(&vfs) as Arc<dyn Vfs>, ROOT)
+        .unwrap()
+        .store;
+    let mut b = IndexBuilder::new();
+    for i in 0..12u32 {
+        b.add_object(&obj(&[i % 4, 4 + i % 3]));
+    }
+    let base = ShardPlan::from_index(&b.build(None), 2)
+        .unwrap()
+        .shards()
+        .to_vec();
+    let spec = PlacementSpec {
+        num_backends: 1,
+        assignments: vec![vec![0]; 2],
+    };
+    let placement = |seq| JournalEvent::Placement {
+        collection: 0,
+        seq,
+        placement: Some(spec.clone()),
+    };
+
+    let mut seq = 1;
+    store
+        .append(&JournalEvent::Create {
+            collection: 0,
+            seq,
+            name: "placed".into(),
+            configured_shards: 2,
+            load_balance: None,
+            base,
+        })
+        .unwrap();
+    seq += 1;
+    store
+        .append(&JournalEvent::Mutate {
+            collection: 0,
+            seq,
+            first_id: 12,
+            deletes: vec![3],
+            inserts: vec![obj(&[1, 5]), obj(&[9])],
+        })
+        .unwrap();
+    if placed {
+        seq += 1;
+        store.append(&placement(seq)).unwrap();
+    }
+    let now = probe(&vfs);
+    store
+        .checkpoint_with(|| {
+            now.collections
+                .iter()
+                .map(|c| {
+                    CollectionState::capture(
+                        c.id,
+                        c.seq,
+                        &c.name,
+                        c.configured_shards,
+                        &c.plan,
+                        placed.then(|| spec.clone()),
+                    )
+                })
+                .collect()
+        })
+        .unwrap();
+    if placed {
+        seq += 1;
+        store.append(&placement(seq)).unwrap();
+    }
+    seq += 1;
+    store
+        .append(&JournalEvent::Mutate {
+            collection: 0,
+            seq,
+            first_id: 14,
+            deletes: vec![7],
+            inserts: vec![obj(&[9, 2])],
+        })
+        .unwrap();
+    vfs
+}
+
+#[test]
+fn recorded_placements_are_dropped_on_recovery_and_change_no_answer() {
+    let placed = image_with_placements(true);
+    let plain = image_with_placements(false);
+
+    // the image holds both records: a snapshot with has_placement = 1,
+    // then a tag-4 event and the later batch replayed on top of it
+    let recorded = probe(&placed);
+    assert!(recorded.report.snapshot_gen > 0, "{:?}", recorded.report);
+    assert_eq!(recorded.report.events_replayed, 2, "{:?}", recorded.report);
+    assert!(recorded.collections[0].placement.is_some());
+    assert_eq!(recorded.collections[0].seq, 5);
+    assert_eq!(probe(&plain).collections[0].seq, 3);
+
+    let db_placed = db_over(&placed);
+    let db_plain = db_over(&plain);
+    let queries: Vec<Query> = [&[9][..], &[1, 5], &[2], &[0, 4], &[3, 6]]
+        .iter()
+        .map(|kws| Query::from_keywords(kws))
+        .collect();
+    for k in [1, 3, 20] {
+        assert_eq!(
+            answers(db_placed.service(), 0, &queries, k),
+            answers(db_plain.service(), 0, &queries, k),
+            "a recorded placement changed an answer at k={k}"
+        );
+    }
+    // the later batch is present: its insert is the second object
+    // carrying keyword 9
+    let (hits, at) = &answers(db_placed.service(), 0, &queries[..1], 3)[0];
+    let ids: Vec<ObjectId> = hits.iter().map(|h| h.id).collect();
+    assert_eq!(ids, vec![13, 14]);
+    assert_eq!(*at, 1, "fewer than k matched");
+
+    // the service writes no placement: its next snapshot drops the plan
+    db_placed.checkpoint().unwrap();
+    assert!(probe(&placed).collections[0].placement.is_none());
 }

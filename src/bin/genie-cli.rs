@@ -355,7 +355,7 @@ fn net_query(args: &Args) {
     }
 }
 
-/// Remote fleet health: the `backend/...` and placement-related
+/// Remote fleet health: the `backend/...` and learned-cost
 /// `service/...` rows of the Stats frame, regrouped per backend.
 fn net_stats(client: &Client) {
     let fields = client.stats().unwrap_or_else(|e| {
@@ -370,10 +370,9 @@ fn net_stats(client: &Client) {
             .unwrap_or(0.0)
     };
     println!(
-        "service: {} served / {} waves, {} placed shard runs",
+        "service: {} served / {} waves",
         get("service/served"),
         get("service/waves"),
-        get("service/placed_shard_runs"),
     );
     println!(
         "learned fleet cost model: base {:.3} us/query + {:.6} us/posting \
@@ -408,7 +407,7 @@ fn net_stats(client: &Client) {
                 );
             }
         }
-        Ok(_) => println!("server reports no backend rows (pre-placement server?)"),
+        Ok(_) => println!("server reports no backend rows (an older server?)"),
         Err(e) => eprintln!("fleet-health failed: {e}"),
     }
 }

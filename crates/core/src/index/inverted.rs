@@ -304,6 +304,34 @@ mod tests {
     }
 
     #[test]
+    fn reconstruction_is_exact_under_load_balance() {
+        use crate::index::LoadBalanceConfig;
+        use crate::io::encode_index;
+        // keyword 1 spans every object, so every cap splits it; keyword
+        // 4 repeats inside object 2
+        let objects: Vec<Object> = (0..7u32)
+            .map(|i| match i {
+                2 => Object::new(vec![4, 1, 4, 9]),
+                _ => Object::new(vec![1, i % 3 + 4]),
+            })
+            .chain([Object::new(vec![])])
+            .collect();
+        for max_list_len in 1..=3 {
+            let lb = Some(LoadBalanceConfig { max_list_len });
+            let mut b = IndexBuilder::new();
+            b.add_objects(&objects);
+            let idx = b.build(lb);
+            let mut rebuilt = IndexBuilder::new();
+            rebuilt.add_objects(&idx.reconstruct_objects());
+            assert_eq!(
+                encode_index(&rebuilt.build(lb)),
+                encode_index(&idx),
+                "max_list_len {max_list_len}"
+            );
+        }
+    }
+
+    #[test]
     fn coalescing_merges_adjacent_segments() {
         let idx = sample_index();
         // keywords 10, 20, 30 occupy the List Array back-to-back, so a

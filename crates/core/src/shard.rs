@@ -150,10 +150,11 @@ impl Shard {
     }
 
     /// Rebuild this shard's `(stable id, object)` pairs by inverting its
-    /// index and zipping with the local→global map. Postings within an
-    /// object come back sorted (the index stores them that way); for
-    /// load-balance-capped indexes the reconstruction is lossy, exactly
-    /// as documented on [`InvertedIndex::reconstruct_objects`].
+    /// index and zipping with the local→global map. Keywords within an
+    /// object come back sorted (the index stores them that way). The
+    /// keyword multisets are exact, also for load-balance-capped
+    /// indexes: splitting a list into sublists drops no posting (see
+    /// [`InvertedIndex::reconstruct_objects`]).
     pub fn entries(&self) -> Vec<(ObjectId, Object)> {
         self.index
             .reconstruct_objects()
@@ -226,20 +227,24 @@ impl ShardPlan {
                 num_shards,
             });
         }
-        let mut builders: Vec<(IndexBuilder, Vec<ObjectId>)> = (0..num_shards)
-            .map(|_| (IndexBuilder::new(), Vec::new()))
-            .collect();
-        for (global, (object, &shard)) in objects.iter().zip(assignment).enumerate() {
-            let (builder, ids) = &mut builders[shard];
-            builder.add_object(object);
-            ids.push(global as ObjectId);
+        let mut ids: Vec<Vec<ObjectId>> = vec![Vec::new(); num_shards];
+        for (global, &shard) in assignment.iter().enumerate() {
+            ids[shard].push(global as ObjectId);
         }
-        let mut shards: Vec<Shard> = builders
+        // one shard at a time, so only one builder's staged postings are
+        // alive at once
+        let mut shards: Vec<Shard> = ids
             .into_iter()
-            .filter(|(_, ids)| !ids.is_empty())
-            .map(|(builder, ids)| Shard {
-                index: Arc::new(builder.build(load_balance)),
-                global_ids: Arc::new(ids),
+            .filter(|ids| !ids.is_empty())
+            .map(|ids| {
+                let mut builder = IndexBuilder::new();
+                for &global in &ids {
+                    builder.add_object(&objects[global as usize]);
+                }
+                Shard {
+                    index: Arc::new(builder.build(load_balance)),
+                    global_ids: Arc::new(ids),
+                }
             })
             .collect();
         if shards.is_empty() {

@@ -96,6 +96,12 @@
 //!   num_backends: u32, assignments: count × u32s
 //! ```
 //!
+//! The current writer (`genie-service`) always writes
+//! `has_placement = 0`. A `1` with its shard→backend plan is decoded
+//! only so that images from older writers stay readable: recovery hands
+//! it up in `RecoveredCollection::placement`, and the service drops it
+//! (every shard run goes to the whole fleet).
+//!
 //! # Journal event payload ([`JournalEvent`])
 //!
 //! One event per frame, written/read by [`state::encode_event`] /
@@ -108,6 +114,10 @@
 //! tag 3 Mutate     first_id: u32, deletes: u32s, inserts: objects
 //! tag 4 Placement  placement spec (as in snapshots)
 //! ```
+//!
+//! The current writer never appends tag 4. It is decoded, and its seq
+//! kept in the chain, only so that journals from older writers stay
+//! readable; the plan it carries is dropped like a snapshot's.
 //!
 //! `seq` is a per-collection chain starting at 1 with `Create` and
 //! incrementing by exactly 1 per event. Replay is idempotent: events
